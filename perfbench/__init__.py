@@ -1,0 +1,1 @@
+"""The repository's benchmark: ``python3 perfbench/run.py --help``."""
