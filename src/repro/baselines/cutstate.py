@@ -179,7 +179,7 @@ class CutState:
         s = self.side[v]
         other = 1 - s
         g = 0
-        for name in self.h.incident_edges(v):
+        for name in self.h.incident_edges_view(v):
             counts = self.pins[name]
             if counts[other] == 0:
                 g -= 1
@@ -205,40 +205,33 @@ class CutState:
     def swap_gain(self, a: Vertex, b: Vertex) -> int:
         """Exact cutsize decrease for swapping ``a`` and ``b`` (KL pairs).
 
-        ``gain(a) + gain(b)`` double-counts edges containing both; the
-        correction is computed edge-by-edge over the (short) incidence
-        intersection.
+        ``gain(a) + gain(b)`` miscounts edges containing both; see
+        :meth:`shared_edge_correction`.
         """
         if self.side[a] == self.side[b]:
             raise ValueError("swap requires vertices on opposite sides")
-        base = self.gain(a) + self.gain(b)
-        shared = self.h.incident_edges(a) & self.h.incident_edges(b)
+        return self.gain(a) + self.gain(b) + self.shared_edge_correction(a, b)
+
+    def shared_edge_correction(self, a: Vertex, b: Vertex) -> int:
+        """What to add to ``gain(a) + gain(b)`` to get the swap gain.
+
+        ``a`` and ``b`` must be on opposite sides.  An edge containing
+        both stays cut through the swap (each side loses one pin and
+        gains one), but each single-move gain claims +1 for it when its
+        vertex is the last pin on its side; the correction takes those
+        claims back.  Zero when the two share no edge.  Not counted in
+        ``evaluations``.
+        """
+        sa = self.side[a]
+        sb = 1 - sa
         correction = 0
-        for name in shared:
+        for name in self.h.incident_edges_view(a) & self.h.incident_edges_view(b):
             counts = self.pins[name]
-            size = self.h.edge_size(name)
-            sa = self.side[a]
-            before_cut = 1 if (counts[LEFT] and counts[RIGHT]) else 0
-            after = counts.copy()
-            after[sa] -= 1
-            after[1 - sa] += 1  # a moves
-            sb = self.side[b]
-            after[sb] -= 1
-            after[1 - sb] += 1  # b moves
-            after_cut = 1 if (after[LEFT] and after[RIGHT]) else 0
-            true_delta = before_cut - after_cut
-            # what gain(a)+gain(b) claimed for this edge:
-            claimed = 0
-            if counts[1 - sa] == 0:
-                claimed -= 1
-            elif counts[sa] == 1:
-                claimed += 1
-            if counts[1 - sb] == 0:
-                claimed -= 1
-            elif counts[sb] == 1:
-                claimed += 1
-            correction += true_delta - claimed
-        return base + correction
+            if counts[sa] == 1:
+                correction -= 1
+            if counts[sb] == 1:
+                correction -= 1
+        return correction
 
     @property
     def left(self) -> set[Vertex]:

@@ -12,19 +12,29 @@ Pair selection
 Scanning all ``|L| x |R|`` pairs per step is the textbook O(n^2 log n)
 2-opt bound but cubic constants in Python; like practical CAD
 implementations we shortlist the top ``k`` single-move gains per side
-(default 8) and evaluate the exact swap gain — including the shared-edge
-correction — only on the ``k^2`` shortlist.  With ``k = n`` this recovers
-the exhaustive rule; tests cover that equivalence on small inputs.
+(default 8) and score only the ``k^2`` shortlisted pairs exactly: the
+two cached single-move gains plus, when the pair shares an edge, the
+shared-edge correction.  Equal gains rank by the larger ``repr``.  With
+``k >= max(|L|, |R|)`` every step takes a pair of maximum swap gain over
+all unlocked pairs, the exhaustive rule; tests check that by brute force
+on small inputs.
+
+Each side keeps one int64 key per unlocked vertex, ``gain * n + rank``,
+where ``rank`` is the vertex's place in ``repr`` order (vertices with
+equal ``repr`` keep their vertex-list order).  Keys are distinct, so a
+step's shortlist is a ``partition`` plus a ``k``-element sort, and a
+swap rewrites only the keys of the neighbours whose gains it refreshed.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
-from collections.abc import Hashable
+from collections.abc import Hashable, Mapping, Sequence
+
+import numpy as np
 
 from repro import obs
-from repro.baselines.cutstate import CutState, initial_state
+from repro.baselines.cutstate import LEFT, RIGHT, CutState, initial_state
 from repro.baselines.result import BaselineResult
 from repro.core.hypergraph import Hypergraph
 from repro.core.partition import Bipartition
@@ -72,6 +82,8 @@ def kernighan_lin(
     degrade_reason: str | None = None
     with obs.span("baseline.kl"):
         state = initial_state(hypergraph, initial, rng)
+        order = sorted(hypergraph.vertices, key=repr)
+        rank = {v: r for r, v in enumerate(order)}
 
         history: list[int] = []
         passes = 0
@@ -82,7 +94,7 @@ def kernighan_lin(
                 break
             faults.inject("baseline.kl.pass")
             passes += 1
-            improvement = _kl_pass(state, shortlist)
+            improvement = _kl_pass(state, shortlist, order, rank)
             history.append(state.cutsize)
             if improvement <= 0:
                 break
@@ -100,30 +112,46 @@ def kernighan_lin(
     )
 
 
-def _kl_pass(state: CutState, shortlist: int) -> int:
-    """One KL pass; returns the realized (rolled-back-to-best) gain."""
+def _kl_pass(
+    state: CutState,
+    shortlist: int,
+    order: Sequence[Vertex],
+    rank: Mapping[Vertex, int],
+) -> int:
+    """One KL pass; returns the realized (rolled-back-to-best) gain.
+
+    ``order`` lists the vertices in ``repr`` order and ``rank`` maps each
+    vertex to its index there.
+    """
     h = state.h
+    side = state.side
     gains: dict[Vertex, int] = {v: state.gain(v) for v in h.vertices}
-    unlocked_left = set(state.left)
-    unlocked_right = set(state.right)
+    unlocked = [
+        _SideKeys([v for v in order if side[v] == s], gains, order, rank)
+        for s in (LEFT, RIGHT)
+    ]
 
     swaps: list[tuple[Vertex, Vertex]] = []
     cumulative = 0
     best_cumulative = 0
     best_prefix = 0
 
-    while unlocked_left and unlocked_right:
-        cand_left = heapq.nlargest(
-            shortlist, unlocked_left, key=lambda v: (gains[v], repr(v))
-        )
-        cand_right = heapq.nlargest(
-            shortlist, unlocked_right, key=lambda v: (gains[v], repr(v))
-        )
+    while unlocked[LEFT] and unlocked[RIGHT]:
+        cand_left = unlocked[LEFT].top(shortlist)
+        cand_right = [
+            (b, gains[b], h.incident_edges_view(b)) for b in unlocked[RIGHT].top(shortlist)
+        ]
+        # Two single-move gains per scored pair, as swap_gain counts them.
+        state.evaluations += 2 * len(cand_left) * len(cand_right)
         best_pair: tuple[Vertex, Vertex] | None = None
         best_gain = None
         for a in cand_left:
-            for b in cand_right:
-                g = state.swap_gain(a, b)
+            gain_a = gains[a]
+            edges_a = h.incident_edges_view(a)
+            for b, gain_b, edges_b in cand_right:
+                g = gain_a + gain_b
+                if not edges_a.isdisjoint(edges_b):
+                    g += state.shared_edge_correction(a, b)
                 if best_gain is None or g > best_gain:
                     best_gain = g
                     best_pair = (a, b)
@@ -132,11 +160,14 @@ def _kl_pass(state: CutState, shortlist: int) -> int:
 
         affected = {a, b} | h.neighbors(a) | h.neighbors(b)
         state.apply_swap(a, b)
+        unlocked[LEFT].lock(a)
+        unlocked[RIGHT].lock(b)
         for v in affected:
             gains[v] = state.gain(v)
+            side_keys = unlocked[side[v]]
+            if v in side_keys:
+                side_keys.update(v, gains[v])
 
-        unlocked_left.discard(a)
-        unlocked_right.discard(b)
         swaps.append((a, b))
         cumulative += best_gain
         if cumulative > best_cumulative:
@@ -147,3 +178,50 @@ def _kl_pass(state: CutState, shortlist: int) -> int:
     for a, b in reversed(swaps[best_prefix:]):
         state.apply_swap(b, a)
     return best_cumulative
+
+
+class _SideKeys:
+    """One side's unlocked vertices, keyed ``gain * n + rank``.
+
+    The keys fill the front of an int64 array; ``slot`` maps each
+    unlocked vertex to its position.  A key decodes back to its vertex
+    as ``order[key % n]``.
+    """
+
+    def __init__(
+        self,
+        vertices: Sequence[Vertex],
+        gains: Mapping[Vertex, int],
+        order: Sequence[Vertex],
+        rank: Mapping[Vertex, int],
+    ) -> None:
+        self.order = order
+        self.rank = rank
+        self.n = n = len(order)
+        self.keys = np.array([gains[v] * n + rank[v] for v in vertices], dtype=np.int64)
+        self.slot = {v: i for i, v in enumerate(vertices)}
+
+    def __len__(self) -> int:
+        return len(self.slot)
+
+    def __contains__(self, v: Vertex) -> bool:
+        return v in self.slot
+
+    def top(self, k: int) -> list[Vertex]:
+        """The (at most) ``k`` vertices with the largest keys, largest first."""
+        live = self.keys[: len(self.slot)]
+        k = min(k, len(live))
+        best = np.sort(np.partition(live, -k)[-k:])[::-1]
+        return [self.order[key % self.n] for key in best.tolist()]
+
+    def update(self, v: Vertex, gain: int) -> None:
+        self.keys[self.slot[v]] = gain * self.n + self.rank[v]
+
+    def lock(self, v: Vertex) -> None:
+        """Drop ``v``, moving the last live key into its slot."""
+        i = self.slot.pop(v)
+        last = len(self.slot)
+        if i < last:
+            key = int(self.keys[last])
+            self.keys[i] = key
+            self.slot[self.order[key % self.n]] = i

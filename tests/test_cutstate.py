@@ -155,3 +155,17 @@ class TestProperties:
             state.apply_move(vertices[m % len(vertices)])
         state.validate()
         assert state.cutsize == naive_cutsize(h, state.left)
+
+    @settings(max_examples=40, deadline=None)
+    @given(hypergraphs(max_edge_size=4), st.integers(0, 2**31 - 1))
+    def test_swap_gain_is_realized_cut_change(self, h, seed):
+        """Exact for every opposite-side pair, shared multi-pin edges included."""
+        left, _ = random_balanced_sides(h, random.Random(seed))
+        state = CutState(h, left)
+        for a in sorted(state.left):
+            for b in sorted(state.right):
+                before = state.cutsize
+                predicted = state.swap_gain(a, b)
+                state.apply_swap(a, b)
+                assert before - state.cutsize == predicted
+                state.apply_swap(b, a)
