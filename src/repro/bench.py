@@ -58,7 +58,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.core.hypergraph import Hypergraph
-from repro.engines import ALL_ENGINES, DEFAULT_ENGINES, REFINERS, run_engine
+from repro.engines import ALL_ENGINES, REFINERS, run_engine
 from repro.generators.difficult import planted_bisection
 from repro.generators.netlists import clustered_netlist
 from repro.generators.random_hypergraph import random_hypergraph
@@ -417,7 +417,7 @@ def _journal_settings(
 def run_bench(
     label: str,
     cases: tuple[BenchCase, ...] = PINNED_SUITE,
-    engines: tuple[str, ...] = DEFAULT_ENGINES,
+    engines: tuple[str, ...] = ALL_ENGINES,
     seed: int = 0,
     starts: int = 10,
     repeats: int = 3,

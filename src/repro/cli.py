@@ -24,6 +24,8 @@ from pathlib import Path
 
 from repro.core.algorithm1 import algorithm1
 from repro.core.hypergraph import Hypergraph
+from repro.engines import ALL_ENGINES, PLACERS, REFINERS, apply_refine, run_engine, run_placer
+from repro.placement.mincut_placement import PARTITIONERS
 
 
 def _load_hypergraph(path: str, fmt: str | None) -> Hypergraph:
@@ -121,62 +123,34 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             workers = result.counters.get("parallel_workers", 0)
             if workers:
                 print(f"parallel workers   : {workers}")
-    elif args.algorithm == "flow":
-        from repro.engines import run_engine
-
+        extras = {}
+        if args.refine:
+            bp, extras = apply_refine(
+                args.refine,
+                h,
+                bp,
+                seed=args.seed,
+                balance_tolerance=args.balance_tolerance,
+                deadline=args.deadline,
+            )
+    else:
         bp, extras = run_engine(
-            "flow",
+            args.algorithm,
             h,
             seed=args.seed,
             starts=args.starts,
             deadline=args.deadline,
             balance_tolerance=args.balance_tolerance,
+            refine=args.refine,
         )
-        _check_degraded(
-            bool(extras.get("degraded")), extras.get("degrade_reason"), args.on_error
+    _check_degraded(
+        extras.get("degraded", False), extras.get("degrade_reason"), args.on_error
+    )
+    if "seed_cutsize" in extras:
+        print(
+            f"refine ({extras['refine']:<4})      : "
+            f"cutsize {extras['seed_cutsize']} -> {bp.cutsize}"
         )
-        print(f"flow rounds        : {extras.get('flow_rounds', 0)}")
-        print(f"seed cutsize       : {extras.get('seed_cutsize')}")
-    else:
-        from repro.baselines import (
-            fiduccia_mattheyses,
-            kernighan_lin,
-            random_cut,
-            simulated_annealing,
-            spectral_bisection,
-        )
-
-        d = args.deadline
-        runners = {
-            "fm": lambda: fiduccia_mattheyses(h, seed=args.seed, deadline=d),
-            "kl": lambda: kernighan_lin(h, seed=args.seed, deadline=d),
-            "sa": lambda: simulated_annealing(h, seed=args.seed, deadline=d),
-            "random": lambda: random_cut(
-                h, num_starts=args.starts, seed=args.seed, deadline=d
-            ),
-            "spectral": lambda: spectral_bisection(h, seed=args.seed, deadline=d),
-        }
-        base_result = runners[args.algorithm]()
-        bp = base_result.bipartition
-        _check_degraded(base_result.degraded, base_result.degrade_reason, args.on_error)
-
-    if args.refine:
-        from repro.engines import apply_refine
-
-        unrefined = bp.cutsize
-        bp, refine_extras = apply_refine(
-            args.refine,
-            h,
-            bp,
-            seed=args.seed,
-            balance_tolerance=args.balance_tolerance,
-            deadline=args.deadline,
-        )
-        if refine_extras.get("refine_degraded"):
-            _check_degraded(
-                True, refine_extras.get("refine_degrade_reason"), args.on_error
-            )
-        print(f"refine ({args.refine:<4})      : cutsize {unrefined} -> {bp.cutsize}")
 
     print(f"cutsize            : {bp.cutsize}")
     print(f"weighted cutsize   : {bp.weighted_cutsize:g}")
@@ -228,26 +202,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_place(args: argparse.Namespace) -> int:
-    from repro.placement import SlotGrid, mincut_place
-
     h = _load_hypergraph(args.file, args.format)
-    grid = SlotGrid(args.rows, args.cols) if args.rows and args.cols else None
-    if args.placer == "annealing":
-        from repro.placement import annealing_place
-
-        result = annealing_place(h, grid=grid, seed=args.seed, deadline=args.deadline)
-    elif args.placer == "quadratic":
-        from repro.placement import quadratic_place
-
-        result = quadratic_place(h, grid=grid, seed=args.seed, deadline=args.deadline)
-    else:
-        result = mincut_place(
-            h,
-            grid=grid,
-            partitioner=args.partitioner,
-            seed=args.seed,
-            deadline=args.deadline,
-        )
+    result = run_placer(
+        args.placer,
+        h,
+        seed=args.seed,
+        rows=args.rows,
+        cols=args.cols,
+        partitioner=args.partitioner,
+        deadline=args.deadline,
+    )
     _check_degraded(result.degraded, result.degrade_reason, args.on_error)
     print(f"grid               : {result.grid.rows} x {result.grid.cols}")
     print(f"total HPWL         : {result.total_hpwl:.1f}")
@@ -319,7 +283,6 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import (
-        DEFAULT_ENGINES,
         SUITES,
         bench_path,
         compare_bench,
@@ -345,7 +308,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             current = run_bench(
                 "current",
                 cases=cases,
-                engines=tuple(settings.get("engines", DEFAULT_ENGINES)),
+                engines=tuple(settings.get("engines", ALL_ENGINES)),
                 seed=settings.get("seed", 0),
                 starts=settings.get("starts", 10),
                 repeats=settings.get("repeats", 3),
@@ -364,7 +327,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(format_compare(baseline, current, regressions))
         return 1 if regressions else 0
 
-    engines = tuple(args.engines.split(",")) if args.engines else DEFAULT_ENGINES
+    engines = tuple(args.engines.split(",")) if args.engines else ALL_ENGINES
     scale = "quick" if args.quick else args.scale
     resume_notes: list[str] = []
     payload = run_bench(
@@ -752,12 +715,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["hgr", "netlist", "json"], default=None)
     p.add_argument(
         "--algorithm",
-        choices=["algorithm1", "fm", "kl", "sa", "random", "spectral", "flow"],
+        choices=ALL_ENGINES,
         default="algorithm1",
     )
     p.add_argument(
         "--refine",
-        choices=["flow", "fm"],
+        choices=REFINERS,
         default=None,
         help="apply a never-worse refinement post-pass to the bipartition "
         "(flow = exact corridor min-cut solves, see docs/FLOW.md)",
@@ -855,10 +818,10 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--format", choices=["hgr", "netlist", "json"], default=None)
     pl.add_argument("--rows", type=int, default=0)
     pl.add_argument("--cols", type=int, default=0)
-    pl.add_argument("--partitioner", choices=["algorithm1", "fm", "hybrid"], default="hybrid")
+    pl.add_argument("--partitioner", choices=PARTITIONERS, default="hybrid")
     pl.add_argument(
         "--placer",
-        choices=["mincut", "annealing", "quadratic"],
+        choices=PLACERS,
         default="mincut",
         help="placement engine (--partitioner applies to mincut only)",
     )
@@ -906,7 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pf.add_argument(
         "--refine",
-        choices=["flow", "fm"],
+        choices=REFINERS,
         default=None,
         help="apply a never-worse refinement post-pass to the winning cut",
     )
@@ -922,7 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--engines", default=None, help="comma-separated engine list")
     b.add_argument(
         "--refine",
-        choices=["flow", "fm"],
+        choices=REFINERS,
         default=None,
         help="apply a refinement post-pass to every engine run (recorded "
         "in the payload settings and the journal fingerprint)",
@@ -1286,18 +1249,16 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--socket", metavar="PATH", default=None, help="daemon AF_UNIX socket")
     c.add_argument(
         "--engine",
-        choices=["algorithm1", "fm", "kl", "sa", "random", "spectral", "flow"],
+        choices=ALL_ENGINES,
         default="algorithm1",
     )
     c.add_argument(
         "--refine",
-        choices=["flow", "fm"],
+        choices=REFINERS,
         default=None,
         help="request a refinement post-pass (partition op only)",
     )
-    c.add_argument(
-        "--placer", choices=["mincut", "annealing", "quadratic"], default="mincut"
-    )
+    c.add_argument("--placer", choices=PLACERS, default="mincut")
     c.add_argument("--starts", type=int, default=10)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument(

@@ -111,23 +111,14 @@ class _WinnerSelector:
         self.alive = bytearray(cap)
         self.pool_of = pool_of
         self.count = [0] * num_pools
-        if graph._use_csr():
-            # Degree and weight arrays drop out of the CSR snapshot for
-            # free (freed slots read 0 there vs the legacy defaults, but
-            # dead slots are never consulted).
-            csr = graph.csr()
-            self.deg = csr.degrees().tolist()
-            self.weight = csr.weights.tolist()
-        else:
-            self.deg = [0] * cap
-            self.weight = [1.0] * cap
-            for i in self.ids:
-                self.deg[i] = len(self.adj[i])
-                self.weight[i] = graph.node_weight(self.labels[i])
+        self.deg = [0] * cap
+        self.weight = [1.0] * cap
         self.wsum = [0.0] * cap
         self.reprs: list[str | None] = [None] * cap
         for i in self.ids:
             self.alive[i] = 1
+            self.deg[i] = len(self.adj[i])
+            self.weight[i] = graph.node_weight(self.labels[i])
             self.reprs[i] = repr(self.labels[i])
             self.count[pool_of[i]] += 1
         # The weighted variant's neighbour sums stay a python loop on

@@ -1,24 +1,30 @@
-"""The shared partition-engine registry: one name -> run mapping.
+"""The engine registry: the one name -> engine mapping.
 
-Both repeat-invocation front ends — the ``BENCH_*.json`` regression
-harness (:mod:`repro.bench`) and the partition service
-(:mod:`repro.server`) — execute engines by name with deterministic
-settings.  They must agree *exactly*: a bench pair replayed through the
-daemon (``bench --server``) has to report the same cut as a local run,
-and a service cache entry must be reproducible from its settings
-fingerprint alone.  So the name -> engine dispatch lives here, in one
-place, and every front end imports it.
+Every front end that runs an engine by name — the CLI's ``partition``
+and ``place``, the portfolio, the ``BENCH_*.json`` regression harness
+(:mod:`repro.bench`) and the partition service (:mod:`repro.server`) —
+dispatches through this module, and validates names against the tuples
+defined here.  They must agree *exactly*: a bench pair replayed through
+the daemon (``bench --server``) has to report the same cut as a local
+run, and a service cache entry must be reproducible from its settings
+fingerprint alone.
 
 Every engine is a deterministic function of ``(hypergraph, seed,
-starts)``; ``deadline`` only ever *truncates* work (best-so-far result,
-``degraded=True``), never changes the fault-free answer.
+starts, balance_tolerance)``; ``deadline`` only ever *truncates* work
+(best-so-far result, ``degraded=True``), never changes the fault-free
+answer.
 
 Besides full engines, the registry exposes *refiners*
-(:data:`REFINERS`): post-passes applied to an already-computed
-bipartition via ``run_engine(..., refine=...)`` or
-:func:`apply_refine`.  A refiner never worsens the weighted cut and is
-part of the service settings fingerprint, so cached daemon results
-stay keyed by the exact computation that produced them.
+(:data:`REFINERS`): never-worse post-passes applied to an
+already-computed bipartition via ``run_engine(..., refine=...)`` or
+:func:`apply_refine`.  The ``flow`` engine is Algorithm I followed by
+the ``flow`` refiner on that same path.  A refiner is part of the
+service settings fingerprint, so cached daemon results stay keyed by
+the exact computation that produced them.
+
+Dispatch names ``algorithm1`` and ``spectral_bisection`` through this
+module's globals at call time (never through a table built at import),
+so a wrapper installed on ``repro.engines.algorithm1`` sees every call.
 """
 
 from __future__ import annotations
@@ -35,52 +41,53 @@ from repro.core.algorithm1 import algorithm1
 from repro.core.hypergraph import Hypergraph
 from repro.core.partition import Bipartition
 from repro.core.refinement import fm_refine
+from repro.placement import (
+    PlacementResult,
+    SlotGrid,
+    annealing_place,
+    mincut_place,
+    quadratic_place,
+)
 from repro.runtime import Deadline
 
 __all__ = [
     "ALL_ENGINES",
-    "DEFAULT_ENGINES",
+    "PLACERS",
     "REFINERS",
     "EngineError",
     "apply_refine",
     "run_engine",
+    "run_placer",
 ]
 
-#: Engines in the default sweep.  ``spectral`` joined once its Fiedler
-#: order was canonicalized (quantize + sign fix + vertex-index
-#: tie-break, see ``repro.baselines.spectral``) — its cut is now a
-#: deterministic function of the hypergraph, safe for the exact gate.
+#: Every dispatchable engine name, in the default bench sweep order.
+#: ``spectral`` is deterministic: its Fiedler order is canonicalized
+#: (quantize + sign fix + vertex-index tie-break, see
+#: ``repro.baselines.spectral``), so its cut is safe for the exact gate.
 #: ``flow`` is Algorithm I's best start refined by the exact corridor
-#: solver (``repro.flow``), the strongest cut engine in the registry.
-#:
-#: NOTE: keep this and :data:`ALL_ENGINES` as *separate* tuple literals.
-#: They used to alias the same object, so adding a name to one silently
-#: changed the other (and every front end validating against it).
-DEFAULT_ENGINES = ("algorithm1", "fm", "kl", "sa", "random", "spectral", "flow")
-
-#: Every dispatchable engine name — the validation surface for bench
-#: ``--engines`` and the service protocol.  A superset of (but never
-#: the same object as) :data:`DEFAULT_ENGINES`.  Built via a generator
-#: on purpose: two equal tuple *literals* are constant-folded into one
-#: shared object by CPython, which is exactly the aliasing this guards
-#: against.
-ALL_ENGINES = tuple(name for name in ("algorithm1", "fm", "kl", "sa", "random", "spectral", "flow"))
+#: solver (``repro.flow``).  On the pinned suite (BENCH_pr9.json) it
+#: never improved its Algorithm I seed, and on random200 it cut 88
+#: where ``fm`` cut 75 and ``kl`` cut 73.
+ALL_ENGINES = ("algorithm1", "fm", "kl", "sa", "random", "spectral", "flow")
 
 #: Post-pass refiners accepted by ``run_engine(..., refine=...)``.
 REFINERS = ("flow", "fm")
 
+#: Placement engines accepted by :func:`run_placer`.
+PLACERS = ("mincut", "annealing", "quadratic")
+
 #: Bounded SA schedule so repeat-invocation runs stay minutes-free and
 #: each engine run sits well under a second (keeping the bench runtime
 #: gate's absolute noise floor meaningful); the full-length schedule
-#: belongs to the paper-table experiments, not to bench or the service.
+#: belongs to the paper-table experiments.
 BOUNDED_SA_SCHEDULE = AnnealingSchedule(
     alpha=0.9, max_total_moves=20_000, min_temperature=1e-2, frozen_after=2
 )
 
-#: Corridor radius for the ``flow`` engine and the ``flow`` refiner.
-#: Radius 2 keeps corridor networks a small fraction of the hypergraph
-#: on the bench instances while still letting whole boundary clusters
-#: change sides in one exact solve.
+#: Corridor radius for the ``flow`` refiner.  Radius 2 keeps corridor
+#: networks a small fraction of the hypergraph on the bench instances
+#: while still letting whole boundary clusters change sides in one
+#: exact solve.
 FLOW_CORRIDOR_RADIUS = 2
 
 #: Round budget for one refine_flow invocation in engine context.
@@ -88,7 +95,7 @@ FLOW_MAX_ROUNDS = 8
 
 
 class EngineError(ValueError):
-    """Raised when an unknown engine or refiner name is dispatched."""
+    """Raised when an unknown engine, refiner or placer name is dispatched."""
 
 
 def _base_extras(result) -> dict:
@@ -102,8 +109,14 @@ def apply_refine(
     seed: int,
     balance_tolerance: float = 0.1,
     deadline: Deadline | None = None,
+    extras: dict | None = None,
 ) -> tuple:
     """Apply one named refiner; returns ``(bipartition, extras)``.
+
+    ``extras`` are the producing engine's (a clean run when omitted).
+    The returned copy gains ``seed_cutsize`` (the cut before the first
+    refiner pass, kept across passes) and this pass's ``refine*`` keys;
+    a pass cut short by the deadline marks the whole result degraded.
 
     Both refiners are never-worse: the returned cut is at most the
     input cut, and an expired deadline yields the input back (flagged
@@ -112,6 +125,8 @@ def apply_refine(
     """
     from repro.flow import refine_flow  # deferred: keep engine import light
 
+    extras = dict(extras or {"degraded": False, "degrade_reason": None})
+    extras.setdefault("seed_cutsize", bipartition.cutsize)
     if refine == "flow":
         result = refine_flow(
             h,
@@ -121,23 +136,27 @@ def apply_refine(
             max_rounds=FLOW_MAX_ROUNDS,
             deadline=deadline,
         )
-        return result.bipartition, {
-            "refine": "flow",
-            "refine_improved": result.improved,
-            "refine_rounds": result.rounds,
-            "refine_degraded": result.degraded,
-            "refine_degrade_reason": result.degrade_reason,
-            "refine_cut_trajectory": list(result.cut_trajectory),
-        }
+        extras.update(
+            refine="flow",
+            refine_improved=result.improved,
+            refine_rounds=result.rounds,
+            refine_degraded=result.degraded,
+            refine_degrade_reason=result.degrade_reason,
+            refine_cut_trajectory=list(result.cut_trajectory),
+        )
+        if result.degraded:
+            extras["degraded"] = True
+            extras["degrade_reason"] = extras["degrade_reason"] or result.degrade_reason
+        return result.bipartition, extras
     if refine == "fm":
         refined = fm_refine(
             bipartition, balance_tolerance=balance_tolerance, seed=seed
         )
-        return refined, {
-            "refine": "fm",
-            "refine_improved": refined.weighted_cutsize
-            < bipartition.weighted_cutsize,
-        }
+        extras.update(
+            refine="fm",
+            refine_improved=refined.weighted_cutsize < bipartition.weighted_cutsize,
+        )
+        return refined, extras
     raise EngineError(f"unknown refiner {refine!r}; choose from {REFINERS}")
 
 
@@ -153,32 +172,21 @@ def run_engine(
     """Run one engine by name; returns ``(bipartition, extras)``.
 
     ``extras`` is a JSON-ready dict always carrying ``degraded`` (and,
-    for ``algorithm1``, the per-phase timings and work counters).
-    ``refine`` optionally applies a :data:`REFINERS` post-pass to the
-    engine's answer with whatever deadline budget remains.
+    for ``algorithm1`` and ``flow``, Algorithm I's per-phase timings and
+    work counters).  ``refine`` optionally applies a :data:`REFINERS`
+    post-pass to the engine's answer with whatever deadline budget
+    remains, so ``flow`` with ``refine="flow"`` runs two flow passes.
     """
     if refine is not None and refine not in REFINERS:
         raise EngineError(f"unknown refiner {refine!r}; choose from {REFINERS}")
-    bipartition, extras = _dispatch(
-        engine, h, seed, starts, deadline, balance_tolerance
-    )
+    base, passes = ("algorithm1", ("flow",)) if engine == "flow" else (engine, ())
     if refine is not None:
-        bipartition, refine_extras = apply_refine(
-            refine,
-            h,
-            bipartition,
-            seed=seed,
-            balance_tolerance=balance_tolerance,
-            deadline=deadline,
+        passes += (refine,)
+    bipartition, extras = _dispatch(base, h, seed, starts, deadline, balance_tolerance)
+    for name in passes:
+        bipartition, extras = apply_refine(
+            name, h, bipartition, seed, balance_tolerance, deadline, extras
         )
-        extras = dict(extras)
-        extras.update(refine_extras)
-        if refine_extras.get("refine_degraded"):
-            extras["degraded"] = True
-            if not extras.get("degrade_reason"):
-                extras["degrade_reason"] = refine_extras.get(
-                    "refine_degrade_reason"
-                )
     return bipartition, extras
 
 
@@ -201,48 +209,52 @@ def _dispatch(
         return result.bipartition, {
             "phases": dict(result.timings),
             "work_counters": dict(result.counters),
-            "degraded": result.degraded,
-            "degrade_reason": result.degrade_reason,
+            **_base_extras(result),
         }
     if engine == "fm":
-        result = fiduccia_mattheyses(h, seed=seed, deadline=deadline)
-        return result.bipartition, _base_extras(result)
-    if engine == "kl":
+        result = fiduccia_mattheyses(
+            h, balance_tolerance=balance_tolerance, seed=seed, deadline=deadline
+        )
+    elif engine == "kl":
         result = kernighan_lin(h, seed=seed, deadline=deadline)
-        return result.bipartition, _base_extras(result)
-    if engine == "sa":
+    elif engine == "sa":
         result = simulated_annealing(
-            h, schedule=BOUNDED_SA_SCHEDULE, seed=seed, deadline=deadline
-        )
-        return result.bipartition, _base_extras(result)
-    if engine == "random":
-        result = random_cut(h, num_starts=starts, seed=seed, deadline=deadline)
-        return result.bipartition, _base_extras(result)
-    if engine == "spectral":
-        result = spectral_bisection(h, seed=seed, deadline=deadline)
-        return result.bipartition, _base_extras(result)
-    if engine == "flow":
-        seed_bp, seed_extras = _dispatch(
-            "algorithm1", h, seed, starts, deadline, balance_tolerance
-        )
-        refined, refine_extras = apply_refine(
-            "flow",
             h,
-            seed_bp,
-            seed=seed,
+            schedule=BOUNDED_SA_SCHEDULE,
             balance_tolerance=balance_tolerance,
+            seed=seed,
             deadline=deadline,
         )
-        extras = {
-            "degraded": bool(seed_extras.get("degraded"))
-            or bool(refine_extras.get("refine_degraded")),
-            "degrade_reason": seed_extras.get("degrade_reason")
-            or refine_extras.get("refine_degrade_reason"),
-            "seed_engine": "algorithm1",
-            "seed_cutsize": seed_bp.cutsize,
-            "flow_rounds": refine_extras["refine_rounds"],
-            "flow_improved": refine_extras["refine_improved"],
-            "flow_cut_trajectory": refine_extras["refine_cut_trajectory"],
-        }
-        return refined, extras
-    raise EngineError(f"unknown engine {engine!r}; choose from {ALL_ENGINES}")
+    elif engine == "random":
+        result = random_cut(h, num_starts=starts, seed=seed, deadline=deadline)
+    elif engine == "spectral":
+        result = spectral_bisection(h, seed=seed, deadline=deadline)
+    else:
+        raise EngineError(f"unknown engine {engine!r}; choose from {ALL_ENGINES}")
+    return result.bipartition, _base_extras(result)
+
+
+def run_placer(
+    placer: str,
+    h: Hypergraph,
+    seed: int,
+    rows: int = 0,
+    cols: int = 0,
+    partitioner: str = "hybrid",
+    deadline: Deadline | float | None = None,
+) -> PlacementResult:
+    """Run one placement engine by name.
+
+    ``rows``/``cols`` of 0 let the placer pick the smallest near-square
+    grid; ``partitioner`` applies to ``mincut`` only.
+    """
+    grid = SlotGrid(rows, cols) if rows and cols else None
+    if placer == "mincut":
+        return mincut_place(
+            h, grid=grid, partitioner=partitioner, seed=seed, deadline=deadline
+        )
+    if placer == "annealing":
+        return annealing_place(h, grid=grid, seed=seed, deadline=deadline)
+    if placer == "quadratic":
+        return quadratic_place(h, grid=grid, seed=seed, deadline=deadline)
+    raise EngineError(f"unknown placer {placer!r}; choose from {PLACERS}")

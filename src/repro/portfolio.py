@@ -27,11 +27,15 @@ import time
 from dataclasses import dataclass
 
 from repro import obs
+from repro.baselines import multilevel_bipartition
 from repro.core.hypergraph import Hypergraph
 from repro.core.partition import Bipartition
+from repro.engines import ALL_ENGINES, REFINERS, apply_refine, run_engine
 from repro.runtime import Deadline, faults
 
-#: Engines available to the portfolio, in default running order.
+#: The default sweep, in running order: registry engines
+#: (:data:`repro.engines.ALL_ENGINES`) plus the portfolio-only
+#: ``multilevel``.
 DEFAULT_METHODS = ("algorithm1", "multilevel", "fm", "kl", "sa", "spectral", "flow")
 
 ON_ERROR_MODES = ("raise", "degrade")
@@ -104,7 +108,9 @@ def best_partition(
     hypergraph:
         Netlist to cut.
     methods:
-        Engine names from :data:`DEFAULT_METHODS` (any order/subset).
+        Engine names from :data:`repro.engines.ALL_ENGINES` plus
+        ``multilevel``, in running order; registry engines run through
+        :func:`repro.engines.run_engine`.
     balance_tolerance:
         Weight-imbalance fraction defining feasibility; infeasible cuts
         only win when nothing feasible exists.
@@ -124,52 +130,37 @@ def best_partition(
         applied to the winning bipartition with whatever deadline
         budget remains.
     """
-    unknown = set(methods) - set(DEFAULT_METHODS)
+    known = ALL_ENGINES + ("multilevel",)
+    unknown = set(methods) - set(known)
     if unknown:
-        raise ValueError(f"unknown methods {sorted(unknown)}; choose from {DEFAULT_METHODS}")
+        raise ValueError(f"unknown methods {sorted(unknown)}; choose from {known}")
     if not methods:
         raise ValueError("need at least one method")
     if on_error not in ON_ERROR_MODES:
         raise ValueError(f"on_error must be one of {ON_ERROR_MODES}, got {on_error!r}")
-    from repro.engines import REFINERS, apply_refine, run_engine
-
     if refine is not None and refine not in REFINERS:
         raise ValueError(f"unknown refiner {refine!r}; choose from {REFINERS}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     deadline = Deadline.coerce(deadline)
 
-    from repro.baselines import (
-        fiduccia_mattheyses,
-        kernighan_lin,
-        multilevel_bipartition,
-        simulated_annealing,
-        spectral_bisection,
-    )
-    from repro.core.algorithm1 import algorithm1
-
-    runners = {
-        "algorithm1": lambda s, d: algorithm1(
+    def run(method: str, engine_seed: int) -> tuple[Bipartition, bool]:
+        if method == "multilevel":
+            result = multilevel_bipartition(
+                hypergraph,
+                balance_tolerance=balance_tolerance,
+                seed=engine_seed,
+                deadline=deadline,
+            )
+            return result.bipartition, result.degraded
+        bp, extras = run_engine(
+            method,
             hypergraph,
-            num_starts=num_starts,
-            seed=s,
+            seed=engine_seed,
+            starts=num_starts,
+            deadline=deadline,
             balance_tolerance=balance_tolerance,
-            deadline=d,
-        ),
-        "multilevel": lambda s, d: multilevel_bipartition(
-            hypergraph, balance_tolerance=balance_tolerance, seed=s, deadline=d
-        ),
-        "fm": lambda s, d: fiduccia_mattheyses(
-            hypergraph, balance_tolerance=balance_tolerance, seed=s, deadline=d
-        ),
-        "kl": lambda s, d: kernighan_lin(hypergraph, seed=s, deadline=d),
-        "sa": lambda s, d: simulated_annealing(
-            hypergraph, balance_tolerance=balance_tolerance, seed=s, deadline=d
-        ),
-        "spectral": lambda s, d: spectral_bisection(hypergraph, seed=s, deadline=d),
-        "flow": lambda s, d: _engine_result(
-            "flow", hypergraph, s, num_starts, d, balance_tolerance, run_engine
-        ),
-    }
+        )
+        return bp, extras["degraded"]
 
     entries: list[PortfolioEntry] = []
     best: tuple[tuple, str, Bipartition] | None = None
@@ -188,7 +179,7 @@ def best_partition(
             start = time.perf_counter()
             try:
                 faults.inject(f"portfolio.engine.{method}")
-                result = runners[method](engine_seed, deadline)
+                bp, degraded = run(method, engine_seed)
             except Exception as exc:
                 if on_error == "raise":
                     raise
@@ -199,9 +190,7 @@ def best_partition(
                 obs.count("portfolio.engine_failures")
                 continue
             elapsed = time.perf_counter() - start
-            bp = result.bipartition
             feasible = bp.weight_imbalance_fraction <= balance_tolerance
-            degraded = bool(getattr(result, "degraded", False))
             if degraded:
                 obs.count("portfolio.engines_degraded")
             entries.append(
@@ -231,7 +220,7 @@ def best_partition(
     refine_seed = rng.randrange(2**31)
     if refine is not None:
         unrefined_cutsize = winner_bp.cutsize
-        winner_bp, _refine_extras = apply_refine(
+        winner_bp, _ = apply_refine(
             refine,
             hypergraph,
             winner_bp,
@@ -248,27 +237,6 @@ def best_partition(
         refined=refined,
         unrefined_cutsize=unrefined_cutsize,
     )
-
-
-def _engine_result(engine, hypergraph, seed, num_starts, deadline, balance_tolerance, run):
-    """Adapt :func:`repro.engines.run_engine` to the runner protocol."""
-
-    class _Result:
-        pass
-
-    bp, extras = run(
-        engine,
-        hypergraph,
-        seed=seed,
-        starts=num_starts,
-        deadline=deadline,
-        balance_tolerance=balance_tolerance,
-    )
-    result = _Result()
-    result.bipartition = bp
-    result.degraded = bool(extras.get("degraded"))
-    result.degrade_reason = extras.get("degrade_reason")
-    return result
 
 
 def _failed_entry(method: str, seconds: float, error: str) -> PortfolioEntry:

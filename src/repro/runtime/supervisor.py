@@ -78,7 +78,21 @@ def advance_seed(seed: int, attempt: int) -> int:
 
 @dataclass(frozen=True)
 class TaskResult:
-    """Outcome of one supervised task after all recovery attempts."""
+    """Outcome of one supervised task after all recovery attempts.
+
+    A failed task carries ``failure``, the kind of its last failure, set
+    where the pool saw it happen (callers branch on it, never on the
+    ``error`` text):
+
+    * ``"spawn"`` — no worker process could be forked;
+    * ``"crash"`` — the worker died without reporting (EOF on its pipe);
+    * ``"hang"`` — the worker outlived the task timeout;
+    * ``"memory"`` — over the memory budget (child ``MemoryError`` or
+      parent-side RSS kill);
+    * ``"deadline"`` — the pool's deadline cut the task;
+    * ``"aborted"`` — :meth:`SupervisedPool.abort` cut the task;
+    * ``"error"`` — the worker raised an exception.
+    """
 
     key: Any
     value: Any = None
@@ -86,11 +100,16 @@ class TaskResult:
     attempts: int = 0
     error: str | None = None
     sequential: bool = False
-    # True when :meth:`SupervisedPool.abort` cut this task (its worker
-    # SIGTERMed mid-flight, or it was still queued).  The task was
-    # abandoned by the *pool*, not judged: callers must not treat the
-    # failure as a verdict on the task's content.
-    aborted: bool = False
+    failure: str | None = None
+
+    @property
+    def aborted(self) -> bool:
+        """True when :meth:`SupervisedPool.abort` cut this task.
+
+        The task was abandoned by the *pool*, not judged: callers must
+        not treat the failure as a verdict on the task's content.
+        """
+        return self.failure == "aborted"
 
 
 @dataclass
@@ -345,7 +364,7 @@ class SupervisedPool:
             rec.conn.close()
             rec.process.join(timeout=5.0)
 
-        def handle_failure(rec: _Running, reason: str, hung: bool = False) -> None:
+        def handle_failure(rec: _Running, reason: str, failure: str) -> None:
             next_attempt = rec.attempt + 1
             if (
                 next_attempt <= self.max_retries
@@ -355,13 +374,16 @@ class SupervisedPool:
                 report.retries += 1
                 obs.count("runtime.supervisor.retries")
                 queue.append((rec.key, self.reseed(rec.payload, next_attempt), next_attempt))
-            elif hung or not self.sequential_fallback:
+            elif failure == "hang" or not self.sequential_fallback:
                 # Never rerun a hung task in-process (the parent cannot
                 # SIGTERM itself, so an in-process hang would be
                 # unbounded) — and never rerun anything in-process when
                 # the caller disabled the fallback to protect itself.
                 self._finish(
-                    results, TaskResult(key=rec.key, attempts=next_attempt, error=reason)
+                    results,
+                    TaskResult(
+                        key=rec.key, attempts=next_attempt, error=reason, failure=failure
+                    ),
                 )
             else:
                 # Retry budget exhausted (or no time to retry in a fresh
@@ -382,7 +404,10 @@ class SupervisedPool:
             report.errors.append(reason)
             obs.count("runtime.supervisor.memory_kills")
             self._finish(
-                results, TaskResult(key=rec.key, attempts=rec.attempt + 1, error=reason)
+                results,
+                TaskResult(
+                    key=rec.key, attempts=rec.attempt + 1, error=reason, failure="memory"
+                ),
             )
 
         while queue or running:
@@ -393,6 +418,7 @@ class SupervisedPool:
                     report.deadline_expired = True
                     obs.count("runtime.supervisor.deadline_expirations")
                 reason = abort_message if abort_message is not None else "deadline expired"
+                failure = "aborted" if abort_message is not None else "deadline"
                 for rec in running.values():
                     rec.process.terminate()
                     reap(rec)
@@ -402,7 +428,7 @@ class SupervisedPool:
                             key=rec.key,
                             attempts=rec.attempt + 1,
                             error=f"{reason} mid-execution",
-                            aborted=abort_message is not None,
+                            failure=failure,
                         ),
                     )
                 running.clear()
@@ -413,7 +439,7 @@ class SupervisedPool:
                             key=key,
                             attempts=attempt,
                             error=f"{reason} before execution",
-                            aborted=abort_message is not None,
+                            failure=failure,
                         ),
                     )
                 queue.clear()
@@ -441,6 +467,7 @@ class SupervisedPool:
                                 key=key,
                                 attempts=attempt + 1,
                                 error=f"spawn failed: {exc}",
+                                failure="spawn",
                             ),
                         )
                         continue
@@ -484,14 +511,14 @@ class SupervisedPool:
                     report.crashes += 1
                     report.errors.append(str(value))
                     obs.count("runtime.supervisor.worker_errors")
-                    handle_failure(rec, str(value))
+                    handle_failure(rec, str(value), "error")
                 else:
                     exitcode = rec.process.exitcode
                     reason = f"worker died without a result (exitcode {exitcode})"
                     report.crashes += 1
                     report.errors.append(reason)
                     obs.count("runtime.supervisor.crashes")
-                    handle_failure(rec, reason)
+                    handle_failure(rec, reason, "crash")
 
             if self.task_timeout is not None:
                 now = time.monotonic()
@@ -505,7 +532,7 @@ class SupervisedPool:
                     report.hangs += 1
                     report.errors.append(reason)
                     obs.count("runtime.supervisor.hangs")
-                    handle_failure(rec, reason, hung=True)
+                    handle_failure(rec, reason, "hang")
 
             if memory.rss_supported():
                 # Track peak RSS for the report, and — with a budget —
@@ -556,5 +583,7 @@ class SupervisedPool:
             if prior_error:
                 error = f"{prior_error}; sequential fallback also failed: {error}"
             report.errors.append(error)
-            return TaskResult(key=key, attempts=attempt + 1, error=error, sequential=True)
+            return TaskResult(
+                key=key, attempts=attempt + 1, error=error, sequential=True, failure="error"
+            )
         return TaskResult(key=key, value=value, ok=True, attempts=attempt + 1, sequential=True)

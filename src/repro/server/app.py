@@ -57,18 +57,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro import obs
 from repro import __version__
-from repro.engines import run_engine
+from repro.engines import run_engine, run_placer
 from repro.io.json_io import _encode_label
 from repro.metrics import (
     IntegrityError,
     verify_partition_body,
     verify_place_body,
-)
-from repro.placement import (
-    SlotGrid,
-    annealing_place,
-    mincut_place,
-    quadratic_place,
 )
 from repro.runtime import Deadline, SupervisedPool, faults
 from repro.server.admission import AdmissionController, QuarantineBreaker
@@ -155,25 +149,15 @@ def _partition_body(request: ServiceRequest, deadline: Deadline | None) -> dict:
 
 def _place_body(request: ServiceRequest, deadline: Deadline | None) -> dict:
     settings = request.settings
-    grid = None
-    if settings["rows"] and settings["cols"]:
-        grid = SlotGrid(settings["rows"], settings["cols"])
-    if request.engine == "mincut":
-        result = mincut_place(
-            request.hypergraph,
-            grid=grid,
-            partitioner=settings["partitioner"],
-            seed=settings["seed"],
-            deadline=deadline,
-        )
-    elif request.engine == "annealing":
-        result = annealing_place(
-            request.hypergraph, grid=grid, seed=settings["seed"], deadline=deadline
-        )
-    else:
-        result = quadratic_place(
-            request.hypergraph, grid=grid, seed=settings["seed"], deadline=deadline
-        )
+    result = run_placer(
+        request.engine,
+        request.hypergraph,
+        seed=settings["seed"],
+        rows=settings["rows"],
+        cols=settings["cols"],
+        partitioner=settings["partitioner"],
+        deadline=deadline,
+    )
     positions = sorted(result.positions.items(), key=lambda item: repr(item[0]))
     return {
         "op": "place",
@@ -233,26 +217,19 @@ class _Failure:
     attempts: int
 
 
-def _classify_failure(message: str) -> str:
-    """Map a supervisor failure message onto a stable typed error name.
-
-    Only supervisor-generated phrasings are matched; drain aborts are
-    recognized structurally via ``TaskResult.aborted``, never by text —
-    a worker error whose *own* message mentions draining must stay an
-    ``ExecutionFailed``, not become a safe-to-retry 503.
-    """
-    text = message.lower()
-    if "memory budget" in text or "memoryerror" in text:
-        return "MemoryBudgetExceeded"
-    if "hung past" in text:
-        return "WorkerHung"
-    if "died without a result" in text:
-        return "WorkerCrashed"
-    if "deadline expired" in text:
-        return "DeadlineExpired"
-    if "spawn failed" in text:
-        return "WorkerSpawnFailed"
-    return "ExecutionFailed"
+#: Supervisor failure kind (``TaskResult.failure``, set where the pool
+#: saw the failure) -> typed error name.  Never derived from message
+#: text: a worker exception whose own message reads like a crash, a
+#: hang or a drain stays an ``ExecutionFailed``.
+_FAILURE_ERROR_TYPES = {
+    "spawn": "WorkerSpawnFailed",
+    "crash": "WorkerCrashed",
+    "hang": "WorkerHung",
+    "memory": "MemoryBudgetExceeded",
+    "deadline": "DeadlineExpired",
+    "aborted": "Draining",
+    "error": "ExecutionFailed",
+}
 
 
 # ----------------------------------------------------------------------
@@ -868,15 +845,14 @@ class PartitionService:
                 message = task_result.error or "task failed"
                 self._tally("failures")
                 obs.count("server.errors")
+                error_type = _FAILURE_ERROR_TYPES[task_result.failure]
                 if task_result.aborted:
                     # pool.abort() cut this execution during drain: the
                     # daemon's doing, not a verdict on the request, so
                     # the breaker gets no vote — but a half-open probe
                     # that rode this execution must get its slot back.
-                    error_type = "Draining"
                     self.breaker.probe_aborted(task_result.key)
                 else:
-                    error_type = _classify_failure(message)
                     self._record_poison(task_result.key, error_type)
                 outcomes[task_result.key] = _Failure(
                     error_type=error_type,

@@ -38,9 +38,10 @@ from typing import Any
 
 from repro.core.digest import hypergraph_digest
 from repro.core.hypergraph import Hypergraph
-from repro.engines import ALL_ENGINES, REFINERS
+from repro.engines import ALL_ENGINES, PLACERS, REFINERS
 from repro.io.errors import ParseError
 from repro.io.json_io import JsonFormatError, hypergraph_from_payload
+from repro.placement.mincut_placement import PARTITIONERS
 from repro.runtime import settings_fingerprint
 
 __all__ = [
@@ -59,12 +60,6 @@ __all__ = [
 
 #: Operations the service executes.
 OPS = ("partition", "place")
-
-#: Placement engines for ``op: place`` (mirrors the CLI ``--placer``).
-PLACERS = ("mincut", "annealing", "quadratic")
-
-#: Partitioners the mincut placer accepts (mirrors ``--partitioner``).
-MINCUT_PARTITIONERS = ("algorithm1", "fm", "hybrid")
 
 #: Where parse errors point when the problem is in the request body.
 _SOURCE = "request body"
@@ -240,7 +235,7 @@ _PARTITION_SETTINGS = {
 _PLACE_SETTINGS = {
     "rows": (0, _int_at_least(0)),
     "cols": (0, _int_at_least(0)),
-    "partitioner": ("hybrid", _choice(MINCUT_PARTITIONERS)),
+    "partitioner": ("hybrid", _choice(PARTITIONERS)),
     "seed": (0, _seed),
     "deadline_seconds": (None, _optional_positive_number),
 }

@@ -112,7 +112,6 @@ class TestCutPipelineEquivalence:
             _force_csr(g)
             cut_csr = double_bfs_cut(g, u, v, random.Random(seed), mode=mode)
             b_csr = boundary_graph(g, cut_csr)
-            _force_csr(b_csr.graph)  # exercise the selector's CSR init too
             assert cut_legacy == cut_csr
             assert b_legacy.left == b_csr.left
             assert b_legacy.right == b_csr.right

@@ -3,13 +3,16 @@
 Covers the contracts the oracle suite cannot: max-flow/min-cut duality
 on weighted instances, invariance under module relabeling and signal
 reordering, same-seed determinism, deadline degradation semantics, the
-engine-registry validation surface (including the ``ALL_ENGINES`` /
-``DEFAULT_ENGINES`` aliasing regression), the service settings
-fingerprint, and a chaos case killing a worker inside ``flow.solve``.
+engine-registry validation surface (every front end validates against
+the registry's own name tuples), the ``flow`` engine as Algorithm I plus
+the ``flow`` refiner, the service settings fingerprint, and a chaos case
+killing a worker inside ``flow.solve``.
 """
 
 from __future__ import annotations
 
+import argparse
+import inspect
 import json
 import random
 
@@ -19,13 +22,23 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.bench import BenchError, run_bench
+from repro.cli import build_parser
 from repro.core.hypergraph import Hypergraph
 from repro.core.partition import Bipartition
-from repro.engines import ALL_ENGINES, DEFAULT_ENGINES, REFINERS, EngineError, run_engine
+from repro.engines import (
+    ALL_ENGINES,
+    PLACERS,
+    REFINERS,
+    EngineError,
+    apply_refine,
+    run_engine,
+)
 from repro.flow import lawler_network, max_flow, refine_flow, solve_corridor
 from repro.io.json_io import hypergraph_to_payload
+from repro.placement.mincut_placement import PARTITIONERS
 from repro.portfolio import best_partition
 from repro.runtime import Deadline, DeadlineExpired, faults
+from repro.server import protocol
 from repro.server.protocol import RequestError, parse_request
 from tests.conftest import hypergraphs
 
@@ -188,17 +201,33 @@ class TestDeadlineDegradation:
         assert bp.cutsize >= 0  # still a valid bipartition, best-effort
 
 
-class TestEngineRegistry:
-    """The ``ALL_ENGINES``/``DEFAULT_ENGINES`` aliasing regression and
-    the typed-validation surface around engine and refiner names."""
+def _choices(command: str, option: str):
+    """The argparse ``choices`` object behind ``command option``."""
+    parser = build_parser()
+    sub = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices[command]
+    return next(a for a in sub._actions if option in a.option_strings).choices
 
-    def test_registries_are_distinct_objects(self):
-        # Regression: these used to alias one tuple, so appending to the
-        # "all" list silently widened the default sweep.
-        assert ALL_ENGINES is not DEFAULT_ENGINES
-        assert "flow" in DEFAULT_ENGINES
-        assert "flow" in ALL_ENGINES
-        assert set(DEFAULT_ENGINES) <= set(ALL_ENGINES)
+
+class TestEngineRegistry:
+    """One name tuple per decision, and the typed-validation surface
+    around engine and refiner names."""
+
+    def test_front_ends_share_the_registry_tuples(self):
+        # The CLI choices, the bench default sweep and the service
+        # protocol hold the registry's own tuples, not copies of them.
+        assert _choices("partition", "--algorithm") is ALL_ENGINES
+        assert _choices("client", "--engine") is ALL_ENGINES
+        for command in ("partition", "portfolio", "bench", "client"):
+            assert _choices(command, "--refine") is REFINERS
+        assert _choices("place", "--placer") is PLACERS
+        assert _choices("client", "--placer") is PLACERS
+        assert _choices("place", "--partitioner") is PARTITIONERS
+        assert inspect.signature(run_bench).parameters["engines"].default is ALL_ENGINES
+        assert protocol.ALL_ENGINES is ALL_ENGINES
+        assert protocol.PLACERS is PLACERS
+        assert protocol.PARTITIONERS is PARTITIONERS
 
     def test_bench_rejects_unknown_engine_with_typed_error(self):
         with pytest.raises(BenchError, match="unknown engine"):
@@ -230,6 +259,59 @@ class TestEngineRegistry:
         refined, extras = run_engine("algorithm1", h, seed=5, starts=3, refine="flow")
         assert refined.cutsize <= plain.cutsize
         assert extras["refine"] == "flow"
+
+
+class TestFlowEngineIsARefinerPass:
+    """``flow`` is Algorithm I followed by the ``flow`` refiner, on the
+    path ``refine=`` takes: one cut, one extras schema."""
+
+    @staticmethod
+    def _without_timings(extras: dict) -> dict:
+        return {k: v for k, v in extras.items() if k != "phases"}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_flow_engine_is_algorithm1_refined_by_flow(self, seed):
+        h = _weighted_instance(seed)
+        engine_bp, engine_extras = run_engine("flow", h, seed=seed, starts=3)
+        piped_bp, piped_extras = run_engine(
+            "algorithm1", h, seed=seed, starts=3, refine="flow"
+        )
+        assert frozenset(engine_bp.left) == frozenset(piped_bp.left)
+        assert self._without_timings(engine_extras) == self._without_timings(piped_extras)
+        seed_bp, _ = run_engine("algorithm1", h, seed=seed, starts=3)
+        assert engine_extras["seed_cutsize"] == seed_bp.cutsize
+        assert engine_extras["refine"] == "flow"
+
+    def test_refine_flow_on_the_flow_engine_runs_two_passes(self, monkeypatch):
+        import repro.flow
+
+        calls = []
+        real = repro.flow.refine_flow
+
+        def counting(h, bipartition, **kwargs):
+            calls.append(bipartition)
+            return real(h, bipartition, **kwargs)
+
+        monkeypatch.setattr(repro.flow, "refine_flow", counting)
+        h = _weighted_instance(7)
+        run_engine("flow", h, seed=1, starts=3)
+        assert len(calls) == 1
+        bp, extras = run_engine("flow", h, seed=1, starts=3, refine="flow")
+        assert len(calls) == 3
+        first, second = calls[1:]
+        assert extras["seed_cutsize"] == first.cutsize  # the Algorithm I cut
+        assert bp.weighted_cutsize <= second.weighted_cutsize <= first.weighted_cutsize
+
+    def test_apply_refine_keeps_the_first_seed_cut(self):
+        h = _weighted_instance(8)
+        verts = list(h.vertices)
+        part = Bipartition(h, verts[: len(verts) // 2], verts[len(verts) // 2 :])
+        once, extras = apply_refine("fm", h, part, seed=0)
+        assert extras["seed_cutsize"] == part.cutsize
+        assert extras["degraded"] is False
+        twice, extras = apply_refine("flow", h, once, seed=0, extras=extras)
+        assert extras["seed_cutsize"] == part.cutsize
+        assert twice.weighted_cutsize <= once.weighted_cutsize <= part.weighted_cutsize
 
 
 class TestServiceFingerprint:

@@ -35,7 +35,7 @@ from repro import obs
 from repro.core.hypergraph import Hypergraph
 from repro.io.json_io import hypergraph_to_payload
 from repro.runtime import faults
-from repro.runtime.supervisor import SupervisionReport, TaskResult
+from repro.runtime.supervisor import SupervisedPool, SupervisionReport, TaskResult
 from repro.server import (
     PartitionService,
     ServiceClient,
@@ -43,7 +43,6 @@ from repro.server import (
     ServiceResponseError,
 )
 from repro.server.admission import AdmissionController, QuarantineBreaker
-from repro.server.app import _classify_failure
 from repro.server.batching import RequestBroker
 from repro.server.client import ServiceClientError, ServiceConnectionError
 from repro.server.loadgen import run_load
@@ -457,7 +456,7 @@ class TestHandleRequestGuards:
                         key=k,
                         attempts=1,
                         error="service is draining mid-execution",
-                        aborted=True,
+                        failure="aborted",
                     )
                     for k, _ in tasks
                 ],
@@ -473,22 +472,61 @@ class TestHandleRequestGuards:
         assert svc.breaker.open_keys() == 1
         assert svc.breaker.check(key) is True  # probeable again
 
-    def test_worker_error_text_mentioning_draining_is_not_a_drain(self):
-        """Classification is structural now: a worker whose own error
-        message contains 'draining' stays a 500 ExecutionFailed, never
-        a safe-to-retry 503."""
-        assert (
-            _classify_failure("ValueError: draining the tank failed")
-            == "ExecutionFailed"
+    def test_worker_error_text_mentioning_draining_is_not_a_drain(
+        self, h, monkeypatch
+    ):
+        """Classification is structural: the failure kind the supervisor
+        set picks the error type, whatever the message says.  A worker
+        error whose own message contains 'draining' stays a 500
+        ExecutionFailed, never a safe-to-retry 503."""
+        svc = _service()
+        request = parse_request(json.dumps(_body(h)).encode())
+        key = request.cache_key
+        cases = [
+            ("error", "ValueError: draining the tank failed", "ExecutionFailed"),
+            ("hang", "the worker stopped answering", "WorkerHung"),
+            ("deadline", "out of time", "DeadlineExpired"),
+            ("crash", "gone", "WorkerCrashed"),
+            ("memory", "too big", "MemoryBudgetExceeded"),
+            ("spawn", "no fork", "WorkerSpawnFailed"),
+        ]
+        for failure, message, error_type in cases:
+            result = TaskResult(key=key, attempts=1, error=message, failure=failure)
+            monkeypatch.setattr(
+                svc.pool, "map", lambda tasks, r=result: ([r], SupervisionReport())
+            )
+            assert svc._execute_batch([(key, request)])[key].error_type == error_type
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            ValueError("worker died without a result"),
+            RuntimeError("hung past the 5s task timeout"),
+        ],
+    )
+    def test_worker_exception_is_execution_failed_without_a_poison_vote(
+        self, h, exc
+    ):
+        """A worker that raises is an in-worker error, whatever its
+        message reads like: ExecutionFailed, and the breaker forgives
+        the key instead of counting a poison failure."""
+        svc = _service()
+        svc.breaker = QuarantineBreaker(threshold=2, cooldown=5.0, clock=_Clock())
+
+        def raising_worker(payload):
+            raise exc
+
+        svc.pool = SupervisedPool(
+            raising_worker, max_workers=1, max_retries=0, sequential_fallback=False
         )
-        assert (
-            _classify_failure("worker hung past the 5s task timeout")
-            == "WorkerHung"
-        )
-        assert (
-            _classify_failure("deadline expired mid-execution")
-            == "DeadlineExpired"
-        )
+        request = parse_request(json.dumps(_body(h)).encode())
+        key = request.cache_key
+        svc.breaker.record(key, "WorkerCrashed")  # one poison vote already
+        outcome = svc._execute_batch([(key, request)])[key]
+        assert outcome.error_type == "ExecutionFailed"
+        stats = svc.breaker.stats()
+        assert stats["trips"] == 0
+        assert stats["tracked_keys"] == 0  # reset, not a second vote
 
 
 # ----------------------------------------------------------------------

@@ -82,6 +82,12 @@ def _crash_if_flagged(payload):
     return x * 10
 
 
+def _fail_as(flag):
+    if flag == "oom":
+        raise MemoryError("over budget")
+    return _crash_if_flagged((flag, 0))
+
+
 def _retry_payload(payload, attempt):
     _flag, x = payload
     return ("ok", x)
@@ -200,6 +206,25 @@ class TestSupervisedPool:
         assert all(not r.ok for r in results)
         assert any("mid-execution" in r.error for r in results)
         assert any("before execution" in r.error for r in results)
+        assert {r.failure for r in results} == {"deadline"}
+
+    def test_failures_are_typed_where_they_happen(self):
+        pool = SupervisedPool(
+            _fail_as,
+            max_workers=2,
+            max_retries=0,
+            task_timeout=1.0,
+            sequential_fallback=False,
+        )
+        flags = ("crash", "raise", "hang", "oom", "ok")
+        results, _report = pool.map([(flag, flag) for flag in flags])
+        assert {r.key: r.failure for r in results} == {
+            "crash": "crash",
+            "raise": "error",
+            "hang": "hang",
+            "oom": "memory",
+            "ok": None,
+        }
 
     def test_seed_advance_used_end_to_end(self):
         # Worker crashes only on the original seed; the retried payload
