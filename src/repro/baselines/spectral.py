@@ -83,19 +83,9 @@ def spectral_bisection(
     faults.inject("baseline.spectral.solve")
 
     if deadline is not None and deadline.expired():
-        half = n // 2
-        left = set(vertices[:half])
-        right = set(vertices) - left
-        bipartition = Bipartition(hypergraph, left, right)
-        obs.count("baseline.spectral.runs")
         obs.count("baseline.spectral.deadline_stops")
-        return BaselineResult(
-            bipartition=bipartition,
-            iterations=0,
-            evaluations=hypergraph.num_edges,
-            history=(bipartition.cutsize,),
-            degraded=True,
-            degrade_reason="deadline expired before eigensolve; median split",
+        return _median_split(
+            hypergraph, vertices, "deadline expired before eigensolve; median split"
         )
 
     index = {v: i for i, v in enumerate(vertices)}
@@ -125,7 +115,17 @@ def spectral_bisection(
     laplacian = sp.diags(degrees) - adjacency
 
     with obs.span("baseline.spectral"):
-        fiedler = _fiedler_vector(laplacian, seed)
+        try:
+            fiedler = _fiedler_vector(laplacian, seed)
+        except (RuntimeError, np.linalg.LinAlgError) as exc:
+            # ARPACK's errors are RuntimeErrors, and so is SuperLU's
+            # report of a singular factor in shift-invert.
+            obs.count("baseline.spectral.solver_failures")
+            return _median_split(
+                hypergraph,
+                vertices,
+                f"eigensolve failed ({type(exc).__name__}: {exc}); median split",
+            )
     order = _canonical_order(fiedler)
     half = n // 2
     left = {vertices[i] for i in order[:half]}
@@ -141,8 +141,30 @@ def spectral_bisection(
     )
 
 
+def _median_split(hypergraph: Hypergraph, vertices: list, reason: str) -> BaselineResult:
+    """The degraded answer: split the ``repr``-sorted vertex order at the median."""
+    half = len(vertices) // 2
+    left = set(vertices[:half])
+    right = set(vertices) - left
+    bipartition = Bipartition(hypergraph, left, right)
+    obs.count("baseline.spectral.runs")
+    return BaselineResult(
+        bipartition=bipartition,
+        iterations=0,
+        evaluations=hypergraph.num_edges,
+        history=(bipartition.cutsize,),
+        degraded=True,
+        degrade_reason=reason,
+    )
+
+
 def _fiedler_vector(laplacian, seed) -> np.ndarray:
-    """Second-smallest eigenvector of the Laplacian (dense or Lanczos)."""
+    """Second-smallest eigenvector of the Laplacian (dense or Lanczos).
+
+    Above :data:`_DENSE_LIMIT` there is no dense fallback (an ``n x n``
+    matrix is 80 GB at 100k vertices): a failed sparse solve raises, and
+    :func:`spectral_bisection` degrades to a median split.
+    """
     n = laplacian.shape[0]
     if n <= _DENSE_LIMIT:
         dense = laplacian.toarray()
@@ -153,13 +175,5 @@ def _fiedler_vector(laplacian, seed) -> np.ndarray:
 
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     v0 = np.array([rng.random() for _ in range(n)])
-    try:
-        _, eigenvectors = spla.eigsh(
-            laplacian.asfptype(), k=2, sigma=-1e-3, which="LM", v0=v0
-        )
-        return eigenvectors[:, 1]
-    except Exception:
-        # Shift-invert can fail on disconnected graphs; fall back to dense.
-        dense = laplacian.toarray()
-        _, eigenvectors = np.linalg.eigh(dense)
-        return eigenvectors[:, 1]
+    _, eigenvectors = spla.eigsh(laplacian.asfptype(), k=2, sigma=-1e-3, which="LM", v0=v0)
+    return eigenvectors[:, 1]

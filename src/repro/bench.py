@@ -146,9 +146,10 @@ QUICK_SUITE: tuple[BenchCase, ...] = (
 #: — the scale the paper's CPU-ratio claim (Table 2) is actually about.
 #: Gated behind ``bench --scale large`` so tier-1 CI stays fast; the
 #: engine restrictions keep each case in CI-minutes territory
-#: (algorithm1 rides the CSR array core to ~3s/start at 100k; FM's
-#: python bucket walk is fine at 10k but costs minutes per run at 100k;
-#: spectral would cost minutes even at 10k).  KL takes 5.0 s for its 10
+#: (algorithm1 takes 11.8 s for 10 starts at 100k in
+#: BENCH_pr16_large.json; FM's python bucket walk is fine at 10k but
+#: costs minutes per run at 100k; spectral would cost minutes even at
+#: 10k).  KL takes 5.0 s for its 10
 #: passes on random10k (one core of a 2-core Xeon VM) but stays out so
 #: the committed large baselines keep comparing the same pairs.
 LARGE_SUITE: tuple[BenchCase, ...] = PINNED_SUITE + (

@@ -31,10 +31,14 @@ exact sequential behaviour).
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Hashable
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from repro import obs
 from repro.runtime import (
@@ -58,13 +62,14 @@ from repro.core.dual_cut import (
     double_bfs_cut,
     partial_bipartition,
     random_longest_bfs_path,
+    slots_of,
 )
 from repro.core.filtering import DEFAULT_EDGE_SIZE_THRESHOLD, filter_large_edges
+from repro.core.csr import gather_rows
 from repro.core.hypergraph import Hypergraph
-from repro.core.intersection import IntersectionGraph, intersection_graph
+from repro.core.intersection import DualIndex, IntersectionGraph, intersection_graph
 from repro.core.partition import Bipartition
 
-Vertex = Hashable
 EdgeName = Hashable
 
 #: Phase keys reported in ``Algorithm1Result.timings`` (seconds each).
@@ -150,63 +155,69 @@ class SingleRunTrace:
     the seeds — recorded here so multi-start diagnostics need not re-run
     the BFS.  ``timings`` holds per-phase seconds for this start
     (``cut`` / ``complete`` / ``balance``).
+
+    ``sides`` is the final int8 vertex-side array over the dual's
+    :class:`~repro.core.intersection.DualIndex`, and ``cutsize``,
+    ``weighted_cutsize`` and ``weight_imbalance`` score it against the
+    original hypergraph from pin counts.  ``bipartition`` turns it into
+    labels on first read: a multi-start run reads it for the winner only.
     """
 
     cut: GraphCut
     partial: PartialBipartition
     boundary: BoundaryGraph
     completion: CompletionResult
-    bipartition: Bipartition
+    sides: np.ndarray = field(repr=False, compare=False)
+    cutsize: int
+    weighted_cutsize: float
+    weight_imbalance: float
+    index: DualIndex = field(repr=False, compare=False)
+    original: Hypergraph = field(repr=False, compare=False)
     bfs_depth: int = 0
     timings: dict = field(default_factory=dict, repr=False, compare=False)
 
+    @cached_property
+    def bipartition(self) -> Bipartition:
+        return self.index.bipartition(self.original, self.sides)
 
-def _balance_free_vertices(
-    hypergraph: Hypergraph,
-    left: set[Vertex],
-    right: set[Vertex],
-    free: list[Vertex],
-    rng: random.Random,
-) -> None:
-    """Greedily assign leftover vertices to the lighter side (in place).
+
+def _balance_free_vertices(index: DualIndex, sides: np.ndarray, rng: random.Random) -> None:
+    """Greedily assign unplaced vertices to the lighter side (in place).
 
     Heaviest-first (LPT rule) keeps the final weight imbalance at most the
     weight of one module.  Ties in side weight break randomly so that
     multi-start explores different completions.
     """
-    free_sorted = sorted(free, key=lambda v: (-hypergraph.vertex_weight(v), repr(v)))
-    wl = sum(hypergraph.vertex_weight(v) for v in left)
-    wr = sum(hypergraph.vertex_weight(v) for v in right)
-    for v in free_sorted:
+    free = index.lpt_order[sides[index.lpt_order] < 0]
+    weights = index.weights
+    wl = math.fsum(weights[sides == 0].tolist())
+    wr = math.fsum(weights[sides == 1].tolist())
+    placed = []
+    for w in weights[free].tolist():
         if wl < wr or (wl == wr and rng.random() < 0.5):
-            left.add(v)
-            wl += hypergraph.vertex_weight(v)
+            placed.append(0)
+            wl += w
         else:
-            right.add(v)
-            wr += hypergraph.vertex_weight(v)
+            placed.append(1)
+            wr += w
+    sides[free] = placed
 
 
-def _ensure_nonempty_sides(
-    hypergraph: Hypergraph, left: set[Vertex], right: set[Vertex]
-) -> None:
-    """Move one lightest vertex if a side came out empty (in place)."""
-    if hypergraph.num_vertices < 2:
+def _ensure_nonempty_sides(index: DualIndex, sides: np.ndarray) -> None:
+    """Move the lightest vertex over if a side came out empty (in place).
+
+    With one side empty the other holds every vertex, so the lightest
+    one by ``(weight, repr)`` is the per-run ``index.lightest``.
+    """
+    if index.num_vertices < 2:
         return
-    if not left:
-        donor = min(right, key=lambda v: (hypergraph.vertex_weight(v), repr(v)))
-        right.discard(donor)
-        left.add(donor)
-    elif not right:
-        donor = min(left, key=lambda v: (hypergraph.vertex_weight(v), repr(v)))
-        left.discard(donor)
-        right.add(donor)
+    for side in (0, 1):
+        if not (sides == side).any():
+            sides[index.lightest] = side
 
 
 def _commit_winner_pins(
-    working: Hypergraph,
-    completion: CompletionResult,
-    left: set[Vertex],
-    right: set[Vertex],
+    intersection: IntersectionGraph, completion: CompletionResult, sides: np.ndarray
 ) -> None:
     """Commit winner pins to their sides in completion order (in place).
 
@@ -214,15 +225,43 @@ def _commit_winner_pins(
     intersection dual, where opposing winners sharing a pin would be
     ``G'``-adjacent and one forced to lose, but reachable through crafted
     or degenerate boundary graphs) goes to whichever winner Complete-Cut
-    selected first.  Resolving by ``completion.order`` is deterministic
-    and side-symmetric; committing all left winners before all right
-    winners would silently privilege the left side.
+    selected first, and an already placed pin is never moved.  Resolving
+    by completion order is deterministic and side-symmetric; committing
+    all left winners before all right winners would silently privilege
+    the left side.
     """
-    for name in completion.order:
-        if name in completion.winners_left:
-            left.update(p for p in working.edge_members(name) if p not in right)
-        elif name in completion.winners_right:
-            right.update(p for p in working.edge_members(name) if p not in left)
+    winners, winner_sides = completion.winner_slots(intersection.graph)
+    index = intersection.index
+    counts, pins = gather_rows(index.pin_ptr, index.pins, winners)
+    pin_sides = np.repeat(winner_sides, counts)
+    open_ = sides[pins] < 0
+    pins, pin_sides = pins[open_], pin_sides[open_]
+    # First claim wins: np.unique reports each pin's first position.
+    claimed, first = np.unique(pins, return_index=True)
+    sides[claimed] = pin_sides[first]
+
+
+def _score(
+    index: DualIndex, original: Hypergraph, sides: np.ndarray
+) -> tuple[int, float, float]:
+    """``(cutsize, weighted_cutsize, weight_imbalance)`` of a full side array.
+
+    Equal to the matching :class:`Bipartition` measures: an edge crosses
+    when it has some but not all pins on the left, and both weight sums
+    are exact (``math.fsum``), so their order cannot matter.
+    """
+    ptr, pins, pin_edge, edge_weights = index.cut_table(original)
+    left_pins = np.bincount(pin_edge[sides[pins] == 0], minlength=len(ptr) - 1)
+    crossing = (left_pins > 0) & (left_pins < np.diff(ptr))
+    weights = index.weights
+    imbalance = abs(
+        math.fsum(weights[sides == 0].tolist()) - math.fsum(weights[sides == 1].tolist())
+    )
+    return (
+        int(np.count_nonzero(crossing)),
+        math.fsum(edge_weights[crossing].tolist()),
+        imbalance,
+    )
 
 
 def run_single_start(
@@ -239,9 +278,13 @@ def run_single_start(
 
     Exposed separately so the paper's worked example (Figure 4) and the
     ablation benchmarks can pin the seeds and inspect every intermediate.
+    ``original`` is the hypergraph the intersection was built from, or
+    the unfiltered one it was filtered from (same vertices).  Every step
+    runs on integer arrays over G's slots and the hypergraph's vertex
+    ids; the label objects of the trace are built only when read.
     """
     g = intersection.graph
-    working = intersection.hypergraph
+    index = intersection.index
     timer = obs.PhaseTimer("algorithm1")
     with timer.phase("cut"):
         u, v, depth = random_longest_bfs_path(
@@ -253,99 +296,107 @@ def run_single_start(
             # has no neighbours at all, so no boundary can arise — fall back
             # to an arbitrary one-vs-rest graph cut with empty boundary sets.
             assert g.degree(u) == 0, "u == v fallback requires an isolated seed"
-            others = [n for n in g.nodes if n != u]
-            cut = GraphCut(
-                left=frozenset([u]),
-                right=frozenset(others),
-                boundary_left=frozenset(),
-                boundary_right=frozenset(),
-                seed_u=u,
-                seed_v=u,
-            )
+            side = np.full(g.slot_capacity(), -1, dtype=np.int8)
+            side[g.csr().order] = 1
+            side[g.index_of(u)] = 0
+            cut = GraphCut.from_sides(g, side, u, u)
         else:
             cut = double_bfs_cut(g, u, v, rng=rng, mode=bfs_mode)
 
         partial = partial_bipartition(intersection, cut)
         bg = boundary_graph(g, cut)
 
-    left: set[Vertex] = set(partial.placed_left)
-    right: set[Vertex] = set(partial.placed_right)
-
+    sides = partial.sides.copy()
     with timer.phase("complete"):
         if weighted_balance:
-            assigned = {pin: "L" for pin in left}
-            assigned.update({pin: "R" for pin in right})
+            weights = index.weights
             completion = complete_cut_weighted(
                 bg,
-                working,
-                initial_left_weight=sum(working.vertex_weight(p) for p in left),
-                initial_right_weight=sum(working.vertex_weight(p) for p in right),
-                assigned=assigned,
+                intersection.hypergraph,
+                initial_left_weight=math.fsum(weights[sides == 0].tolist()),
+                initial_right_weight=math.fsum(weights[sides == 1].tolist()),
+                assigned=partial,
                 variant=variant,
                 rng=rng,
             )
         else:
             completion = complete_cut(bg, variant=variant, rng=rng)
 
-        _commit_winner_pins(working, completion, left, right)
+        _commit_winner_pins(intersection, completion, sides)
 
     with timer.phase("balance"):
-        free = [p for p in original.vertices if p not in left and p not in right]
-        _balance_free_vertices(original, left, right, free, rng)
-        _ensure_nonempty_sides(original, left, right)
-        bipartition = Bipartition(original, left, right)
+        _balance_free_vertices(index, sides, rng)
+        _ensure_nonempty_sides(index, sides)
+        cutsize, weighted_cutsize, weight_imbalance = _score(index, original, sides)
 
     return SingleRunTrace(
         cut=cut,
         partial=partial,
         boundary=bg,
         completion=completion,
-        bipartition=bipartition,
+        sides=sides,
+        cutsize=cutsize,
+        weighted_cutsize=weighted_cutsize,
+        weight_imbalance=weight_imbalance,
+        index=index,
+        original=original,
         bfs_depth=depth,
         timings=timer.timings,
     )
 
 
 def _pack_components(
-    original: Hypergraph,
-    working: Hypergraph,
+    intersection: IntersectionGraph,
     components: list[set[EdgeName]],
     rng: random.Random,
-) -> Bipartition:
-    """Zero-cut bipartition of a disconnected dual graph by block packing.
+) -> np.ndarray:
+    """Zero-cut side array of a disconnected dual graph by block packing.
 
     Each G-component's hyperedges cover a disjoint module block; blocks
     are distributed heaviest-first onto the lighter side (LPT), then any
     modules in no working edge are balanced individually.
     """
-    blocks: list[set[Vertex]] = []
+    index = intersection.index
+    g = intersection.graph
+    vertices = index.vertices
+    blocks = []
     for component in components:
-        block: set[Vertex] = set()
-        for name in component:
-            block.update(working.edge_members(name))
-        blocks.append(block)
-    blocks.sort(key=lambda b: (-sum(original.vertex_weight(v) for v in b), repr(sorted(b, key=repr))))
+        rows = slots_of(g, component)
+        block = np.unique(gather_rows(index.pin_ptr, index.pins, rows)[1])
+        weight = math.fsum(index.weights[block].tolist())
+        labels = sorted((vertices[i] for i in block.tolist()), key=repr)
+        blocks.append(((-weight, repr(labels)), weight, block))
+    blocks.sort(key=lambda b: b[0])
 
-    left: set[Vertex] = set()
-    right: set[Vertex] = set()
+    sides = np.full(index.num_vertices, -1, dtype=np.int8)
     wl = wr = 0.0
-    for block in blocks:
-        block_weight = sum(original.vertex_weight(v) for v in block)
+    for _, weight, block in blocks:
         if wl <= wr:
-            left |= block
-            wl += block_weight
+            sides[block] = 0
+            wl += weight
         else:
-            right |= block
-            wr += block_weight
+            sides[block] = 1
+            wr += weight
 
-    free = [v for v in original.vertices if v not in left and v not in right]
-    _balance_free_vertices(original, left, right, free, rng)
-    _ensure_nonempty_sides(original, left, right)
-    return Bipartition(original, left, right)
+    _balance_free_vertices(index, sides, rng)
+    _ensure_nonempty_sides(index, sides)
+    return sides
+
+
+def _start_record(trace: SingleRunTrace) -> StartRecord:
+    return StartRecord(
+        seed_u=trace.cut.seed_u,
+        seed_v=trace.cut.seed_v,
+        bfs_depth=trace.bfs_depth,
+        boundary_size=trace.cut.boundary_size,
+        num_losers=trace.completion.num_losers,
+        cutsize=trace.cutsize,
+        weight_imbalance=trace.weight_imbalance,
+    )
 
 
 def _rank_key(
-    bp: Bipartition,
+    bp: Bipartition | SingleRunTrace,
     objective: str,
     balance_tolerance: float | None,
     total_weight: float,
@@ -372,7 +423,7 @@ _hypergraph_digest = hypergraph_digest
 
 
 def _start_value(
-    record: StartRecord, rank: tuple, left, right, child_seed: int
+    record: StartRecord, rank: tuple, index: DualIndex, sides: np.ndarray, child_seed: int
 ) -> dict:
     """JSON-ready journal value for one completed start."""
     return {
@@ -386,23 +437,22 @@ def _start_value(
             "weight_imbalance": record.weight_imbalance,
         },
         "rank": list(rank),
-        "left": sorted(left, key=repr),
-        "right": sorted(right, key=repr),
+        "left": sorted(index.labels_of(sides, 0), key=repr),
+        "right": sorted(index.labels_of(sides, 1), key=repr),
         "seed": child_seed,
     }
 
 
-def _load_start_value(value) -> tuple[StartRecord, tuple, frozenset, frozenset]:
+def _load_start_value(value, index: DualIndex) -> tuple[StartRecord, tuple, np.ndarray]:
     """Inverse of :func:`_start_value`; raises on unrecognizable entries."""
     try:
         record = StartRecord(**value["record"])
         return (
             record,
             tuple(value["rank"]),
-            frozenset(value["left"]),
-            frozenset(value["right"]),
+            index.sides_of(frozenset(value["left"]), frozenset(value["right"])),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise Algorithm1Error(f"journal start entry is malformed: {exc}") from exc
 
 
@@ -436,25 +486,15 @@ def _execute_start(child_seed: int):
         double_sweep=st["double_sweep"],
         bfs_mode=st["bfs_mode"],
     )
-    bp = trace.bipartition
-    record = StartRecord(
-        seed_u=trace.cut.seed_u,
-        seed_v=trace.cut.seed_v,
-        bfs_depth=trace.bfs_depth,
-        boundary_size=len(trace.cut.boundary),
-        num_losers=trace.completion.num_losers,
-        cutsize=bp.cutsize,
-        weight_imbalance=bp.weight_imbalance,
-    )
-    rank = _rank_key(bp, st["objective"], st["balance_tolerance"], st["total_weight"])
-    return record, rank, bp.left, bp.right, trace.timings
+    rank = _rank_key(trace, st["objective"], st["balance_tolerance"], st["total_weight"])
+    return _start_record(trace), rank, trace.sides.tobytes(), trace.timings
 
 
 def _run_one_start(payload: tuple[int, int]):
     """Supervised worker: one ``(start_index, child_seed)`` task.
 
-    Only small frozensets, the rank tuple, and plain dicts cross the
-    process boundary — never traces.  The worker records into a fresh
+    Only the record, the rank tuple, the int8 vertex-side array as bytes
+    and plain dicts cross the process boundary — never traces.  The worker records into a fresh
     scoped registry so the parent can merge snapshots without
     double-counting whatever the fork inherited (``None`` when recording
     is off).  ``parallel.start`` is a fault-injection site: the chaos
@@ -509,16 +549,17 @@ def _run_parallel_starts(
     replayed = replayed or {}
     pending = [p for p in pairs if p[0] not in replayed]
 
+    dual_index = state["intersection"].index
     best_pack = None
     records_by_index: dict[int, StartRecord] = {}
     timings = {"cut": 0.0, "complete": 0.0, "balance": 0.0}
 
-    def absorb(index: int, record: StartRecord, rank, left, right) -> None:
+    def absorb(index: int, record: StartRecord, rank, sides) -> None:
         nonlocal best_pack
         records_by_index[index] = record
         key = (rank, index)
         if best_pack is None or key < best_pack[0]:
-            best_pack = (key, left, right)
+            best_pack = (key, sides)
 
     for index in sorted(replayed):
         absorb(index, *replayed[index])
@@ -528,10 +569,11 @@ def _run_parallel_starts(
 
         def on_result(task) -> None:
             if journal is not None and task.ok:
-                record, rank, left, right, _timings, _snapshot = task.value
+                record, rank, sides, _timings, _snapshot = task.value
+                sides = np.frombuffer(sides, dtype=np.int8)
                 journal.record(
                     task.key,
-                    _start_value(record, rank, left, right, seeds_by_index[task.key]),
+                    _start_value(record, rank, dual_index, sides, seeds_by_index[task.key]),
                 )
 
         _parallel_init(state)
@@ -552,8 +594,8 @@ def _run_parallel_starts(
         for outcome in outcomes:
             if not outcome.ok:
                 continue
-            record, rank, left, right, start_timings, snapshot = outcome.value
-            absorb(outcome.key, record, rank, left, right)
+            record, rank, sides, start_timings, snapshot = outcome.value
+            absorb(outcome.key, record, rank, np.frombuffer(sides, dtype=np.int8))
             for phase, dt in start_timings.items():
                 timings[phase] = timings.get(phase, 0.0) + dt
             if snapshot is not None and obs.is_enabled():
@@ -567,7 +609,7 @@ def _run_parallel_starts(
             "all parallel starts failed: " + ("; ".join(report.errors[:5]) or "unknown")
         )
     records = [records_by_index[i] for i in sorted(records_by_index)]
-    return (best_pack[1], best_pack[2]), records, timings, workers, report
+    return best_pack[1], records, timings, workers, report
 
 
 def algorithm1(
@@ -754,7 +796,7 @@ def algorithm1(
                 resume_path, "partition", journal_settings
             )
             for key, value in recorded:
-                replayed[int(key)] = _load_start_value(value)
+                replayed[int(key)] = _load_start_value(value, intersection.index)
         else:
             journal = RunJournal.create(journal_path, "partition", journal_settings)
 
@@ -763,11 +805,11 @@ def algorithm1(
         if journal is not None:
             journal.close()
         with timer.phase("balance"):
-            left: set[Vertex] = set()
-            right: set[Vertex] = set()
-            _balance_free_vertices(hypergraph, left, right, list(hypergraph.vertices), rng)
-            _ensure_nonempty_sides(hypergraph, left, right)
-            bipartition = Bipartition(hypergraph, left, right)
+            index = intersection.index
+            sides = np.full(index.num_vertices, -1, dtype=np.int8)
+            _balance_free_vertices(index, sides, rng)
+            _ensure_nonempty_sides(index, sides)
+            bipartition = index.bipartition(hypergraph, sides)
         record = StartRecord(
             seed_u=None,
             seed_v=None,
@@ -803,7 +845,8 @@ def algorithm1(
         # through to the multi-start machinery, which attaches the small
         # components side by side).
         with timer.phase("balance"):
-            bipartition = _pack_components(hypergraph, working, components, rng)
+            sides = _pack_components(intersection, components, rng)
+            bipartition = intersection.index.bipartition(hypergraph, sides)
         packing_limit = balance_tolerance if balance_tolerance is not None else 0.25
         if bipartition.weight_imbalance / total_weight <= packing_limit:
             if journal is not None:
@@ -841,7 +884,7 @@ def algorithm1(
                 "total_weight": total_weight,
                 "obs_enabled": obs.is_enabled(),
             }
-            (best_left, best_right), records, start_timings, workers, report = (
+            best_sides, records, start_timings, workers, report = (
                 _run_parallel_starts(
                     state,
                     num_starts,
@@ -861,7 +904,7 @@ def algorithm1(
             obs.count("algorithm1.starts", len(records))
             obs.gauge("algorithm1.parallel_workers", workers)
             degraded = report.degraded or len(records) < num_starts
-            best = Bipartition(hypergraph, best_left, best_right)
+            best = intersection.index.bipartition(hypergraph, best_sides)
             return Algorithm1Result(
                 bipartition=best,
                 ignored_edges=ignored,
@@ -885,20 +928,20 @@ def algorithm1(
             child_seeds = []
             start_rngs = [rng] * num_starts
 
-        best: Bipartition | None = None
+        # Only the winning start's side array ever becomes a Bipartition.
+        best_sides: np.ndarray | None = None
         best_key: tuple | None = None
         records = []
         degrade_reason: str | None = None
         for index in range(num_starts):
             if index in replayed:
                 # Journal replay: fold in the recorded start without
-                # re-running it (the Bipartition is rebuilt only if it
-                # wins, to re-evaluate against the original hypergraph).
-                record, rank, left, right = replayed[index]
+                # re-running it (its sides are re-evaluated against the
+                # original hypergraph only if it wins).
+                record, rank, sides = replayed[index]
                 records.append(record)
                 if best_key is None or rank < best_key:
-                    best = Bipartition(hypergraph, set(left), set(right))
-                    best_key = rank
+                    best_sides, best_key = sides, rank
                 continue
             # Cooperative checkpoint: at least one start always runs, so a
             # best-so-far cut exists even for an already-expired budget.
@@ -916,32 +959,24 @@ def algorithm1(
                 double_sweep=double_sweep,
                 bfs_mode=bfs_mode,
             )
-            bp = trace.bipartition
-            record = StartRecord(
-                seed_u=trace.cut.seed_u,
-                seed_v=trace.cut.seed_v,
-                bfs_depth=trace.bfs_depth,
-                boundary_size=len(trace.cut.boundary),
-                num_losers=trace.completion.num_losers,
-                cutsize=bp.cutsize,
-                weight_imbalance=bp.weight_imbalance,
-            )
+            record = _start_record(trace)
             records.append(record)
             for phase, dt in trace.timings.items():
                 timings[phase] += dt
-            key = _rank_key(bp, objective, balance_tolerance, total_weight)
+            key = _rank_key(trace, objective, balance_tolerance, total_weight)
             if journal is not None:
                 journal.record(
-                    index, _start_value(record, key, bp.left, bp.right, child_seeds[index])
+                    index,
+                    _start_value(record, key, trace.index, trace.sides, child_seeds[index]),
                 )
             if best_key is None or key < best_key:
-                best, best_key = bp, key
+                best_sides, best_key = trace.sides, key
 
-        assert best is not None
+        assert best_sides is not None
         counters["num_starts"] = len(records)
         obs.count("algorithm1.starts", len(records))
         return Algorithm1Result(
-            bipartition=best,
+            bipartition=intersection.index.bipartition(hypergraph, best_sides),
             ignored_edges=ignored,
             starts=tuple(records),
             intersection=intersection,

@@ -15,17 +15,17 @@ loser — minimizing losers therefore minimizes the completion's cutsize.
 
 from __future__ import annotations
 
-from collections.abc import Hashable
-from dataclasses import dataclass
+from collections.abc import Hashable, Iterable
 
-from repro.core.dual_cut import GraphCut
+import numpy as np
+
+from repro.core.dual_cut import GraphCut, LazyLabels, label_field, slots_of
 from repro.core.graph import Graph
 
 Node = Hashable
 
 
-@dataclass(frozen=True)
-class BoundaryGraph:
+class BoundaryGraph(LazyLabels):
     """The bipartite graph ``G'`` over the boundary set.
 
     Attributes
@@ -35,11 +35,77 @@ class BoundaryGraph:
         sides (intra-side intersections of ``G`` are dropped).
     left, right:
         The two color classes ``B_L`` and ``B_R``.
+
+    Made by :func:`boundary_graph`, it is index-backed: ``G'`` is the
+    boundary slots of ``G`` plus the cross-side entries of ``G``'s CSR
+    snapshot, and the three attributes above are built on first read.
+    It can also be built from a :class:`Graph` and its two color classes.
     """
 
-    graph: Graph
-    left: frozenset[Node]
-    right: frozenset[Node]
+    left = label_field(0)
+    right = label_field(1)
+
+    def __init__(self, graph: Graph, left: Iterable[Node], right: Iterable[Node]) -> None:
+        self._graph = graph
+        self._sets = (frozenset(left), frozenset(right))
+        self._arrays = None
+
+    @classmethod
+    def from_cut(
+        cls, base: Graph, side: np.ndarray, slots: np.ndarray, cross: np.ndarray
+    ) -> "BoundaryGraph":
+        """``G'`` as ``base``'s boundary ``slots`` and its ``cross`` CSR entries."""
+        bg = cls.__new__(cls)
+        bg._graph, bg._arrays = None, (base, side, slots, cross)
+        return bg
+
+    def arrays(self) -> tuple[Graph, np.ndarray, np.ndarray, np.ndarray]:
+        """``(base, side, slots, cross)``: ``G'`` over a base graph's slots.
+
+        ``slots`` are ``G'``'s nodes as ascending base slots, ``side``
+        gives each base slot's color class (0 left, 1 right), and
+        ``cross`` marks the base CSR entries that are edges of ``G'``.
+        """
+        if self._arrays is None:
+            g = self._graph
+            side = np.full(g.slot_capacity(), -1, dtype=np.int8)
+            for s, nodes in enumerate(self._sets):
+                side[slots_of(g, nodes)] = s
+            csr = g.csr()
+            owner = np.repeat(np.arange(g.slot_capacity()), csr.degrees())
+            cross = (side[csr.indices] >= 0) & (side[owner] >= 0)
+            self._arrays = (g, side, np.flatnonzero(side >= 0), cross)
+        return self._arrays
+
+    def cross_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(owners, neighbors)`` base slots of every ``G'`` edge entry, by owner."""
+        base, _, _, cross = self.arrays()
+        csr = base.csr()
+        entries = np.flatnonzero(cross)
+        owners = np.searchsorted(csr.indptr, entries, side="right") - 1
+        return owners, csr.indices[entries]
+
+    def _build_sets(self) -> tuple:
+        base, side, slots, _ = self.arrays()
+        labels = base.labels_view()
+        return tuple(frozenset(labels[i] for i in slots[side[slots] == s].tolist()) for s in (0, 1))
+
+    @property
+    def graph(self) -> Graph:
+        if self._graph is None:
+            base, side, slots, _ = self.arrays()
+            labels = base.labels_view()
+            weights = base.weights_view()
+            g = Graph()
+            for s in (0, 1):
+                for i in slots[side[slots] == s].tolist():
+                    g.add_vertex(labels[i], weight=weights[i])
+            owners, nbrs = self.cross_entries()
+            for a, b in zip(owners.tolist(), nbrs.tolist()):
+                if side[a] == 0:
+                    g.add_edge(labels[a], labels[b])
+            self._graph = g
+        return self._graph
 
     @property
     def nodes(self) -> frozenset[Node]:
@@ -54,7 +120,7 @@ class BoundaryGraph:
 
     def is_trivial(self) -> bool:
         """True when ``G'`` has no edges (nothing can be forced to lose)."""
-        return self.graph.num_edges == 0
+        return not self.arrays()[3].any()
 
 
 def boundary_graph(graph: Graph, cut: GraphCut) -> BoundaryGraph:
@@ -62,41 +128,8 @@ def boundary_graph(graph: Graph, cut: GraphCut) -> BoundaryGraph:
 
     Only adjacency *across* the cut is retained: an edge of ``G`` between
     two boundary nodes on the same side does not force a winner/loser
-    relation and is deleted, exactly as in the paper.
+    relation and is deleted, exactly as in the paper.  No graph is
+    built: ``G'`` is the cut's cross mask over ``graph``'s CSR entries.
     """
-    g = Graph()
-    for node in cut.boundary_left:
-        g.add_vertex(node, weight=graph.node_weight(node))
-    for node in cut.boundary_right:
-        g.add_vertex(node, weight=graph.node_weight(node))
-    labels = graph.labels_view()
-    if graph._use_csr():
-        import numpy as np
-
-        # Vectorized cross-pair discovery over the CSR snapshot: gather
-        # the concatenated rows of all left boundary slots (in the same
-        # left-iteration x row order the legacy scan used) and keep the
-        # entries that land in the right boundary.
-        csr = graph.csr()
-        li = np.fromiter(
-            (graph.index_of(n) for n in cut.boundary_left),
-            count=len(cut.boundary_left),
-            dtype=np.int64,
-        )
-        right_mask = np.zeros(graph.slot_capacity(), dtype=bool)
-        for n in cut.boundary_right:
-            right_mask[graph.index_of(n)] = True
-        owners, nbrs = csr.gather(li)
-        hit = right_mask[nbrs]
-        for a, b in zip(owners[hit].tolist(), nbrs[hit].tolist()):
-            g.add_edge(labels[a], labels[b])
-    else:
-        adj = graph.adjacency_view()
-        right_ids = {graph.index_of(n) for n in cut.boundary_right}
-        for node in cut.boundary_left:
-            for j in adj[graph.index_of(node)]:
-                if j in right_ids:
-                    g.add_edge(node, labels[j])
-    return BoundaryGraph(
-        graph=g, left=frozenset(cut.boundary_left), right=frozenset(cut.boundary_right)
-    )
+    side, on_boundary, cross = cut.arrays(graph)
+    return BoundaryGraph.from_cut(graph, side, np.flatnonzero(on_boundary), cross)

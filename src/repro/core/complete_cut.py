@@ -29,13 +29,16 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from collections.abc import Hashable, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Callable, Hashable, Iterable, Mapping
+
+import numpy as np
 
 from repro import obs
 from repro.core.boundary import BoundaryGraph
+from repro.core.dual_cut import LazyLabels, PartialBipartition, label_field
 from repro.core.graph import Graph
 from repro.core.hypergraph import Hypergraph
+from repro.core.intersection import DualIndex
 
 Node = Hashable
 Vertex = Hashable
@@ -48,146 +51,226 @@ class CompletionError(ValueError):
     """Raised on invalid completion parameters."""
 
 
-@dataclass(frozen=True)
-class CompletionResult:
+class CompletionResult(LazyLabels):
     """Outcome of completing a partial bipartition.
 
     ``winners_left`` / ``winners_right`` are boundary hyperedges committed
     wholly to a side; ``losers`` are boundary hyperedges that cross the
     final cut.  ``order`` records the winner-selection sequence for
     diagnostics and the ablation benches.
+
+    Made by :func:`complete_cut` or :func:`complete_cut_weighted`, it is
+    index-backed: winners (in selection order, with their sides) and
+    losers are slots of ``G'``'s base graph, and the label sets are built
+    on first read.  It can also be built from label sets.
     """
 
-    winners_left: frozenset[Node]
-    winners_right: frozenset[Node]
-    losers: frozenset[Node]
-    order: tuple[Node, ...] = field(default=(), repr=False)
+    winners_left = label_field(0)
+    winners_right = label_field(1)
+    losers = label_field(2)
+    order = label_field(3)
+
+    def __init__(
+        self,
+        winners_left: Iterable[Node],
+        winners_right: Iterable[Node],
+        losers: Iterable[Node],
+        order: Iterable[Node] = (),
+    ) -> None:
+        self._sets = (
+            frozenset(winners_left), frozenset(winners_right), frozenset(losers), tuple(order)
+        )
+        self._slots = None
+
+    @classmethod
+    def from_slots(
+        cls, base: Graph, order: list[int], sides: list[int], losers: list[int]
+    ) -> "CompletionResult":
+        """Winners ``order`` (base slots) on ``sides`` (0 left, 1 right), and ``losers``."""
+        result = cls.__new__(cls)
+        result._slots = (base, order, sides, losers)
+        return result
+
+    def _build_sets(self) -> tuple:
+        base, order, sides, losers = self._slots
+        labels = base.labels_view()
+        return (
+            frozenset(labels[w] for w, s in zip(order, sides) if s == 0),
+            frozenset(labels[w] for w, s in zip(order, sides) if s == 1),
+            frozenset(labels[b] for b in losers),
+            tuple(labels[w] for w in order),
+        )
 
     @property
     def num_losers(self) -> int:
-        return len(self.losers)
+        if self._sets is None:
+            return len(self._slots[3])
+        return len(self._sets[2])
 
     @property
     def winners(self) -> frozenset[Node]:
         return self.winners_left | self.winners_right
 
+    def winner_slots(self, graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+        """Winners as ``graph`` slots in selection order, and their sides (0/1)."""
+        if self._slots is not None and self._slots[0] is graph:
+            _, order, sides, _ = self._slots
+        else:
+            left, right, _, names = self._label_sets()
+            named = [(w, 0 if w in left else 1) for w in names if w in left or w in right]
+            order = [graph.index_of(w) for w, _ in named]
+            sides = [s for _, s in named]
+        return np.asarray(order, dtype=np.int64), np.asarray(sides, dtype=np.int8)
 
-class _WinnerSelector:
-    """Index-space winner selection over ``G'`` with lazy min-heaps.
 
-    The graph is never copied or mutated: liveness, current degree, and
-    (for the weighted variant) the running neighbour-weight sum live in
-    flat arrays indexed by the graph's interned node slots.  Each pool
-    (one for :func:`complete_cut`, one per side for the engineer's rule)
-    keeps a min-heap of cost entries; entries turn stale when their node
-    dies or its cost changes, and stale entries are simply discarded on
-    pop.  A full run costs ``O((V + E) log E)`` instead of the former
-    per-round linear rescans with their per-candidate ``repr`` calls.
+class _LocalBoundary:
+    """``G'`` renumbered ``0..b-1`` in ``repr`` order.
+
+    Local id ``i`` is the ``i``-th ``G'`` node in the base graph's per-run
+    :meth:`~repro.core.graph.Graph.repr_ranks` order, so an integer heap
+    key ``deg * b + i`` ranks by degree first and ``repr`` second.
+    ``slots`` maps local ids to base slots and ``by_slot`` lists the local
+    ids in base-slot order.  Node ``i``'s neighbours are
+    ``nbrs[start[i]:start[i + 1]]`` in CSR row order: flat python lists,
+    because the completion loop is sequential and a list per node would
+    only feed the garbage collector.  ``side`` gives each node's color
+    class.
     """
 
-    __slots__ = (
-        "variant", "rng", "adj", "labels", "ids", "alive", "deg",
-        "weight", "wsum", "reprs", "pool_of", "heaps", "count",
-    )
+    __slots__ = ("base", "slots", "by_slot", "side", "nbrs", "start")
 
-    def __init__(
-        self,
-        graph: Graph,
-        variant: str,
-        rng: random.Random | None,
-        pool_of: list[int],
-        num_pools: int,
-    ) -> None:
-        if variant not in VARIANTS:
-            raise CompletionError(
-                f"unknown Complete-Cut variant {variant!r}; choose from {VARIANTS}"
-            )
-        self.variant = variant
-        self.rng = rng
-        self.adj = graph.adjacency_view()
-        self.labels = graph.labels_view()
-        self.ids = list(graph.node_indices())
-        cap = graph.slot_capacity()
-        self.alive = bytearray(cap)
-        self.pool_of = pool_of
-        self.count = [0] * num_pools
-        self.deg = [0] * cap
-        self.weight = [1.0] * cap
-        self.wsum = [0.0] * cap
-        self.reprs: list[str | None] = [None] * cap
-        for i in self.ids:
-            self.alive[i] = 1
-            self.deg[i] = len(self.adj[i])
-            self.weight[i] = graph.node_weight(self.labels[i])
-            self.reprs[i] = repr(self.labels[i])
-            self.count[pool_of[i]] += 1
-        # The weighted variant's neighbour sums stay a python loop on
-        # purpose: a vectorized prefix-sum difference would change float
-        # rounding and therefore heap tie-break order.
-        if variant == "min_loser_weight":
-            for i in self.ids:
-                self.wsum[i] = sum(self.weight[j] for j in self.adj[i])
-        self.heaps: list[list[tuple]] = [[] for _ in range(num_pools)]
-        for i in self.ids:
-            self.heaps[pool_of[i]].append(self._entry(i))
-        for heap in self.heaps:
-            heapq.heapify(heap)
+    def __init__(self, boundary: BoundaryGraph) -> None:
+        base, side, slots, _ = boundary.arrays()
+        b = len(slots)
+        by_rank = np.argsort(base.repr_ranks()[slots])
+        slots = slots[by_rank]
+        local = np.full(base.slot_capacity(), -1, dtype=np.int64)
+        local[slots] = np.arange(b, dtype=np.int64)
+        owners, nbrs = boundary.cross_entries()
+        owners = local[owners]
+        # Group the entries by local owner, keeping CSR order within a row.
+        grouped = np.argsort(owners, kind="stable")
+        start = np.zeros(b + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owners, minlength=b), out=start[1:])
+        by_slot = np.empty(b, dtype=np.int64)
+        by_slot[by_rank] = np.arange(b, dtype=np.int64)
+        self.base = base
+        self.slots = slots.tolist()
+        self.by_slot = by_slot.tolist()
+        self.side = side[slots].tolist()
+        self.nbrs = local[nbrs][grouped].tolist()
+        self.start = start.tolist()
 
-    def _entry(self, i: int) -> tuple:
-        if self.variant == "min_loser_weight":
-            return (self.wsum[i], self.deg[i], self.reprs[i], i)
-        if self.variant == "min_degree":
-            return (self.deg[i], self.reprs[i], i)
-        return (self.deg[i], i)
+    def result(self, order: list[int], losers: list[int]) -> CompletionResult:
+        slots = self.slots
+        return CompletionResult.from_slots(
+            self.base,
+            [slots[i] for i in order],
+            [self.side[i] for i in order],
+            [slots[i] for i in losers],
+        )
 
-    def _fresh(self, entry: tuple) -> bool:
-        i = entry[-1]
-        if not self.alive[i]:
-            return False
-        if self.variant == "min_loser_weight":
-            return entry[0] == self.wsum[i] and entry[1] == self.deg[i]
-        return entry[0] == self.deg[i]
 
-    def pick(self, pool: int) -> int:
-        """Index of the next winner in ``pool`` (must be non-empty)."""
-        heap = self.heaps[pool]
-        while not self._fresh(heap[0]):
-            heapq.heappop(heap)
-        if self.variant == "random_min_degree":
-            lowest = heap[0][0]
-            pool_of = self.pool_of
+def _greedy(
+    view: _LocalBoundary,
+    variant: str,
+    rng: random.Random | None,
+    pool_of: list[int] | None = None,
+    choose: Callable[[list[int]], int] | None = None,
+    commit: Callable[[int, int], None] | None = None,
+) -> tuple[list[int], list[int]]:
+    """Run the greedy on ``G'``'s local ids; returns ``(winners in order, losers)``.
+
+    The graph is never copied or mutated: each node's current key
+    ``deg * b + i`` (degree first, ``repr`` order second, no string
+    comparison; -1 once the node is gone) and, for ``min_loser_weight``,
+    its running neighbour-weight sum live in flat lists.  Each pool keeps
+    a min-heap of keys, or of ``(neighbour weight, key)`` pairs; an entry
+    is stale once it differs from its node's current key (or weight),
+    and stale entries are simply discarded on pop.  A full run costs
+    ``O((V + E) log E)``.
+
+    Without ``choose`` there is one pool.  The engineer's rule passes
+    each node's pool (its side) in ``pool_of``; ``choose(count)`` then
+    names the pool of every pick from the live count per pool, and
+    ``commit(winner, pool)`` sees every pick.
+    """
+    if variant not in VARIANTS:
+        raise CompletionError(
+            f"unknown Complete-Cut variant {variant!r}; choose from {VARIANTS}"
+        )
+    nbrs, start = view.nbrs, view.start
+    b = len(view.slots)
+    pool_of = pool_of or [0] * b
+    key = [(start[i + 1] - start[i]) * b + i for i in range(b)]
+    entries: list = list(key)
+    weight = wsum = None
+    if variant == "min_loser_weight":
+        weights = view.base.weights_view()
+        weight = [weights[slot] for slot in view.slots]
+        wsum = [sum(weight[j] for j in nbrs[start[i] : start[i + 1]]) for i in range(b)]
+        entries = list(zip(wsum, entries))
+    num_pools = 1 if choose is None else 2
+    heaps = [[e for e, p in zip(entries, pool_of) if p == q] for q in range(num_pools)]
+    for heap in heaps:
+        heapq.heapify(heap)
+    heap_of = [heaps[p] for p in pool_of]
+    count = [pool_of.count(q) for q in range(num_pools)]
+    pop, push = heapq.heappop, heapq.heappush
+    randomized = variant == "random_min_degree"
+    order: list[int] = []
+    losers: list[int] = []
+    remaining = b
+    while remaining:
+        pool = 0 if choose is None else choose(count)
+        heap = heaps[pool]
+        if wsum is None:
+            k = heap[0]
+            while key[k % b] != k:
+                pop(heap)
+                k = heap[0]
+            winner = k % b
+        else:
+            while True:
+                ws, k = heap[0]
+                winner = k % b
+                if key[winner] == k and wsum[winner] == ws:
+                    break
+                pop(heap)
+        if randomized:
+            # Every live minimum-degree node of the pool, in base-slot order.
+            lowest = k // b
             candidates = [
-                i for i in self.ids
-                if self.alive[i] and pool_of[i] == pool and self.deg[i] == lowest
+                j for j in view.by_slot
+                if key[j] >= 0 and pool_of[j] == pool and key[j] // b == lowest
             ]
-            chooser = self.rng if self.rng is not None else random
-            return candidates[chooser.randrange(len(candidates))]
-        return heap[0][-1]
-
-    def kill_winner(self, winner: int) -> list[int]:
-        """Remove the winner and its live neighbours; return the beaten."""
-        adj = self.adj
-        alive = self.alive
-        beaten = [j for j in adj[winner] if alive[j]]
-        alive[winner] = 0
-        self.count[self.pool_of[winner]] -= 1
-        for b in beaten:
-            alive[b] = 0
-            self.count[self.pool_of[b]] -= 1
-        weighted = self.variant == "min_loser_weight"
-        deg = self.deg
-        wsum = self.wsum
-        heaps = self.heaps
-        pool_of = self.pool_of
-        for b in beaten:
-            wb = self.weight[b]
-            for j in adj[b]:
-                if alive[j]:
-                    deg[j] -= 1
-                    if weighted:
-                        wsum[j] -= wb
-                    heapq.heappush(heaps[pool_of[j]], self._entry(j))
-        return beaten
+            winner = candidates[(rng or random).randrange(len(candidates))]
+        order.append(winner)
+        if commit is not None:
+            commit(winner, pool)
+        key[winner] = -1
+        beaten = []
+        for j in nbrs[start[winner] : start[winner + 1]]:
+            if key[j] >= 0:
+                key[j] = -1
+                beaten.append(j)
+        remaining -= 1 + len(beaten)
+        if choose is not None:
+            for x in (winner, *beaten):
+                count[pool_of[x]] -= 1
+        for x in beaten:
+            for j in nbrs[start[x] : start[x + 1]]:
+                k = key[j]
+                if k >= 0:
+                    # One live neighbour fewer: the degree part drops by one.
+                    key[j] = k = k - b
+                    if wsum is None:
+                        push(heap_of[j], k)
+                    else:
+                        wsum[j] -= weight[x]
+                        push(heap_of[j], (wsum[j], k))
+        losers += beaten
+    return order, losers
 
 
 def complete_cut(
@@ -200,35 +283,34 @@ def complete_cut(
     Isolated ``G'`` nodes are winners for free (no neighbour is forced to
     lose).  Runs in ``O((V + E) log E)`` via lazy-heap winner selection.
     """
-    g = boundary.graph
-    sel = _WinnerSelector(g, variant, rng, pool_of=[0] * g.slot_capacity(), num_pools=1)
-    left_ids = {g.index_of(n) for n in boundary.left}
-    labels = sel.labels
-    winners_left: set[Node] = set()
-    winners_right: set[Node] = set()
-    losers: set[Node] = set()
-    order: list[Node] = []
-
-    while sel.count[0]:
-        winner = sel.pick(0)
-        label = labels[winner]
-        order.append(label)
-        if winner in left_ids:
-            winners_left.add(label)
-        else:
-            winners_right.add(label)
-        for b in sel.kill_winner(winner):
-            losers.add(labels[b])
-
+    view = _LocalBoundary(boundary)
+    order, losers = _greedy(view, variant, rng)
     obs.count("complete_cut.runs")
     obs.count("complete_cut.winners", len(order))
     obs.count("complete_cut.losers", len(losers))
-    return CompletionResult(
-        winners_left=frozenset(winners_left),
-        winners_right=frozenset(winners_right),
-        losers=frozenset(losers),
-        order=tuple(order),
-    )
+    return view.result(order, losers)
+
+
+def _pin_rows(
+    view: _LocalBoundary,
+    hypergraph: Hypergraph,
+    assigned: Mapping[Vertex, str] | PartialBipartition | None,
+) -> tuple[DualIndex, list[int], list[int]]:
+    """``(index, rows, sides)``: vertex tables, each ``G'`` node's pin row, placed sides."""
+    if isinstance(assigned, PartialBipartition) and assigned.sides is not None:
+        # The dual's own tables: G's slots are the index's edge rows.
+        return assigned.index, view.slots, assigned.sides.tolist()
+    index = DualIndex(hypergraph)
+    row_of = {name: i for i, name in enumerate(hypergraph.edge_names)}
+    labels = view.base.labels_view()
+    if isinstance(assigned, PartialBipartition):
+        left, right = assigned.placed_left, assigned.placed_right
+    else:
+        assigned = assigned or {}
+        left = [v for v, s in assigned.items() if s == "L"]
+        right = [v for v, s in assigned.items() if s == "R"]
+    sides = index.sides_of(left, right).tolist()
+    return index, [row_of[labels[slot]] for slot in view.slots], sides
 
 
 def complete_cut_weighted(
@@ -236,7 +318,7 @@ def complete_cut_weighted(
     hypergraph: Hypergraph,
     initial_left_weight: float,
     initial_right_weight: float,
-    assigned: Mapping[Vertex, str] | None = None,
+    assigned: Mapping[Vertex, str] | PartialBipartition | None = None,
     variant: str = "min_degree",
     rng: random.Random | None = None,
 ) -> CompletionResult:
@@ -252,54 +334,33 @@ def complete_cut_weighted(
     initial_left_weight, initial_right_weight:
         Weight already committed by the partial bipartition.
     assigned:
-        Vertex -> side ("L"/"R") for vertices already placed; winner
-        hyperedges only add the weight of their not-yet-assigned pins.
+        Vertex -> side ("L"/"R") for vertices already placed, or the
+        :class:`PartialBipartition` that placed them; winner hyperedges
+        only add the weight of their not-yet-assigned pins, in vertex
+        order.
     """
-    g = boundary.graph
-    pool_of = [1] * g.slot_capacity()
-    for n in boundary.left:
-        pool_of[g.index_of(n)] = 0
-    sel = _WinnerSelector(g, variant, rng, pool_of=pool_of, num_pools=2)
-    labels = sel.labels
-    committed: dict[Vertex, str] = dict(assigned) if assigned else {}
-    side_weight = {"L": float(initial_left_weight), "R": float(initial_right_weight)}
-    winners_left: set[Node] = set()
-    winners_right: set[Node] = set()
-    losers: set[Node] = set()
-    order: list[Node] = []
+    view = _LocalBoundary(boundary)
+    index, rows, sides = _pin_rows(view, hypergraph, assigned)
+    ptr, pins = index.pin_lists()
+    weight = index.weights.tolist()
+    side_weight = [float(initial_left_weight), float(initial_right_weight)]
 
-    def commit(edge: Node, side: str) -> None:
-        for pin in hypergraph.edge_members(edge):
-            if pin not in committed:
-                committed[pin] = side
-                side_weight[side] += hypergraph.vertex_weight(pin)
+    def choose(count: list[int]) -> int:
+        lighter = 0 if side_weight[0] <= side_weight[1] else 1
+        return lighter if count[lighter] else 1 - lighter
 
-    while sel.count[0] or sel.count[1]:
-        if side_weight["L"] <= side_weight["R"]:
-            pool = 0 if sel.count[0] else 1
-        else:
-            pool = 1 if sel.count[1] else 0
-        winner = sel.pick(pool)
-        label = labels[winner]
-        order.append(label)
-        if pool == 0:
-            winners_left.add(label)
-            commit(label, "L")
-        else:
-            winners_right.add(label)
-            commit(label, "R")
-        for b in sel.kill_winner(winner):
-            losers.add(labels[b])
+    def commit(winner: int, side: int) -> None:
+        row = rows[winner]
+        for pin in pins[ptr[row] : ptr[row + 1]]:
+            if sides[pin] < 0:
+                sides[pin] = side
+                side_weight[side] += weight[pin]
 
+    order, losers = _greedy(view, variant, rng, view.side, choose, commit)
     obs.count("complete_cut.weighted_runs")
     obs.count("complete_cut.winners", len(order))
     obs.count("complete_cut.losers", len(losers))
-    return CompletionResult(
-        winners_left=frozenset(winners_left),
-        winners_right=frozenset(winners_right),
-        losers=frozenset(losers),
-        order=tuple(order),
-    )
+    return view.result(order, losers)
 
 
 # ----------------------------------------------------------------------

@@ -45,6 +45,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.graph import Graph
 
 
+def gather_rows(
+    indptr: np.ndarray, values: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(lengths, gathered)``: the ``values`` rows of ``rows``, concatenated in order."""
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    total = int(lens.sum())
+    if total == 0:
+        return lens, values[:0]
+    cl = np.cumsum(lens)
+    gather_idx = np.arange(total, dtype=np.int64) + np.repeat(starts - (cl - lens), lens)
+    return lens, values[gather_idx]
+
+
 class CSRAdjacency:
     """Immutable CSR snapshot of a :class:`Graph` (see module docstring)."""
 
@@ -93,26 +107,6 @@ class CSRAdjacency:
         """Per-slot degree (freed slots report 0)."""
         return np.diff(self.indptr)
 
-    def gather(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenated rows of ``slots`` in order: ``(owners, neighbors)``.
-
-        ``owners`` repeats each slot once per neighbor, so
-        ``zip(owners, neighbors)`` enumerates the adjacency pairs in the
-        exact (slot order, row order) sequence a nested legacy loop
-        would produce.
-        """
-        indptr = self.indptr
-        starts = indptr[slots]
-        lens = indptr[slots + 1] - starts
-        total = int(lens.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=self.indices.dtype)
-            return empty, empty
-        cl = np.cumsum(lens)
-        gather_idx = np.arange(total, dtype=np.int64) + np.repeat(starts - (cl - lens), lens)
-        owners = np.repeat(np.asarray(slots, dtype=self.indices.dtype), lens)
-        return owners, self.indices[gather_idx]
-
     # ------------------------------------------------------------------
     # traversal
     # ------------------------------------------------------------------
@@ -139,14 +133,7 @@ class CSRAdjacency:
         level = 0
         while frontier.size:
             level += 1
-            starts = indptr[frontier]
-            lens = indptr[frontier + 1] - starts
-            total = int(lens.sum())
-            if total == 0:
-                break
-            cl = np.cumsum(lens)
-            gather_idx = np.arange(total, dtype=np.int64) + np.repeat(starts - (cl - lens), lens)
-            cand = indices[gather_idx]
+            _, cand = gather_rows(indptr, indices, frontier)
             cand = cand[seen[cand] != stamp]
             if cand.size == 0:
                 break

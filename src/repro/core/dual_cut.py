@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from collections.abc import Hashable
-from dataclasses import dataclass, field
+from collections.abc import Hashable, Iterable
+
+import numpy as np
 
 from repro import obs
 from repro.core.graph import Graph, GraphError
-from repro.core.intersection import IntersectionGraph
+from repro.core.intersection import DualIndex, IntersectionGraph
 
 Node = Hashable
 Vertex = Hashable
@@ -39,25 +40,128 @@ class DualCutError(ValueError):
     """Raised when a graph cut cannot be produced (e.g. empty graph)."""
 
 
-@dataclass(frozen=True)
-class GraphCut:
+def labels_where(labels: list, mask: np.ndarray) -> frozenset:
+    """The labels at the positions ``mask`` selects."""
+    return frozenset(labels[i] for i in np.flatnonzero(mask).tolist())
+
+
+def slots_of(graph: Graph, nodes: Iterable[Node]) -> np.ndarray:
+    """The slots of ``nodes`` in ``graph``, in iteration order."""
+    return np.fromiter(map(graph.index_of, nodes), dtype=np.int64)
+
+
+class LazyLabels:
+    """A per-start result held as index arrays, with its label sets built on first read.
+
+    Built from label sets, a subclass stores them in ``_sets``; built
+    from arrays, it leaves ``_sets`` unset and :meth:`_build_sets` makes
+    them from the arrays when a label field is first read.
+    """
+
+    _sets: tuple | None = None
+
+    def _label_sets(self) -> tuple:
+        if self._sets is None:
+            self._sets = self._build_sets()
+        return self._sets
+
+    def _build_sets(self) -> tuple:
+        raise NotImplementedError
+
+
+def label_field(position: int) -> property:
+    """A read-only field: entry ``position`` of the label sets."""
+    return property(lambda self: self._label_sets()[position])
+
+
+class GraphCut(LazyLabels):
     """A two-sided cut of the intersection graph ``G``.
 
     ``left`` / ``right`` partition all G-nodes; ``boundary_left`` /
     ``boundary_right`` are the subsets adjacent to the opposite side.
+
+    A cut made by :func:`double_bfs_cut` is index-backed: it keeps the
+    int8 side of every G slot and the cross mask of G's CSR entries, and
+    builds the label sets only when they are first read.  A cut built
+    from label sets (hand-made cuts in tests) derives its arrays on
+    demand instead.
     """
 
-    left: frozenset[Node]
-    right: frozenset[Node]
-    boundary_left: frozenset[Node]
-    boundary_right: frozenset[Node]
-    seed_u: Node
-    seed_v: Node
+    left = label_field(0)
+    right = label_field(1)
+    boundary_left = label_field(2)
+    boundary_right = label_field(3)
+
+    def __init__(
+        self,
+        left: Iterable[Node],
+        right: Iterable[Node],
+        boundary_left: Iterable[Node],
+        boundary_right: Iterable[Node],
+        seed_u: Node,
+        seed_v: Node,
+    ) -> None:
+        self.seed_u = seed_u
+        self.seed_v = seed_v
+        self._sets = tuple(map(frozenset, (left, right, boundary_left, boundary_right)))
+        self._graph = self._arrays = None
+
+    @classmethod
+    def from_sides(cls, graph: Graph, side: np.ndarray, seed_u: Node, seed_v: Node) -> "GraphCut":
+        """The cut giving each slot of ``graph`` the side in ``side`` (-1: freed slot)."""
+        csr = graph.csr()
+        cross = side[csr.indices] != np.repeat(side, csr.degrees())
+        # A node is boundary iff any CSR entry of its row crosses; per-row
+        # "any" by prefix-sum differencing (reduceat mishandles empty rows).
+        cs = np.concatenate(([0], np.cumsum(cross, dtype=np.int64)))
+        on_boundary = cs[csr.indptr[1:]] > cs[csr.indptr[:-1]]
+        cut = cls.__new__(cls)
+        cut.seed_u, cut.seed_v = seed_u, seed_v
+        cut._graph, cut._arrays = graph, (side, on_boundary, cross)
+        return cut
+
+    def arrays(self, graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(side, on_boundary, cross)`` over ``graph``'s slots and CSR entries.
+
+        ``side`` is 0/1 per node (-1 for freed slots), ``on_boundary``
+        marks the boundary slots, and ``cross`` marks the CSR entries
+        joining a left boundary node to a right one: the edges of ``G'``.
+        """
+        if self._graph is graph:
+            return self._arrays
+        left, right, boundary_left, boundary_right = self._label_sets()
+        side = np.full(graph.slot_capacity(), -1, dtype=np.int8)
+        side[slots_of(graph, left)] = 0
+        side[slots_of(graph, right)] = 1
+        on_boundary = np.zeros(graph.slot_capacity(), dtype=bool)
+        on_boundary[slots_of(graph, boundary_left | boundary_right)] = True
+        csr = graph.csr()
+        owner = np.repeat(np.arange(graph.slot_capacity()), csr.degrees())
+        nbr = csr.indices
+        cross = (side[nbr] != side[owner]) & on_boundary[nbr] & on_boundary[owner]
+        return side, on_boundary, cross
+
+    def _build_sets(self) -> tuple:
+        labels = self._graph.labels_view()
+        side, on_boundary, _ = self._arrays
+        return (
+            labels_where(labels, side == 0),
+            labels_where(labels, side == 1),
+            labels_where(labels, (side == 0) & on_boundary),
+            labels_where(labels, (side == 1) & on_boundary),
+        )
 
     @property
     def boundary(self) -> frozenset[Node]:
         """The full boundary set ``B = B_L ∪ B_R``."""
         return self.boundary_left | self.boundary_right
+
+    @property
+    def boundary_size(self) -> int:
+        """``|B|``, counted without building any label set."""
+        if self._sets is None:
+            return int(np.count_nonzero(self._arrays[1]))
+        return len(self._sets[2]) + len(self._sets[3])
 
     @property
     def interior_left(self) -> frozenset[Node]:
@@ -69,26 +173,52 @@ class GraphCut:
         return self.right - self.boundary_right
 
 
-@dataclass(frozen=True)
-class PartialBipartition:
+def _overlap_error(overlap: Iterable[Vertex]) -> DualCutError:
+    return DualCutError(
+        "inconsistent partial bipartition — vertices forced to both sides: "
+        f"{sorted(map(repr, overlap))[:5]}"
+    )
+
+
+class PartialBipartition(LazyLabels):
     """Vertex placement implied by the non-boundary G-nodes.
 
     ``placed_left`` / ``placed_right`` are H-vertices forced to a side;
     ``free`` are H-vertices belonging only to boundary hyperedges (or to
     no hyperedge at all) — they are placed later, during completion.
+
+    Made by :func:`partial_bipartition`, it is index-backed: ``sides``
+    is the int8 vertex-side array over the dual's :class:`DualIndex`
+    (0 left, 1 right, -1 free), and the label sets are built on first
+    read.  It can also be built from label sets, which are checked for
+    overlap.
     """
 
-    placed_left: frozenset[Vertex]
-    placed_right: frozenset[Vertex]
-    free: frozenset[Vertex] = field(default=frozenset())
+    placed_left = label_field(0)
+    placed_right = label_field(1)
+    free = label_field(2)
 
-    def __post_init__(self) -> None:
-        overlap = self.placed_left & self.placed_right
+    def __init__(
+        self,
+        placed_left: Iterable[Vertex],
+        placed_right: Iterable[Vertex],
+        free: Iterable[Vertex] = frozenset(),
+    ) -> None:
+        self._sets = tuple(map(frozenset, (placed_left, placed_right, free)))
+        overlap = self._sets[0] & self._sets[1]
         if overlap:
-            raise DualCutError(
-                "inconsistent partial bipartition — vertices forced to both sides: "
-                f"{sorted(map(repr, overlap))[:5]}"
-            )
+            raise _overlap_error(overlap)
+        self.index: DualIndex | None = None
+        self.sides: np.ndarray | None = None
+
+    @classmethod
+    def from_sides(cls, index: DualIndex, sides: np.ndarray) -> "PartialBipartition":
+        partial = cls.__new__(cls)
+        partial.index, partial.sides = index, sides
+        return partial
+
+    def _build_sets(self) -> tuple:
+        return tuple(labels_where(self.index.vertices, self.sides == s) for s in (0, 1, -1))
 
 
 def random_longest_bfs_path(
@@ -227,46 +357,10 @@ def double_bfs_cut(
                     stack.append(nbr)
         counts[attach] += len(component)
 
-    labels = graph.labels_view()
-    left: list[Node] = []
-    right: list[Node] = []
-    boundary_left: list[Node] = []
-    boundary_right: list[Node] = []
-    if graph._use_csr():
-        import numpy as np
-
-        # Vectorized boundary extraction: a node is boundary iff any CSR
-        # entry in its row lands on the other side.  Per-row "any" via
-        # prefix-sum differencing (reduceat mishandles empty rows).
-        csr = graph.csr()
-        side_np = np.asarray(side, dtype=np.int8)
-        cross = side_np[csr.indices] != np.repeat(side_np, csr.degrees())
-        cs = np.concatenate(([0], np.cumsum(cross, dtype=np.int64)))
-        has_cross = cs[csr.indptr[1:]] > cs[csr.indptr[:-1]]
-        for i in graph.node_indices():
-            s = side[i]
-            (left if s == 0 else right).append(labels[i])
-            if has_cross[i]:
-                (boundary_left if s == 0 else boundary_right).append(labels[i])
-    else:
-        for i in graph.node_indices():
-            s = side[i]
-            (left if s == 0 else right).append(labels[i])
-            other = 1 - s
-            for nbr in adj[i]:
-                if side[nbr] == other:
-                    (boundary_left if s == 0 else boundary_right).append(labels[i])
-                    break
+    cut = GraphCut.from_sides(graph, np.asarray(side, dtype=np.int8), u, v)
     obs.count("dual_cut.cuts")
-    obs.count("dual_cut.boundary_nodes", len(boundary_left) + len(boundary_right))
-    return GraphCut(
-        left=frozenset(left),
-        right=frozenset(right),
-        boundary_left=frozenset(boundary_left),
-        boundary_right=frozenset(boundary_right),
-        seed_u=u,
-        seed_v=v,
-    )
+    obs.count("dual_cut.boundary_nodes", cut.boundary_size)
+    return cut
 
 
 def partial_bipartition(
@@ -279,16 +373,17 @@ def partial_bipartition(
     (or by nothing) stay free.  Consistency (no vertex forced both ways)
     is guaranteed by the boundary definition and re-checked here.
     """
-    h = intersection.hypergraph
-    placed_left: set[Vertex] = set()
-    placed_right: set[Vertex] = set()
-    for name in cut.interior_left:
-        placed_left.update(h.edge_members(name))
-    for name in cut.interior_right:
-        placed_right.update(h.edge_members(name))
-    free = set(h.vertices) - placed_left - placed_right
-    return PartialBipartition(
-        placed_left=frozenset(placed_left),
-        placed_right=frozenset(placed_right),
-        free=frozenset(free),
-    )
+    index = intersection.index
+    side, on_boundary, _ = cut.arrays(intersection.graph)
+    # Each pin takes its edge's side when the edge is interior, else -1.
+    pin_side = np.where(on_boundary, -1, side)[index.pin_edge]
+    forced = np.zeros((2, index.num_vertices), dtype=bool)
+    forced[0, index.pins[pin_side == 0]] = True
+    forced[1, index.pins[pin_side == 1]] = True
+    both = forced[0] & forced[1]
+    if both.any():
+        raise _overlap_error(labels_where(index.vertices, both))
+    sides = np.full(index.num_vertices, -1, dtype=np.int8)
+    sides[forced[0]] = 0
+    sides[forced[1]] = 1
+    return PartialBipartition.from_sides(index, sides)

@@ -89,6 +89,8 @@ class Graph:
         self._version = 0
         self._csr = None
         self._csr_version = -1
+        self._ranks = None
+        self._ranks_version = -1
         self._active_dist = self._bfs_dist
         if nodes is not None:
             if isinstance(nodes, Mapping):
@@ -243,6 +245,25 @@ class Graph:
         else:
             obs.count("graph.csr.reuses")
         return self._csr
+
+    def repr_ranks(self):
+        """Per-slot rank of each node in ``repr`` order (ties by slot), int64.
+
+        Complete-Cut's tie-break as one integer per node, so its heap
+        keys need no string comparisons.  Freed slots hold -1.  Cached
+        like :meth:`csr` until the next mutation.
+        """
+        if self._ranks is None or self._ranks_version != self._version:
+            import numpy as np
+
+            labels = self._labels
+            slots = np.fromiter(self._index.values(), np.int64, len(self._index))
+            reprs = np.array([repr(labels[i]) for i in slots.tolist()], dtype=str)
+            ranks = np.full(len(labels), -1, dtype=np.int64)
+            ranks[slots[np.lexsort((slots, reprs))]] = np.arange(len(slots), dtype=np.int64)
+            self._ranks = ranks
+            self._ranks_version = self._version
+        return self._ranks
 
     def _use_csr(self) -> bool:
         """True when traversals should take the vectorized CSR path."""
@@ -601,6 +622,8 @@ class Graph:
         # The CSR snapshot is a derived cache — cheap to rebuild, big to ship.
         state["_csr"] = None
         state["_csr_version"] = -1
+        state["_ranks"] = None
+        state["_ranks_version"] = -1
         return state
 
     def __repr__(self) -> str:

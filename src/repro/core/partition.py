@@ -13,6 +13,7 @@ engineer's rule, and quotient/ratio-cut objectives.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Hashable, Iterable
 from functools import cached_property
 
@@ -20,6 +21,19 @@ from repro.core.hypergraph import Hypergraph
 
 Vertex = Hashable
 EdgeName = Hashable
+
+
+def imbalance_fraction(left_weight: float, right_weight: float) -> float:
+    """``|w_L - w_R| / (w_L + w_R)``: 0 is a perfect equipartition.
+
+    The one definition shared by :class:`Bipartition`, the metrics
+    package and the service's result verification, so a claimed and a
+    recomputed fraction of the same cut compare equal exactly.
+    """
+    total = left_weight + right_weight
+    if total == 0:
+        return 0.0
+    return abs(left_weight - right_weight) / total
 
 
 class PartitionError(ValueError):
@@ -140,8 +154,8 @@ class Bipartition:
 
     @cached_property
     def weighted_cutsize(self) -> float:
-        """Total weight of crossing hyperedges."""
-        return sum(self._h.edge_weight(name) for name in self.crossing_edges)
+        """Total weight of crossing hyperedges (an exact sum: order-free)."""
+        return math.fsum(self._h.edge_weight(name) for name in self.crossing_edges)
 
     # ------------------------------------------------------------------
     # balance measures
@@ -164,11 +178,13 @@ class Bipartition:
 
     @cached_property
     def left_weight(self) -> float:
-        return sum(self._h.vertex_weight(v) for v in self._left)
+        # Exact sums: set iteration order (hash-seed dependent for str
+        # labels) can never change the result.
+        return math.fsum(self._h.vertex_weight(v) for v in self._left)
 
     @cached_property
     def right_weight(self) -> float:
-        return sum(self._h.vertex_weight(v) for v in self._right)
+        return math.fsum(self._h.vertex_weight(v) for v in self._right)
 
     @property
     def weight_imbalance(self) -> float:
@@ -178,10 +194,7 @@ class Bipartition:
     @property
     def weight_imbalance_fraction(self) -> float:
         """Weight imbalance normalized by total weight (0 = perfect)."""
-        total = self.left_weight + self.right_weight
-        if total == 0:
-            return 0.0
-        return self.weight_imbalance / total
+        return imbalance_fraction(self.left_weight, self.right_weight)
 
     # ------------------------------------------------------------------
     # alternative objectives (Section 5 / quotient cut discussion)

@@ -7,9 +7,11 @@ with the relaxed criteria implemented here.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Hashable, Set
 
 from repro.core.hypergraph import Hypergraph
+from repro.core.partition import imbalance_fraction
 
 Vertex = Hashable
 
@@ -32,19 +34,27 @@ def satisfies_r_bipartition(hypergraph: Hypergraph, left: Set[Vertex], r: int) -
     return cardinality_imbalance(hypergraph, left) <= r
 
 
+def _side_weights(hypergraph: Hypergraph, left: Set[Vertex]) -> tuple[float, float]:
+    """Exact (``math.fsum``) weights of ``left`` and of the rest."""
+    wl = math.fsum(hypergraph.vertex_weight(v) for v in left)
+    wr = math.fsum(hypergraph.vertex_weight(v) for v in hypergraph.vertices if v not in left)
+    return wl, wr
+
+
 def weight_imbalance(hypergraph: Hypergraph, left: Set[Vertex]) -> float:
     """``| w(V_L) - w(V_R) |`` — module-area imbalance in the VLSI paradigm."""
-    wl = sum(hypergraph.vertex_weight(v) for v in left)
-    total = hypergraph.total_vertex_weight
-    return abs(wl - (total - wl))
+    wl, wr = _side_weights(hypergraph, left)
+    return abs(wl - wr)
 
 
 def weight_imbalance_fraction(hypergraph: Hypergraph, left: Set[Vertex]) -> float:
-    """Weight imbalance normalized by total weight; 0 = perfect equipartition."""
-    total = hypergraph.total_vertex_weight
-    if total == 0:
-        return 0.0
-    return weight_imbalance(hypergraph, left) / total
+    """Weight imbalance normalized by total weight; 0 = perfect equipartition.
+
+    The same definition as :attr:`Bipartition.weight_imbalance_fraction`
+    (:func:`~repro.core.partition.imbalance_fraction`), equal to it
+    exactly for the same cut.
+    """
+    return imbalance_fraction(*_side_weights(hypergraph, left))
 
 
 def within_weight_tolerance(
@@ -57,6 +67,6 @@ def within_weight_tolerance(
     if tolerance < 0:
         raise ValueError("tolerance must be non-negative")
     total = hypergraph.total_vertex_weight
-    wl = sum(hypergraph.vertex_weight(v) for v in left)
+    wl = math.fsum(hypergraph.vertex_weight(v) for v in left)
     half = total / 2.0
     return abs(wl - half) <= tolerance * half

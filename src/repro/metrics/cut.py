@@ -8,6 +8,7 @@ Bipartition class delegates to the same logic.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Hashable, Iterable, Set
 
 from repro.core.hypergraph import Hypergraph
@@ -48,8 +49,8 @@ def cutsize(hypergraph: Hypergraph, left: Set[Vertex]) -> int:
 
 
 def weighted_cutsize(hypergraph: Hypergraph, left: Set[Vertex]) -> float:
-    """Total weight of crossing hyperedges."""
-    return sum(hypergraph.edge_weight(name) for name in crossing_edges(hypergraph, left))
+    """Total weight of crossing hyperedges (an exact sum: order-free)."""
+    return math.fsum(hypergraph.edge_weight(name) for name in crossing_edges(hypergraph, left))
 
 
 def crossing_fraction_by_size(

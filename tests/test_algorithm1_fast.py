@@ -19,6 +19,15 @@ from repro.core.validation import check_bipartition
 from repro.generators import random_hypergraph
 
 
+def _commit(h, completion, left, right):
+    """Run the index-space commit on label sets, updating them in place."""
+    ig = intersection_graph(h)
+    sides = ig.index.sides_of(left, right)
+    _commit_winner_pins(ig, completion, sides)
+    left |= ig.index.labels_of(sides, 0)
+    right |= ig.index.labels_of(sides, 1)
+
+
 class TestWinnerCommitOrder:
     """Regression for the left-before-right pin-commit bias.
 
@@ -40,7 +49,7 @@ class TestWinnerCommitOrder:
             order=("eL", "eR"),
         )
         left, right = set(), set()
-        _commit_winner_pins(h, completion, left, right)
+        _commit(h, completion, left, right)
         assert "x" in left and "x" not in right
 
     def test_earlier_right_winner_takes_shared_pin(self):
@@ -52,7 +61,7 @@ class TestWinnerCommitOrder:
             order=("eR", "eL"),
         )
         left, right = set(), set()
-        _commit_winner_pins(h, completion, left, right)
+        _commit(h, completion, left, right)
         assert "x" in right and "x" not in left
 
     def test_side_symmetric(self):
@@ -71,9 +80,9 @@ class TestWinnerCommitOrder:
             order=("eR", "eL"),
         )
         fl, fr = set(), set()
-        _commit_winner_pins(h, forward, fl, fr)
+        _commit(h, forward, fl, fr)
         ml, mr = set(), set()
-        _commit_winner_pins(h, mirrored, ml, mr)
+        _commit(h, mirrored, ml, mr)
         assert (fl, fr) == (mr, ml)
 
     def test_pre_placed_pins_never_stolen(self):
@@ -85,7 +94,7 @@ class TestWinnerCommitOrder:
             order=("eL",),
         )
         left, right = set(), {"x"}
-        _commit_winner_pins(h, completion, left, right)
+        _commit(h, completion, left, right)
         assert "x" in right and "x" not in left
         assert "a" in left
 

@@ -281,3 +281,28 @@ class TestSpectralStability:
         # Ties (equal quantized values) sort by vertex index.
         tied = np.array([0.25, 0.25 + 1e-12, -0.25, -0.25 - 1e-12])
         assert list(_canonical_order(tied)) == [2, 3, 0, 1]
+
+
+class TestSpectralSolverFailure:
+    """Above the dense limit a failed sparse eigensolve degrades, never densifies."""
+
+    def test_failed_eigsh_is_a_degraded_median_split(self, monkeypatch):
+        import numpy as np
+        import scipy.sparse.linalg as spla
+
+        from repro.baselines.spectral import _DENSE_LIMIT
+
+        def fail(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        def dense_eigensolve(*args, **kwargs):
+            raise AssertionError("dense eigh above the dense limit")
+
+        monkeypatch.setattr(spla, "eigsh", fail)
+        monkeypatch.setattr(np.linalg, "eigh", dense_eigensolve)
+        h = random_hypergraph(_DENSE_LIMIT + 50, 1000, seed=5, connect=True)
+        result = spectral_bisection(h, seed=0)
+        assert result.degraded
+        assert "ArpackNoConvergence" in result.degrade_reason
+        check_bipartition(result.bipartition)
+        assert result.bipartition.is_bisection()
