@@ -11,7 +11,8 @@ goes into the ``perfbench`` section of ``--out`` (added to the file when
 it exists, so it can sit next to a ``repro-partition bench`` payload):
 label, workload, seed, side, the metrics (reference seconds, as
 perfbench reports them), the raw wall seconds and the speed factor
-perfbench printed.  ``perfbench.summary`` holds, per label, workload,
+perfbench printed, and the raw seconds each engine took per pass (from
+which the Table 2 ratio of Algorithm I, SA and KL follows).  ``perfbench.summary`` holds, per label, workload,
 trace mode and metric, each side's median and interquartile range and
 the number of pairs in which the change came out lower.
 
@@ -30,6 +31,12 @@ import sys
 from pathlib import Path
 
 SPEED = re.compile(r"^speed factor (\S+) over \d+ samples; raw (.*)$")
+ENGINES = re.compile(r"^engine seconds per pass: (.*)$")
+
+
+def parse_pairs(text: str) -> dict[str, float]:
+    """``"a=1.5 b=2"`` to ``{"a": 1.5, "b": 2.0}``."""
+    return {name: float(value) for name, value in (item.split("=") for item in text.split())}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -64,10 +71,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
         match = SPEED.match(line)
         if match:
             record["speed_factor"] = float(match.group(1))
-            record["raw_s"] = {
-                name: float(value)
-                for name, value in (item.split("=") for item in match.group(2).split())
-            }
+            record["raw_s"] = parse_pairs(match.group(2))
+        match = ENGINES.match(line)
+        if match:
+            record["engine_s"] = parse_pairs(match.group(1))
     if proc.returncode != 0:
         record["stderr_tail"] = proc.stderr[-2000:]
     return record

@@ -6,8 +6,9 @@
   Kernighan–Lin adapted to hypergraphs (Schweikert–Kernighan netlist
   model), the paper's "MinCut-KL" column.
 * :func:`~repro.baselines.fiduccia_mattheyses.fiduccia_mattheyses` — the
-  linear-time gain-bucket refinement of KL; cited as [9] and included
-  because every credible partitioning release ships it.
+  single-move refinement of KL (per-side gain heaps here, where the
+  original keeps gain buckets); cited as [9] and included because every
+  credible partitioning release ships it.
 * :func:`~repro.baselines.simulated_annealing.simulated_annealing` — the
   paper's "SA" column (Kirkpatrick et al. [18]).
 * :func:`~repro.baselines.spectral.spectral_bisection` — an extra modern

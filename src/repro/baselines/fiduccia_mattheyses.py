@@ -1,9 +1,12 @@
 """Fiduccia–Mattheyses partitioning (cited as [9]; also the refinement engine).
 
 FM improves on KL by moving *single cells* instead of swapping pairs and
-by keeping cells indexed in *gain buckets*, so selecting the best legal
-move and updating gains after a move are both (amortized) constant-time —
-the celebrated linear-time-per-pass heuristic.
+by keeping the free cells ordered by gain, so that selecting the best
+legal move is cheap and a move only updates the gains of cells on its
+*critical* nets.  The original keeps gain buckets; here each side keeps
+a binary heap of int keys ``-gain * n + rank`` (``rank`` is the cell's
+place in ``repr`` order), so a pick or a gain update costs O(log n) and
+ties go to the smallest ``repr`` without scanning a bucket.
 
 Pass anatomy
 ------------
@@ -18,6 +21,7 @@ improvement.
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections.abc import Hashable
 
@@ -29,54 +33,6 @@ from repro.core.partition import Bipartition
 from repro.runtime import Deadline, faults
 
 Vertex = Hashable
-
-
-class _GainBuckets:
-    """Gain-indexed buckets with a lazily maintained max pointer, per side."""
-
-    def __init__(self) -> None:
-        self.buckets: list[dict[int, set[Vertex]]] = [{}, {}]
-        self.max_gain: list[int | None] = [None, None]
-        self.location: dict[Vertex, tuple[int, int]] = {}
-
-    def insert(self, v: Vertex, side: int, gain: int) -> None:
-        self.buckets[side].setdefault(gain, set()).add(v)
-        self.location[v] = (side, gain)
-        if self.max_gain[side] is None or gain > self.max_gain[side]:
-            self.max_gain[side] = gain
-
-    def remove(self, v: Vertex) -> None:
-        side, gain = self.location.pop(v)
-        bucket = self.buckets[side][gain]
-        bucket.discard(v)
-        if not bucket:
-            del self.buckets[side][gain]
-
-    def update(self, v: Vertex, delta: int) -> None:
-        side, gain = self.location[v]
-        self.remove(v)
-        self.insert(v, side, gain + delta)
-
-    def gain_of(self, v: Vertex) -> int:
-        return self.location[v][1]
-
-    def contains(self, v: Vertex) -> bool:
-        return v in self.location
-
-    def best(self, side: int) -> tuple[Vertex, int] | None:
-        """Highest-gain free cell on ``side`` (deterministic tie-break).
-
-        The number of distinct gain values is bounded by the gain range
-        (at most twice the max vertex degree), so a direct max over the
-        bucket keys is effectively constant-time.
-        """
-        buckets = self.buckets[side]
-        if not buckets:
-            return None
-        g = max(buckets)
-        self.max_gain[side] = g
-        v = min(buckets[g], key=repr)
-        return v, g
 
 
 def fiduccia_mattheyses(
@@ -128,6 +84,9 @@ def fiduccia_mattheyses(
     degrade_reason: str | None = None
     with obs.span("baseline.fm"):
         state = initial_state(hypergraph, initial, rng)
+        movable = [True] * hypergraph.num_vertices
+        for v in state.index.ids_of(fixed_set):
+            movable[v] = False
 
         history: list[int] = []
         passes = 0
@@ -138,7 +97,7 @@ def fiduccia_mattheyses(
                 break
             faults.inject("baseline.fm.pass")
             passes += 1
-            improvement = _fm_pass(state, balance_tolerance, fixed_set)
+            improvement = _fm_pass(state, balance_tolerance, movable)
             history.append(state.cutsize)
             if improvement <= 0:
                 break
@@ -156,14 +115,13 @@ def fiduccia_mattheyses(
     )
 
 
-def _move_allowed(state: CutState, v: Vertex, tolerance: float) -> bool:
+def _move_allowed(state: CutState, v: int, tolerance: float) -> bool:
     """Balance rule: stay within tolerance, or strictly improve balance."""
     total = state.side_weights[LEFT] + state.side_weights[RIGHT]
     if total == 0:
         return True
-    s = state.side[v]
-    w = state.h.vertex_weight(v)
-    new_left = state.side_weights[LEFT] + (w if s == RIGHT else -w)
+    w = state.weights[v]
+    new_left = state.side_weights[LEFT] + (w if state.side[v] == RIGHT else -w)
     new_imbalance = abs(2 * new_left - total)
     old_imbalance = abs(2 * state.side_weights[LEFT] - total)
     if new_imbalance <= tolerance * total:
@@ -171,47 +129,55 @@ def _move_allowed(state: CutState, v: Vertex, tolerance: float) -> bool:
     return new_imbalance < old_imbalance
 
 
-def _fm_pass(state: CutState, tolerance: float, fixed: frozenset[Vertex] = frozenset()) -> int:
-    """One FM pass with rollback; returns the realized gain."""
-    h = state.h
-    buckets = _GainBuckets()
-    gains = state.all_gains()
-    if gains is None:
-        for v in h.vertices:
-            if v not in fixed:
-                buckets.insert(v, state.side[v], state.gain(v))
-    else:
-        # Vectorized bulk init (bit-identical gains); keep the
-        # evaluations cost proxy aligned with the per-vertex path.
-        for v in h.vertices:
-            if v not in fixed:
-                buckets.insert(v, state.side[v], gains[v])
-                state.evaluations += 1
+def _fm_pass(state: CutState, tolerance: float, movable: list[bool]) -> int:
+    """One FM pass with rollback; returns the realized gain.
 
-    moves: list[Vertex] = []
+    ``heaps[s]`` holds side ``s``'s keys ``-gain * n + rank``, so its
+    smallest live key is the highest-gain free vertex, ties to the
+    smallest ``repr``.  A gain update pushes the vertex's new key and
+    leaves the old one behind: a key is live when it equals the
+    vertex's current key and the vertex is still free.
+    """
+    n = len(state.side)
+    order, rank = state.index.ranks()
+    free = movable.copy()
+    key = [0] * n
+    heaps: tuple[list[int], list[int]] = ([], [])
+    for v in range(n):
+        if free[v]:
+            key[v] = rank[v] - state.gain(v) * n
+            heaps[state.side[v]].append(key[v])
+    for heap in heaps:
+        heapq.heapify(heap)
+
+    moves: list[int] = []
     cumulative = 0
     best_cumulative = 0
     best_prefix = 0
-    free = set(h.vertices) - fixed
 
-    while free:
-        candidates: list[tuple[int, float, int, Vertex]] = []
+    while True:
+        candidates: list[tuple[int, float, int, int]] = []
         for side in (LEFT, RIGHT):
-            top = buckets.best(side)
-            if top is None:
+            heap = heaps[side]
+            while heap:
+                v = order[heap[0] % n]
+                if free[v] and key[v] == heap[0]:
+                    break
+                heapq.heappop(heap)
+            else:
                 continue
-            v, g = top
             if _move_allowed(state, v, tolerance):
                 # prefer higher gain; tie-break toward the heavier side
-                candidates.append((g, state.side_weights[side], side, v))
+                gain = (rank[v] - key[v]) // n
+                candidates.append((gain, state.side_weights[side], side, v))
         if not candidates:
             break
         candidates.sort(key=lambda item: (-item[0], -item[1], item[2]))
-        gain_value, _, _, chosen = candidates[0]
+        gain_value, _, side, chosen = candidates[0]
 
-        buckets.remove(chosen)
-        free.discard(chosen)
-        _apply_with_gain_updates(state, buckets, chosen)
+        heapq.heappop(heaps[side])
+        free[chosen] = False
+        _apply_with_gain_updates(state, chosen, free, key, heaps)
         moves.append(chosen)
         cumulative += gain_value
         if cumulative > best_cumulative:
@@ -223,41 +189,51 @@ def _fm_pass(state: CutState, tolerance: float, fixed: frozenset[Vertex] = froze
     return best_cumulative
 
 
-def _apply_with_gain_updates(state: CutState, buckets: _GainBuckets, v: Vertex) -> None:
+def _apply_with_gain_updates(
+    state: CutState, v: int, free: list[bool], key: list[int], heaps
+) -> None:
     """Move ``v`` and apply the classic FM critical-net gain updates.
 
     For each net on ``v``: before the move, a net with 0 (resp. 1) pins on
     the *to* side raises (resp. lowers) neighbouring free-cell gains;
-    after the move the symmetric rule applies on the *from* side.
+    after the move the symmetric rule applies on the *from* side.  Each
+    free cell whose gain changed then gets one new heap key.
     """
-    h = state.h
-    from_side = state.side[v]
+    rows = state.index.edge_rows()
+    side = state.side
+    from_side = side[v]
     to_side = 1 - from_side
+    to_pins = state.pins[to_side]
+    from_pins = state.pins[from_side]
+    edges = state.incidence[v]
+    delta: dict[int, int] = {}
 
-    for name in h.incident_edges(v):
-        counts = state.pins[name]
-        members = h.edge_members(name)
-        if counts[to_side] == 0:
-            for u in members:
-                if u != v and buckets.contains(u):
-                    buckets.update(u, +1)
-        elif counts[to_side] == 1:
-            for u in members:
-                if u != v and state.side[u] == to_side and buckets.contains(u):
-                    buckets.update(u, -1)
+    for e in edges:
+        if to_pins[e] == 0:
+            for u in rows[e]:
+                if free[u]:
+                    delta[u] = delta.get(u, 0) + 1
+        elif to_pins[e] == 1:
+            for u in rows[e]:
+                if free[u] and side[u] == to_side:
+                    delta[u] = delta.get(u, 0) - 1
                     break
 
     state.apply_move(v)
 
-    for name in h.incident_edges(v):
-        counts = state.pins[name]
-        members = h.edge_members(name)
-        if counts[from_side] == 0:
-            for u in members:
-                if u != v and buckets.contains(u):
-                    buckets.update(u, -1)
-        elif counts[from_side] == 1:
-            for u in members:
-                if u != v and state.side[u] == from_side and buckets.contains(u):
-                    buckets.update(u, +1)
+    for e in edges:
+        if from_pins[e] == 0:
+            for u in rows[e]:
+                if free[u]:
+                    delta[u] = delta.get(u, 0) - 1
+        elif from_pins[e] == 1:
+            for u in rows[e]:
+                if free[u] and side[u] == from_side:
+                    delta[u] = delta.get(u, 0) + 1
                     break
+
+    n = len(side)
+    for u, d in delta.items():
+        if d:
+            key[u] -= d * n
+            heapq.heappush(heaps[side[u]], key[u])

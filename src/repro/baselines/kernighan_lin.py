@@ -19,17 +19,20 @@ shared-edge correction.  Equal gains rank by the larger ``repr``.  With
 all unlocked pairs, the exhaustive rule; tests check that by brute force
 on small inputs.
 
-Each side keeps one int64 key per unlocked vertex, ``gain * n + rank``,
-where ``rank`` is the vertex's place in ``repr`` order (vertices with
-equal ``repr`` keep their vertex-list order).  Keys are distinct, so a
-step's shortlist is a ``partition`` plus a ``k``-element sort, and a
-swap rewrites only the keys of the neighbours whose gains it refreshed.
+Each side keeps one int64 key per unlocked vertex id, ``gain * n +
+rank``, where ``rank`` is the vertex's place in ``repr`` order (vertices
+with equal ``repr`` keep their vertex-list order).  Keys are distinct,
+so a step's shortlist is a ``partition`` plus a ``k``-element sort, and
+a swap rewrites only the keys of the neighbours whose gains it
+refreshed.  The pair scan stops early once no remaining pair can beat
+the best one (see :func:`_kl_pass`).
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Hashable, Mapping, Sequence
+from collections.abc import Hashable, Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -82,8 +85,6 @@ def kernighan_lin(
     degrade_reason: str | None = None
     with obs.span("baseline.kl"):
         state = initial_state(hypergraph, initial, rng)
-        order = sorted(hypergraph.vertices, key=repr)
-        rank = {v: r for r, v in enumerate(order)}
 
         history: list[int] = []
         passes = 0
@@ -94,7 +95,7 @@ def kernighan_lin(
                 break
             faults.inject("baseline.kl.pass")
             passes += 1
-            improvement = _kl_pass(state, shortlist, order, rank)
+            improvement = _kl_pass(state, shortlist)
             history.append(state.cutsize)
             if improvement <= 0:
                 break
@@ -112,45 +113,49 @@ def kernighan_lin(
     )
 
 
-def _kl_pass(
-    state: CutState,
-    shortlist: int,
-    order: Sequence[Vertex],
-    rank: Mapping[Vertex, int],
-) -> int:
+def _kl_pass(state: CutState, shortlist: int) -> int:
     """One KL pass; returns the realized (rolled-back-to-best) gain.
 
-    ``order`` lists the vertices in ``repr`` order and ``rank`` maps each
-    vertex to its index there.
+    A step scores its shortlisted pairs in key order: a pair's swap gain
+    is at most ``gain(a) + gain(b)`` (the shared-edge correction is never
+    positive), and the gains fall along both shortlists, so the scan
+    stops once that bound cannot beat the best pair found.  The pick is
+    the one a full scan makes, and ``evaluations`` still counts two per
+    shortlisted pair, scored or not.
     """
-    h = state.h
+    n = len(state.side)
     side = state.side
-    gains: dict[Vertex, int] = {v: state.gain(v) for v in h.vertices}
+    incidence = state.incidence
+    rows = state.index.edge_rows()
+    order, rank = state.index.ranks()
+    gains = [state.gain(v) for v in range(n)]
     unlocked = [
         _SideKeys([v for v in order if side[v] == s], gains, order, rank)
         for s in (LEFT, RIGHT)
     ]
 
-    swaps: list[tuple[Vertex, Vertex]] = []
+    swaps: list[tuple[int, int]] = []
     cumulative = 0
     best_cumulative = 0
     best_prefix = 0
 
     while unlocked[LEFT] and unlocked[RIGHT]:
         cand_left = unlocked[LEFT].top(shortlist)
-        cand_right = [
-            (b, gains[b], h.incident_edges_view(b)) for b in unlocked[RIGHT].top(shortlist)
-        ]
-        # Two single-move gains per scored pair, as swap_gain counts them.
+        cand_right = [(b, gains[b]) for b in unlocked[RIGHT].top(shortlist)]
+        # Two single-move gains per shortlisted pair, as swap_gain counts them.
         state.evaluations += 2 * len(cand_left) * len(cand_right)
-        best_pair: tuple[Vertex, Vertex] | None = None
+        best_pair: tuple[int, int] | None = None
         best_gain = None
         for a in cand_left:
             gain_a = gains[a]
-            edges_a = h.incident_edges_view(a)
-            for b, gain_b, edges_b in cand_right:
+            if best_gain is not None and gain_a + cand_right[0][1] <= best_gain:
+                break
+            edges_a = set(incidence[a])
+            for b, gain_b in cand_right:
                 g = gain_a + gain_b
-                if not edges_a.isdisjoint(edges_b):
+                if best_gain is not None and g <= best_gain:
+                    break
+                if not edges_a.isdisjoint(incidence[b]):
                     g += state.shared_edge_correction(a, b)
                 if best_gain is None or g > best_gain:
                     best_gain = g
@@ -158,7 +163,9 @@ def _kl_pass(
         assert best_pair is not None and best_gain is not None
         a, b = best_pair
 
-        affected = {a, b} | h.neighbors(a) | h.neighbors(b)
+        affected = {a, b}
+        for e in chain(incidence[a], incidence[b]):
+            affected.update(rows[e])
         state.apply_swap(a, b)
         unlocked[LEFT].lock(a)
         unlocked[RIGHT].lock(b)
@@ -181,19 +188,19 @@ def _kl_pass(
 
 
 class _SideKeys:
-    """One side's unlocked vertices, keyed ``gain * n + rank``.
+    """One side's unlocked vertex ids, keyed ``gain * n + rank``.
 
     The keys fill the front of an int64 array; ``slot`` maps each
-    unlocked vertex to its position.  A key decodes back to its vertex
-    as ``order[key % n]``.
+    unlocked id to its position.  A key decodes back to its id as
+    ``order[key % n]``.
     """
 
     def __init__(
         self,
-        vertices: Sequence[Vertex],
-        gains: Mapping[Vertex, int],
-        order: Sequence[Vertex],
-        rank: Mapping[Vertex, int],
+        vertices: Sequence[int],
+        gains: Sequence[int],
+        order: Sequence[int],
+        rank: Sequence[int],
     ) -> None:
         self.order = order
         self.rank = rank
@@ -204,20 +211,20 @@ class _SideKeys:
     def __len__(self) -> int:
         return len(self.slot)
 
-    def __contains__(self, v: Vertex) -> bool:
+    def __contains__(self, v: int) -> bool:
         return v in self.slot
 
-    def top(self, k: int) -> list[Vertex]:
-        """The (at most) ``k`` vertices with the largest keys, largest first."""
+    def top(self, k: int) -> list[int]:
+        """The (at most) ``k`` ids with the largest keys, largest first."""
         live = self.keys[: len(self.slot)]
         k = min(k, len(live))
         best = np.sort(np.partition(live, -k)[-k:])[::-1]
         return [self.order[key % self.n] for key in best.tolist()]
 
-    def update(self, v: Vertex, gain: int) -> None:
+    def update(self, v: int, gain: int) -> None:
         self.keys[self.slot[v]] = gain * self.n + self.rank[v]
 
-    def lock(self, v: Vertex) -> None:
+    def lock(self, v: int) -> None:
         """Drop ``v``, moving the last live key into its slot."""
         i = self.slot.pop(v)
         last = len(self.slot)

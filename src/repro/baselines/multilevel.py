@@ -53,6 +53,7 @@ def _rebalance_to_tolerance(
     if total <= 0 or bipartition.weight_imbalance / total <= tolerance:
         return bipartition
     state = CutState(h, bipartition.left)
+    vertex_id = state.index.id_of
     guard = 2 * h.num_vertices
     while (
         abs(state.side_weights[0] - state.side_weights[1]) / total > tolerance
@@ -63,8 +64,11 @@ def _rebalance_to_tolerance(
         movable = state.left if heavy == LEFT else state.right
         if len(movable) <= 1:
             break
-        best = max(movable, key=lambda v: (state.gain(v), -h.vertex_weight(v), repr(v)))
-        state.apply_move(best)
+        best = max(
+            movable,
+            key=lambda v: (state.gain(vertex_id(v)), -h.vertex_weight(v), repr(v)),
+        )
+        state.apply_move(vertex_id(best))
     return state.to_bipartition()
 
 

@@ -14,6 +14,7 @@ from repro import obs
 from repro.baselines.cutstate import CutState, random_balanced_sides
 from repro.baselines.result import BaselineResult
 from repro.core.hypergraph import Hypergraph
+from repro.core.index import HypergraphIndex
 from repro.runtime import Deadline, faults
 
 
@@ -46,6 +47,7 @@ def random_cut(
     deadline = Deadline.coerce(deadline)
     degrade_reason: str | None = None
 
+    index = HypergraphIndex(hypergraph)
     best_state: CutState | None = None
     history: list[int] = []
     evaluations = 0
@@ -60,7 +62,7 @@ def random_cut(
                 break
             faults.inject("baseline.random.start")
             left, _ = random_balanced_sides(hypergraph, rng)
-            state = CutState(hypergraph, left)
+            state = CutState(hypergraph, left, index)
             evaluations += hypergraph.num_edges
             starts_done += 1
             if best_state is None or state.cutsize < best_state.cutsize:

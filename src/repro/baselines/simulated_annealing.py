@@ -107,21 +107,21 @@ def simulated_annealing(
         frac = abs(2.0 * weight_left - total_weight) / total_weight
         return scale * frac * frac
 
-    def move_delta(v) -> float:
-        """Cost change if ``v`` moved (cut delta minus gain, plus balance)."""
+    def move_delta(v: int) -> float:
+        """Cost change if vertex id ``v`` moved (cut delta minus gain, plus balance)."""
         cut_delta = -state.gain(v)
-        w = hypergraph.vertex_weight(v)
+        w = state.weights[v]
         shift = -w if state.side[v] == LEFT else w
         new_left = state.side_weights[LEFT] + shift
         return cut_delta + penalty(new_left) - penalty(state.side_weights[LEFT])
 
-    vertices = list(hypergraph.vertices)
+    n = hypergraph.num_vertices
 
     temperature = schedule.initial_temperature
     if temperature is None:
-        temperature = _calibrate_temperature(state, vertices, move_delta, rng, schedule)
+        temperature = _calibrate_temperature(n, move_delta, rng, schedule)
 
-    moves_per_temp = schedule.moves_per_temperature or 10 * len(vertices)
+    moves_per_temp = schedule.moves_per_temperature or 10 * n
     best_snapshot = state.snapshot()
     best_cut = state.cutsize
     best_feasible = state.weight_imbalance() / total_weight <= balance_tolerance
@@ -151,7 +151,7 @@ def simulated_annealing(
             accepted_any = False
             for _ in range(moves_per_temp):
                 total_moves += 1
-                v = vertices[rng.randrange(len(vertices))]
+                v = rng.randrange(n)
                 if state.side_sizes[state.side[v]] <= 1:
                     continue  # moving v would empty its side
                 delta = move_delta(v)
@@ -189,16 +189,15 @@ def simulated_annealing(
     )
 
 
-def _calibrate_temperature(state, vertices, move_delta, rng, schedule) -> float:
+def _calibrate_temperature(n, move_delta, rng, schedule) -> float:
     """Pick T0 so ~``initial_acceptance`` of sampled uphill moves accept.
 
     Kirkpatrick's rule of thumb: ``T0 = mean(uphill deltas) / -ln(p0)``.
     """
-    sample = min(200, 5 * len(vertices))
+    sample = min(200, 5 * n)
     uphill: list[float] = []
     for _ in range(sample):
-        v = vertices[rng.randrange(len(vertices))]
-        delta = move_delta(v)
+        delta = move_delta(rng.randrange(n))
         if delta > 0:
             uphill.append(delta)
     if not uphill:

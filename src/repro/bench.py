@@ -145,42 +145,33 @@ QUICK_SUITE: tuple[BenchCase, ...] = (
 #: The pinned suite plus ≥10k- and 100k-module bounded-degree instances
 #: — the scale the paper's CPU-ratio claim (Table 2) is actually about.
 #: Gated behind ``bench --scale large`` so tier-1 CI stays fast; the
-#: engine restrictions keep each case in CI-minutes territory
-#: (algorithm1 takes 11.8 s for 10 starts at 100k in
-#: BENCH_pr16_large.json; FM's python bucket walk is fine at 10k but
-#: costs minutes per run at 100k; spectral would cost minutes even at
-#: 10k).  KL takes 5.0 s for its 10
-#: passes on random10k (one core of a 2-core Xeon VM) but stays out so
-#: the committed large baselines keep comparing the same pairs.
+#: engine restrictions keep each case in CI-minutes territory.  Each
+#: exclusion note gives one run's seconds, measured sequentially on one
+#: core of a 2-core Intel Xeon VM (BENCH_pr17_large.json holds the
+#: included pairs' times).
 LARGE_SUITE: tuple[BenchCase, ...] = PINNED_SUITE + (
     BenchCase(
         "random10k",
         "random",
         {"modules": 10_000, "signals": 16_000, "seed": 23},
-        engines=("algorithm1", "fm", "sa", "random", "flow"),
+        engines=("algorithm1", "fm", "kl", "sa", "random", "flow"),
         engine_notes=(
             (
-                "kl",
-                "kept out so committed baselines stay comparable; "
-                "measured 5.0 s for 10 passes at 10k modules",
+                "spectral",
+                "59.4 s at 10k modules, nearly all of it SuperLU fill-in inside "
+                "shift-invert eigsh",
             ),
-            ("spectral", "dense eigensolve costs ~60s at 10k modules"),
         ),
     ),
     BenchCase(
         "random100k",
         "random",
         {"modules": 100_000, "signals": 160_000, "seed": 29},
-        engines=("algorithm1", "sa", "random"),
+        engines=("algorithm1", "fm", "sa", "random"),
         engine_notes=(
-            ("fm", "python bucket walk costs minutes per run at 100k modules"),
-            (
-                "flow",
-                "seeded by algorithm1 then pays FM-scale python corridor "
-                "solves per round; minutes-scale at 100k modules",
-            ),
-            ("kl", "one pass measured 11.3 s at 100k modules, and a run takes up to 10"),
-            ("spectral", "dense eigensolve is not feasible at 100k modules"),
+            ("flow", "21.3 s per run at 100k modules"),
+            ("kl", "one pass took 6.6 s at 100k modules, and a run takes up to 10"),
+            ("spectral", "shift-invert fill-in already costs 59.4 s at 10k modules"),
         ),
     ),
 )

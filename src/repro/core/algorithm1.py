@@ -67,7 +67,8 @@ from repro.core.dual_cut import (
 from repro.core.filtering import DEFAULT_EDGE_SIZE_THRESHOLD, filter_large_edges
 from repro.core.csr import gather_rows
 from repro.core.hypergraph import Hypergraph
-from repro.core.intersection import DualIndex, IntersectionGraph, intersection_graph
+from repro.core.index import HypergraphIndex
+from repro.core.intersection import IntersectionGraph, intersection_graph
 from repro.core.partition import Bipartition
 
 EdgeName = Hashable
@@ -157,7 +158,7 @@ class SingleRunTrace:
     (``cut`` / ``complete`` / ``balance``).
 
     ``sides`` is the final int8 vertex-side array over the dual's
-    :class:`~repro.core.intersection.DualIndex`, and ``cutsize``,
+    :class:`~repro.core.index.HypergraphIndex`, and ``cutsize``,
     ``weighted_cutsize`` and ``weight_imbalance`` score it against the
     original hypergraph from pin counts.  ``bipartition`` turns it into
     labels on first read: a multi-start run reads it for the winner only.
@@ -171,7 +172,7 @@ class SingleRunTrace:
     cutsize: int
     weighted_cutsize: float
     weight_imbalance: float
-    index: DualIndex = field(repr=False, compare=False)
+    index: HypergraphIndex = field(repr=False, compare=False)
     original: Hypergraph = field(repr=False, compare=False)
     bfs_depth: int = 0
     timings: dict = field(default_factory=dict, repr=False, compare=False)
@@ -181,7 +182,7 @@ class SingleRunTrace:
         return self.index.bipartition(self.original, self.sides)
 
 
-def _balance_free_vertices(index: DualIndex, sides: np.ndarray, rng: random.Random) -> None:
+def _balance_free_vertices(index: HypergraphIndex, sides: np.ndarray, rng: random.Random) -> None:
     """Greedily assign unplaced vertices to the lighter side (in place).
 
     Heaviest-first (LPT rule) keeps the final weight imbalance at most the
@@ -203,7 +204,7 @@ def _balance_free_vertices(index: DualIndex, sides: np.ndarray, rng: random.Rand
     sides[free] = placed
 
 
-def _ensure_nonempty_sides(index: DualIndex, sides: np.ndarray) -> None:
+def _ensure_nonempty_sides(index: HypergraphIndex, sides: np.ndarray) -> None:
     """Move the lightest vertex over if a side came out empty (in place).
 
     With one side empty the other holds every vertex, so the lightest
@@ -242,7 +243,7 @@ def _commit_winner_pins(
 
 
 def _score(
-    index: DualIndex, original: Hypergraph, sides: np.ndarray
+    index: HypergraphIndex, original: Hypergraph, sides: np.ndarray
 ) -> tuple[int, float, float]:
     """``(cutsize, weighted_cutsize, weight_imbalance)`` of a full side array.
 
@@ -423,7 +424,7 @@ _hypergraph_digest = hypergraph_digest
 
 
 def _start_value(
-    record: StartRecord, rank: tuple, index: DualIndex, sides: np.ndarray, child_seed: int
+    record: StartRecord, rank: tuple, index: HypergraphIndex, sides: np.ndarray, child_seed: int
 ) -> dict:
     """JSON-ready journal value for one completed start."""
     return {
@@ -443,7 +444,7 @@ def _start_value(
     }
 
 
-def _load_start_value(value, index: DualIndex) -> tuple[StartRecord, tuple, np.ndarray]:
+def _load_start_value(value, index: HypergraphIndex) -> tuple[StartRecord, tuple, np.ndarray]:
     """Inverse of :func:`_start_value`; raises on unrecognizable entries."""
     try:
         record = StartRecord(**value["record"])

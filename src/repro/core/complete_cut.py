@@ -38,7 +38,7 @@ from repro.core.boundary import BoundaryGraph
 from repro.core.dual_cut import LazyLabels, PartialBipartition, label_field
 from repro.core.graph import Graph
 from repro.core.hypergraph import Hypergraph
-from repro.core.intersection import DualIndex
+from repro.core.index import HypergraphIndex
 
 Node = Hashable
 Vertex = Hashable
@@ -295,12 +295,12 @@ def _pin_rows(
     view: _LocalBoundary,
     hypergraph: Hypergraph,
     assigned: Mapping[Vertex, str] | PartialBipartition | None,
-) -> tuple[DualIndex, list[int], list[int]]:
+) -> tuple[HypergraphIndex, list[int], list[int]]:
     """``(index, rows, sides)``: vertex tables, each ``G'`` node's pin row, placed sides."""
     if isinstance(assigned, PartialBipartition) and assigned.sides is not None:
         # The dual's own tables: G's slots are the index's edge rows.
         return assigned.index, view.slots, assigned.sides.tolist()
-    index = DualIndex(hypergraph)
+    index = HypergraphIndex(hypergraph)
     row_of = {name: i for i, name in enumerate(hypergraph.edge_names)}
     labels = view.base.labels_view()
     if isinstance(assigned, PartialBipartition):

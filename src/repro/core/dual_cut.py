@@ -30,7 +30,8 @@ import numpy as np
 
 from repro import obs
 from repro.core.graph import Graph, GraphError
-from repro.core.intersection import DualIndex, IntersectionGraph
+from repro.core.index import HypergraphIndex
+from repro.core.intersection import IntersectionGraph
 
 Node = Hashable
 Vertex = Hashable
@@ -188,10 +189,10 @@ class PartialBipartition(LazyLabels):
     no hyperedge at all) — they are placed later, during completion.
 
     Made by :func:`partial_bipartition`, it is index-backed: ``sides``
-    is the int8 vertex-side array over the dual's :class:`DualIndex`
-    (0 left, 1 right, -1 free), and the label sets are built on first
-    read.  It can also be built from label sets, which are checked for
-    overlap.
+    is the int8 vertex-side array over the dual's
+    :class:`~repro.core.index.HypergraphIndex` (0 left, 1 right, -1
+    free), and the label sets are built on first read.  It can also be
+    built from label sets, which are checked for overlap.
     """
 
     placed_left = label_field(0)
@@ -208,11 +209,11 @@ class PartialBipartition(LazyLabels):
         overlap = self._sets[0] & self._sets[1]
         if overlap:
             raise _overlap_error(overlap)
-        self.index: DualIndex | None = None
+        self.index: HypergraphIndex | None = None
         self.sides: np.ndarray | None = None
 
     @classmethod
-    def from_sides(cls, index: DualIndex, sides: np.ndarray) -> "PartialBipartition":
+    def from_sides(cls, index: HypergraphIndex, sides: np.ndarray) -> "PartialBipartition":
         partial = cls.__new__(cls)
         partial.index, partial.sides = index, sides
         return partial

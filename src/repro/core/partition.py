@@ -14,7 +14,7 @@ engineer's rule, and quotient/ratio-cut objectives.
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable, Iterable
+from collections.abc import Hashable, Iterable, Iterator
 from functools import cached_property
 
 from repro.core.hypergraph import Hypergraph
@@ -126,14 +126,11 @@ class Bipartition:
         members = self._h.edge_members(name)
         return bool(members & self._left) and bool(members & self._right)
 
-    @cached_property
-    def crossing_edges(self) -> frozenset[EdgeName]:
-        """Names of all hyperedges that cross the cut."""
-        # Evaluated once per candidate cut in multi-start ranking: walk
-        # pins with early exit instead of building two intersection sets
-        # per edge.
+    def _crossing(self) -> Iterator[EdgeName]:
+        """Names of the crossing hyperedges, in edge order."""
+        # Walk pins with early exit instead of building two intersection
+        # sets per edge.
         left = self._left
-        crossing = []
         for name, members in self._h.iter_edges():
             has_l = has_r = False
             for p in members:
@@ -142,20 +139,30 @@ class Bipartition:
                 else:
                     has_r = True
                 if has_l and has_r:
-                    crossing.append(name)
+                    yield name
                     break
             # pins outside both sides cannot occur: _check() enforced cover
-        return frozenset(crossing)
 
     @cached_property
+    def crossing_edges(self) -> frozenset[EdgeName]:
+        """Names of all hyperedges that cross the cut (built on first read)."""
+        return frozenset(self._crossing())
+
+    @cached_property
+    def _cut_totals(self) -> tuple[int, float]:
+        """``(cutsize, weighted_cutsize)`` from one pin walk."""
+        weights = list(map(self._h.edge_weight, self._crossing()))
+        return len(weights), math.fsum(weights)
+
+    @property
     def cutsize(self) -> int:
         """Number of crossing hyperedges — the paper's objective."""
-        return len(self.crossing_edges)
+        return self._cut_totals[0]
 
-    @cached_property
+    @property
     def weighted_cutsize(self) -> float:
         """Total weight of crossing hyperedges (an exact sum: order-free)."""
-        return math.fsum(self._h.edge_weight(name) for name in self.crossing_edges)
+        return self._cut_totals[1]
 
     # ------------------------------------------------------------------
     # balance measures

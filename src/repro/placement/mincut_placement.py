@@ -374,12 +374,13 @@ def _enforce_capacity(
 ) -> None:
     """Move lowest-damage modules off an overfull side until both fit."""
     state = CutState(working, left)
+    vertex_id = state.index.id_of
     sides = {0: left, 1: right}
     caps = {0: cap_left, 1: cap_right}
     for side_id in (0, 1):
         while len(sides[side_id] & module_set) > caps[side_id]:
             movable = sides[side_id] & module_set
-            best = max(movable, key=lambda v: (state.gain(v), repr(v)))
-            state.apply_move(best)
+            best = max(movable, key=lambda v: (state.gain(vertex_id(v)), repr(v)))
+            state.apply_move(vertex_id(best))
             sides[side_id].discard(best)
             sides[1 - side_id].add(best)

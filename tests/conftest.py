@@ -135,3 +135,45 @@ def bipartite_graphs(draw, max_side: int = 7):
         )
     )
     return left, right, [(left[i], right[j]) for i, j in edges]
+
+
+#: Mixed vertex labels: ints, strs and tuples side by side, so every
+#: ``repr`` tie-break and label-to-id conversion is exercised.
+LABELS = st.one_of(
+    st.integers(-40, 40),
+    st.text(alphabet="abxy", min_size=0, max_size=3),
+    st.tuples(st.integers(0, 3), st.sampled_from("pq")),
+)
+
+#: Integer and non-dyadic weights: sums of the latter depend on their order.
+WEIGHTS = st.sampled_from([1.0, 2.0, 3.0, 0.1, 0.3, 0.7, 1.3])
+
+
+@st.composite
+def labeled_hypergraphs(draw, max_vertices: int = 14, max_edges: int = 22):
+    """Small hypergraphs on mixed labels, with weights and singleton edges."""
+    labels = draw(st.lists(LABELS, min_size=2, max_size=max_vertices, unique=True))
+    h = Hypergraph()
+    for v in labels:
+        h.add_vertex(v, draw(WEIGHTS))
+    for _ in range(draw(st.integers(1, max_edges))):
+        size = draw(st.integers(1, min(5, len(labels))))
+        pins = draw(st.lists(st.sampled_from(labels), min_size=size, max_size=size, unique=True))
+        h.add_edge(pins, weight=draw(WEIGHTS))
+    return h
+
+
+@st.composite
+def starts(draw, h: Hypergraph) -> dict:
+    """``{"seed": s}``, sometimes with an ``"initial"`` bipartition of ``h``."""
+    from repro.core.partition import Bipartition
+
+    seed = draw(st.integers(0, 2**31 - 1))
+    if not draw(st.booleans()):
+        return {"seed": seed}
+    vertices = h.vertices
+    flags = draw(st.lists(st.booleans(), min_size=len(vertices), max_size=len(vertices)))
+    left = {v for v, f in zip(vertices, flags) if f}
+    if not left or len(left) == len(vertices):
+        left = {vertices[0]}
+    return {"seed": seed, "initial": Bipartition(h, left, set(vertices) - left)}

@@ -3,12 +3,14 @@
 The CSR refactor's whole contract is that the vectorized paths are
 element-for-element identical to the pure-python ``list[set[int]]``
 walks — same BFS visit order, same farthest-node tie-breaks, same
-components, same FM gains.  These tests pin that equivalence on
-hypothesis-generated graphs by running both paths on the same instance:
+components.  These tests pin that equivalence on hypothesis-generated
+graphs by running both paths on the same instance:
 the CSR path is forced on (the threshold is a performance knob, not a
 semantics knob), the legacy path is forced off.  The boundary extraction
 and ``G'`` construction have no twins left; their old pair is checked
-against the index path in ``tests/test_start_differential.py``.
+against the index path in ``tests/test_start_differential.py``.  The
+``CutState`` numpy twin went with the label-space ``CutState``;
+``tests/test_baseline_differential.py`` checks the engines against that.
 """
 
 from __future__ import annotations
@@ -18,13 +20,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.baselines.cutstate as cutstate_mod
-from repro.baselines.cutstate import CutState
-from repro.baselines.fiduccia_mattheyses import fiduccia_mattheyses
 from repro.core.csr import CSRAdjacency
 from repro.core.graph import Graph
-
-from tests.conftest import hypergraphs
 
 
 @st.composite
@@ -94,53 +91,3 @@ class TestTraversalEquivalence:
         for v in list(g.nodes):
             assert g.bfs_levels(v) == legacy_levels[v]
             assert g.eccentricity(v) == legacy_ecc[v]
-
-
-class TestFMEquivalence:
-    @given(hypergraphs(min_vertices=3, max_vertices=12), st.integers(0, 2**31 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_all_gains_match_per_vertex_gain(self, h, seed):
-        rng = random.Random(seed)
-        verts = list(h.vertices)
-        left = set(v for v in verts if rng.random() < 0.5)
-        state = CutState(h, left)
-        state._build_arrays()  # force the interned path regardless of size
-        gains = state.all_gains()
-        assert gains is not None
-        for v in verts:
-            assert gains[v] == state.gain(v)
-
-    @given(hypergraphs(min_vertices=4, max_vertices=12), st.integers(0, 2**31 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_vectorized_cutstate_init_identical(self, h, seed):
-        rng = random.Random(seed)
-        left = set(v for v in h.vertices if rng.random() < 0.5)
-        old = cutstate_mod.VECTORIZE_MIN_PINS
-        try:
-            cutstate_mod.VECTORIZE_MIN_PINS = 0
-            vec = CutState(h, left)
-            cutstate_mod.VECTORIZE_MIN_PINS = 10**9
-            legacy = CutState(h, left)
-        finally:
-            cutstate_mod.VECTORIZE_MIN_PINS = old
-        assert vec.pins == legacy.pins
-        assert vec.cutsize == legacy.cutsize
-        assert vec.weighted_cutsize == legacy.weighted_cutsize
-        assert vec.side_sizes == legacy.side_sizes
-        assert vec.side_weights == legacy.side_weights
-
-    @given(hypergraphs(min_vertices=4, max_vertices=12), st.integers(0, 2**31 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_fm_run_identical_either_init_path(self, h, seed):
-        old = cutstate_mod.VECTORIZE_MIN_PINS
-        try:
-            cutstate_mod.VECTORIZE_MIN_PINS = 0
-            vec = fiduccia_mattheyses(h, seed=seed)
-            cutstate_mod.VECTORIZE_MIN_PINS = 10**9
-            legacy = fiduccia_mattheyses(h, seed=seed)
-        finally:
-            cutstate_mod.VECTORIZE_MIN_PINS = old
-        assert vec.bipartition.left == legacy.bipartition.left
-        assert vec.bipartition.cutsize == legacy.bipartition.cutsize
-        assert vec.history == legacy.history
-        assert vec.evaluations == legacy.evaluations

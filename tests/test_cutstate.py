@@ -1,4 +1,8 @@
-"""Tests for the incremental cut-evaluation engine (CutState)."""
+"""Tests for the incremental cut-evaluation engine (CutState).
+
+``CutState`` takes vertex ids (positions in ``hypergraph.vertices``) in
+``gain``, ``apply_move`` and the swap primitives; ``ids`` maps labels.
+"""
 
 import random
 
@@ -16,6 +20,7 @@ from repro.baselines.cutstate import (
 from repro.core.hypergraph import Hypergraph
 from repro.core.partition import Bipartition
 from repro.metrics.cut import cutsize as naive_cutsize
+from repro.metrics.cut import weighted_cutsize as naive_weighted_cutsize
 from tests.conftest import hypergraphs
 
 
@@ -24,6 +29,10 @@ def square():
     return Hypergraph(
         edges={"e12": [1, 2], "e23": [2, 3], "e34": [3, 4], "e41": [4, 1]}
     )
+
+
+def ids(state: CutState, *labels):
+    return state.index.ids_of(labels)
 
 
 class TestInitialization:
@@ -48,29 +57,28 @@ class TestInitialization:
         state = CutState(h, {1})
         assert state.weighted_cutsize == 5.0
 
+    def test_ids_follow_vertex_order(self):
+        h = Hypergraph(vertices=["b", "a", ("t", 1)])
+        h.add_edge(["a", "b"])
+        state = CutState(h, {"a"})
+        assert state.side == [1, 0, 1]
+        assert state.pins == [[1], [1]]
+
 
 class TestGains:
     def test_gain_equals_delta(self, square):
         state = CutState(square, {1, 2})
-        for v in square.vertices:
+        for v in range(square.num_vertices):
             before = state.cutsize
             predicted = state.gain(v)
             state.apply_move(v)
             assert before - state.cutsize == predicted
             state.apply_move(v)  # undo
 
-    def test_weighted_gain(self):
-        h = Hypergraph()
-        h.add_edge([1, 2], name="x", weight=5.0)
-        h.add_edge([1, 3], name="y", weight=1.0)
-        state = CutState(h, {1})
-        # moving 1 right uncuts both edges: weighted gain 6
-        assert state.weighted_gain(1) == 6.0
-
     def test_swap_gain_exact(self, square):
         state = CutState(square, {1, 2})
-        for a in (1, 2):
-            for b in (3, 4):
+        for a in ids(state, 1, 2):
+            for b in ids(state, 3, 4):
                 before = state.cutsize
                 predicted = state.swap_gain(a, b)
                 state.apply_swap(a, b)
@@ -80,7 +88,7 @@ class TestGains:
     def test_swap_same_side_rejected(self, square):
         state = CutState(square, {1, 2})
         with pytest.raises(ValueError):
-            state.swap_gain(1, 2)
+            state.swap_gain(*ids(state, 1, 2))
 
     def test_swap_gain_with_shared_edge(self):
         """Shared-edge correction: swapping both ends of a 2-pin net."""
@@ -89,22 +97,22 @@ class TestGains:
         assert state.cutsize == 1
         # swapping 1 and 2 leaves the net cut: true delta 0,
         # but gain(1)+gain(2) would claim 2.
-        assert state.swap_gain(1, 2) == 0
+        assert state.swap_gain(*ids(state, 1, 2)) == 0
 
 
 class TestMoves:
     def test_imbalance_tracking(self, square):
         state = CutState(square, {1, 2})
         assert state.imbalance() == 0
-        state.apply_move(1)
+        state.apply_move(*ids(state, 1))
         assert state.imbalance() == 2
         assert state.weight_imbalance() == 2.0
 
     def test_snapshot_restore(self, square):
         state = CutState(square, {1, 2})
         snap = state.snapshot()
-        state.apply_move(1)
-        state.apply_move(3)
+        for v in ids(state, 1, 3):
+            state.apply_move(v)
         state.restore(snap)
         assert state.left == {1, 2}
         assert state.cutsize == 2
@@ -150,11 +158,11 @@ class TestProperties:
         rng = random.Random(0)
         left, _ = random_balanced_sides(h, rng)
         state = CutState(h, left)
-        vertices = h.vertices
         for m in moves:
-            state.apply_move(vertices[m % len(vertices)])
+            state.apply_move(m % h.num_vertices)
         state.validate()
         assert state.cutsize == naive_cutsize(h, state.left)
+        assert state.weighted_cutsize == naive_weighted_cutsize(h, state.left)
 
     @settings(max_examples=40, deadline=None)
     @given(hypergraphs(max_edge_size=4), st.integers(0, 2**31 - 1))
@@ -162,8 +170,8 @@ class TestProperties:
         """Exact for every opposite-side pair, shared multi-pin edges included."""
         left, _ = random_balanced_sides(h, random.Random(seed))
         state = CutState(h, left)
-        for a in sorted(state.left):
-            for b in sorted(state.right):
+        for a in ids(state, *sorted(state.left)):
+            for b in ids(state, *sorted(state.right)):
                 before = state.cutsize
                 predicted = state.swap_gain(a, b)
                 state.apply_swap(a, b)

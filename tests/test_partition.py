@@ -151,3 +151,13 @@ class TestMisc:
 
     def test_repr(self, square):
         assert "cutsize=2" in repr(Bipartition(square, {1, 2}, {3, 4}))
+
+
+class TestCutTotals:
+    def test_cut_measures_leave_crossing_edges_unbuilt(self):
+        h = Hypergraph(edges={"a": [1, 2], "b": [2, 3], "c": [3, 4]})
+        h.add_edge([1, 4], name="d", weight=0.1)
+        bp = Bipartition(h, {1, 2}, {3, 4})
+        assert (bp.cutsize, bp.weighted_cutsize) == (2, 1.1)
+        assert "crossing_edges" not in vars(bp)
+        assert bp.crossing_edges == {"b", "d"}

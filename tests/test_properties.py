@@ -139,10 +139,10 @@ class TestCutStateAgainstBipartition:
         vertices = h.vertices
         state = CutState(h, set(vertices[: max(1, len(vertices) // 2)]))
         for m in moves:
-            v = vertices[m % len(vertices)]
+            v = m % len(vertices)
             if state.side_sizes[state.side[v]] > 1:  # keep both sides non-empty
                 state.apply_move(v)
         bp = state.to_bipartition()
         assert state.cutsize == bp.cutsize
-        assert state.weighted_cutsize == pytest.approx(bp.weighted_cutsize)
+        assert state.weighted_cutsize == bp.weighted_cutsize
         assert state.weight_imbalance() == pytest.approx(bp.weight_imbalance)
