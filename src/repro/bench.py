@@ -147,7 +147,7 @@ QUICK_SUITE: tuple[BenchCase, ...] = (
 #: Gated behind ``bench --scale large`` so tier-1 CI stays fast; the
 #: engine restrictions keep each case in CI-minutes territory.  Each
 #: exclusion note gives one run's seconds, measured sequentially on one
-#: core of a 2-core Intel Xeon VM (BENCH_pr17_large.json holds the
+#: core of a 2-core Intel Xeon VM (BENCH_pr18_large.json holds the
 #: included pairs' times).
 LARGE_SUITE: tuple[BenchCase, ...] = PINNED_SUITE + (
     BenchCase(
@@ -167,9 +167,8 @@ LARGE_SUITE: tuple[BenchCase, ...] = PINNED_SUITE + (
         "random100k",
         "random",
         {"modules": 100_000, "signals": 160_000, "seed": 29},
-        engines=("algorithm1", "fm", "sa", "random"),
+        engines=("algorithm1", "fm", "sa", "random", "flow"),
         engine_notes=(
-            ("flow", "21.3 s per run at 100k modules"),
             ("kl", "one pass took 6.6 s at 100k modules, and a run takes up to 10"),
             ("spectral", "shift-invert fill-in already costs 59.4 s at 10k modules"),
         ),

@@ -59,6 +59,14 @@ def _check_degraded(degraded: bool, reason: str | None, on_error: str) -> None:
     print(f"degraded           : True ({reason})")
 
 
+def _edge_size_threshold(text: str) -> int:
+    """``--threshold``: an int of at least 2 (2-pin nets are never noise)."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
+    return value
+
+
 def _cmd_partition(args: argparse.Namespace) -> int:
     h = _load_hypergraph(args.file, args.format)
     if (args.journal or args.resume) and (args.k > 2 or args.algorithm != "algorithm1"):
@@ -728,7 +736,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--starts", type=int, default=50, help="multi-start count")
     p.add_argument("--k", type=int, default=2, help="k-way via recursive bisection (k > 2)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=int, default=10, help="large-edge ignore threshold")
+    p.add_argument(
+        "--threshold",
+        type=_edge_size_threshold,
+        default=10,
+        help="large-edge ignore threshold (>= 2)",
+    )
     p.add_argument("--weighted-balance", action="store_true", help="engineer's rule")
     p.add_argument(
         "--balance-tolerance",

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -62,7 +63,6 @@ from repro.core.dual_cut import (
     double_bfs_cut,
     partial_bipartition,
     random_longest_bfs_path,
-    slots_of,
 )
 from repro.core.filtering import DEFAULT_EDGE_SIZE_THRESHOLD, filter_large_edges
 from repro.core.csr import gather_rows
@@ -348,36 +348,50 @@ def run_single_start(
 
 def _pack_components(
     intersection: IntersectionGraph,
-    components: list[set[EdgeName]],
+    components: list[np.ndarray],
     rng: random.Random,
 ) -> np.ndarray:
     """Zero-cut side array of a disconnected dual graph by block packing.
 
-    Each G-component's hyperedges cover a disjoint module block; blocks
-    are distributed heaviest-first onto the lighter side (LPT), then any
-    modules in no working edge are balanced individually.
+    Each G-component (an array of G-slots, i.e. edge rows) covers a
+    disjoint module block; blocks are distributed heaviest-first onto the
+    lighter side (LPT), then any modules in no working edge are balanced
+    individually.  Blocks of equal weight are ordered by the ``repr`` of
+    their sorted labels, which is built for those blocks only.
     """
     index = intersection.index
-    g = intersection.graph
+    component_of = np.empty(index.num_edges, dtype=np.int64)
+    component_of[np.concatenate(components)] = np.repeat(
+        np.arange(len(components)), [len(rows) for rows in components]
+    )
+    # Edges of different components share no module: one block per module.
+    block_of = np.full(index.num_vertices, -1, dtype=np.int64)
+    block_of[index.pins] = component_of[index.pin_edge]
+    members = np.argsort(block_of, kind="stable")
+    bounds = np.searchsorted(block_of[members], np.arange(len(components) + 1)).tolist()
+    member_weights = index.weights[members].tolist()
+    weights = [math.fsum(member_weights[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    tied = {w for w, count in Counter(weights).items() if count > 1}
     vertices = index.vertices
-    blocks = []
-    for component in components:
-        rows = slots_of(g, component)
-        block = np.unique(gather_rows(index.pin_ptr, index.pins, rows)[1])
-        weight = math.fsum(index.weights[block].tolist())
-        labels = sorted((vertices[i] for i in block.tolist()), key=repr)
-        blocks.append(((-weight, repr(labels)), weight, block))
-    blocks.sort(key=lambda b: b[0])
 
-    sides = np.full(index.num_vertices, -1, dtype=np.int8)
+    def key(k: int) -> tuple:
+        if weights[k] not in tied:
+            return (-weights[k], "")
+        block = members[bounds[k] : bounds[k + 1]].tolist()
+        return (-weights[k], repr(sorted((vertices[i] for i in block), key=repr)))
+
+    side_of = np.empty(len(components), dtype=np.int8)
     wl = wr = 0.0
-    for _, weight, block in blocks:
+    for k in sorted(range(len(components)), key=key):
         if wl <= wr:
-            sides[block] = 0
-            wl += weight
+            side_of[k] = 0
+            wl += weights[k]
         else:
-            sides[block] = 1
-            wr += weight
+            side_of[k] = 1
+            wr += weights[k]
+    sides = np.full(index.num_vertices, -1, dtype=np.int8)
+    placed = members[bounds[0] :]
+    sides[placed] = side_of[block_of[placed]]
 
     _balance_free_vertices(index, sides, rng)
     _ensure_nonempty_sides(index, sides)
@@ -644,8 +658,8 @@ def algorithm1(
         Integer seed or a :class:`random.Random` for reproducibility.
     edge_size_threshold:
         Ignore hyperedges of at least this many pins when building the
-        intersection graph (``None`` disables filtering).  Default 10, per
-        the paper's analysis.
+        intersection graph (``None`` disables filtering; otherwise at
+        least 2).  Default 10, per the paper's analysis.
     variant:
         Complete-Cut winner-selection variant (see
         :data:`repro.core.complete_cut.VARIANTS`).
@@ -721,6 +735,10 @@ def algorithm1(
         raise Algorithm1Error(f"objective must be 'edges' or 'weight', got {objective!r}")
     if parallel is not None and parallel < 1:
         raise Algorithm1Error(f"parallel must be >= 1 or None, got {parallel}")
+    if edge_size_threshold is not None and edge_size_threshold < 2:
+        raise Algorithm1Error(
+            f"edge_size_threshold must be >= 2 or None, got {edge_size_threshold}"
+        )
     if journal_path is not None or resume_path is not None:
         if parallel is None:
             raise Algorithm1Error(
@@ -831,7 +849,7 @@ def algorithm1(
 
     total_weight = hypergraph.total_vertex_weight or 1.0
 
-    components = intersection.graph.connected_components()
+    components = intersection.graph.component_slots()
     if len(components) > 1:
         # The c = 0 pathological case: "BFS in G finds the unconnectedness
         # while standard heuristics will often output a locally minimum cut

@@ -15,6 +15,8 @@ does not let them steer the intersection-graph cut.
 from __future__ import annotations
 
 from collections.abc import Hashable
+from itertools import compress
+from operator import not_
 
 from repro.core.hypergraph import Hypergraph
 
@@ -37,10 +39,10 @@ def filter_large_edges(
     """
     if threshold < 2:
         raise ValueError(f"threshold must be >= 2 (got {threshold}); 2-pin nets are never noise")
-    ignored = frozenset(
-        name for name in hypergraph.edge_names if hypergraph.edge_size(name) >= threshold
-    )
+    names = hypergraph.edge_names
+    large = [len(members) >= threshold for members in hypergraph.edges.values()]
+    ignored = frozenset(compress(names, large))
     if not ignored:
         return hypergraph, ignored
-    kept = [name for name in hypergraph.edge_names if name not in ignored]
+    kept = list(compress(names, map(not_, large)))
     return hypergraph.restricted_to_edges(kept), ignored

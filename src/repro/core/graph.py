@@ -103,6 +103,27 @@ class Graph:
             for u, v in edges:
                 self.add_edge(u, v)
 
+    @classmethod
+    def from_rows(
+        cls, labels: list[Node], weights: list[float], adj: list[set[int]], slots: list[int]
+    ) -> "Graph":
+        """The graph whose slot ``i`` holds ``labels[i]``, ``weights[i]`` and ``adj[i]``.
+
+        ``slots`` is ``list(range(len(labels)))``; its int objects become
+        the label index's values, which ``adj``'s sets should hold too so
+        each slot number is stored once.  The caller guarantees distinct
+        labels, positive weights and a symmetric, loop-free ``adj``; the
+        lists are taken, not copied.
+        """
+        g = cls()
+        g._index = dict(zip(labels, slots))
+        g._labels = labels
+        g._weights = weights
+        g._adj = adj
+        g._edge_count = sum(map(len, adj)) // 2
+        g._version = 1
+        return g
+
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
@@ -152,42 +173,6 @@ class Graph:
             self._adj[iu].add(iv)
             self._adj[iv].add(iu)
             self._edge_count += 1
-            self._version += 1
-
-    def add_clique(self, members: Iterable[Node]) -> None:
-        """Add all pairwise edges over ``members`` (vertices created as needed).
-
-        The workhorse of intersection-graph construction: one interning
-        pass, then pure integer pair insertion — no label hashing or
-        ``repr`` calls in the pair loop.  Duplicate labels in ``members``
-        collapse to one clique vertex — a repeated label used to survive
-        ``sort()`` as two equal slots and inject a self-loop (which
-        :meth:`add_edge` rejects and :meth:`edges` silently hides) while
-        still bumping the edge count.
-        """
-        index = self._index
-        seen_ids = set()
-        ids = []
-        for v in members:
-            i = index.get(v)
-            if i is None:
-                self.add_vertex(v)
-                i = index[v]
-            if i not in seen_ids:
-                seen_ids.add(i)
-                ids.append(i)
-        ids.sort()
-        adj = self._adj
-        added = 0
-        for k, a in enumerate(ids):
-            sa = adj[a]
-            for b in ids[k + 1 :]:
-                if b not in sa:
-                    sa.add(b)
-                    adj[b].add(a)
-                    added += 1
-        self._edge_count += added
-        if added:
             self._version += 1
 
     def remove_edge(self, u: Node, v: Node) -> None:
@@ -535,19 +520,31 @@ class Graph:
                 best = d
         return best
 
-    def connected_components(self) -> list[set[Node]]:
-        seen: set[int] = set()
-        labels = self._labels
-        out: list[set[Node]] = []
+    def component_slots(self) -> list:
+        """The slots of each connected component, as int64 arrays in BFS order.
+
+        Components come in the insertion order of their first node, each
+        found by one BFS from that node.
+        """
+        import numpy as np
+
+        seen = np.zeros(len(self._labels), dtype=bool)
+        left = len(self._index)
+        out = []
         for i in self._index.values():
-            if i in seen:
+            if not left:
+                break
+            if seen[i]:
                 continue
-            order = self.bfs_order_from(i)
-            if not isinstance(order, list):
-                order = order.tolist()
-            seen.update(order)
-            out.append({labels[j] for j in order})
+            order = np.asarray(self.bfs_order_from(i), dtype=np.int64)
+            seen[order] = True
+            left -= len(order)
+            out.append(order)
         return out
+
+    def connected_components(self) -> list[set[Node]]:
+        labels = self._labels
+        return [set(map(labels.__getitem__, c.tolist())) for c in self.component_slots()]
 
     def is_connected(self) -> bool:
         if not self._index:

@@ -3,9 +3,10 @@
 A :class:`HypergraphIndex` freezes one hypergraph into integer ids:
 vertex ``i`` is ``hypergraph.vertices[i]`` and edge row ``e`` is the
 ``e``-th name of ``hypergraph.edge_names``, its pins listed as ascending
-vertex ids.  Algorithm I's per-start steps run on its numpy tables (it
-is built inside :func:`repro.core.intersection.intersection_graph`), and
-the move-based engines' :class:`repro.baselines.cutstate.CutState` runs
+vertex ids.  Algorithm I's dual graph and per-start steps run on its
+numpy tables (it is built inside
+:func:`repro.core.intersection.intersection_graph`), and the move-based
+engines' :class:`repro.baselines.cutstate.CutState` runs
 on its python-list views.  Labels are converted only at the edges of a
 run: when a side is given as a label set, and when a result becomes a
 :class:`Bipartition`.
@@ -68,18 +69,18 @@ class HypergraphIndex:
 
     ``weights`` and ``edge_weights`` are float64 arrays over vertex ids
     and edge rows; ``pin_ptr``/``pins``/``pin_edge`` are the edge rows in
-    CSR form.  ``lpt_order`` lists the vertex ids heaviest first, ties by
-    ``repr`` (Algorithm I's leftover-balance order), and ``lightest`` is
-    the id minimising ``(weight, repr)`` (its donor when a side comes
-    out empty).  The python-list views the move-based engines walk
-    (:meth:`edge_rows`, :meth:`incidence`, :meth:`ranks`) are built on
-    first use and kept.
+    CSR form, and :meth:`incidence_table` the vertex rows.  ``lpt_order``
+    lists the vertex ids heaviest first, ties by ``repr`` (Algorithm I's
+    leftover-balance order), and ``lightest`` is the id minimising
+    ``(weight, repr)`` (its donor when a side comes out empty).  The
+    python-list views the move-based engines walk (:meth:`edge_rows`,
+    :meth:`incidence`, :meth:`ranks`) are built on first use and kept.
     """
 
     __slots__ = (
         "hypergraph", "vertices", "weights", "pin_ptr", "pins", "pin_edge",
         "edge_weights", "lpt_order", "lightest", "_vertex_id", "_pin_lists",
-        "_edge_rows", "_incidence", "_ranks", "_cut_cache",
+        "_edge_rows", "_incidence_table", "_incidence", "_ranks", "_cut_cache",
     )
 
     def __init__(self, hypergraph: Hypergraph) -> None:
@@ -98,6 +99,7 @@ class HypergraphIndex:
         self.lightest = int(np.lexsort((reprs, self.weights))[0]) if n else -1
         self._pin_lists = None
         self._edge_rows = None
+        self._incidence_table = None
         self._incidence = None
         self._ranks = None
         self._cut_cache = None
@@ -161,13 +163,25 @@ class HypergraphIndex:
             self._edge_rows = _split(pins, ptr)
         return self._edge_rows
 
-    def incidence(self) -> list[list[int]]:
-        """Each vertex's incident edge rows, ascending."""
-        if self._incidence is None:
+    def incidence_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(ptr, rows)``: each vertex's incident edge rows, ascending, in CSR form.
+
+        Vertex ``i``'s rows are ``rows[ptr[i]:ptr[i + 1]]``.  Built on
+        first use and kept; the dual graph and :meth:`incidence` read it.
+        """
+        if self._incidence_table is None:
+            # A stable sort of the pins keeps each vertex's rows in row order.
             by_vertex = np.argsort(self.pins, kind="stable")
             ptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
             np.cumsum(np.bincount(self.pins, minlength=self.num_vertices), out=ptr[1:])
-            self._incidence = _split(self.pin_edge[by_vertex].tolist(), ptr.tolist())
+            self._incidence_table = (ptr, self.pin_edge[by_vertex])
+        return self._incidence_table
+
+    def incidence(self) -> list[list[int]]:
+        """Each vertex's incident edge rows, ascending."""
+        if self._incidence is None:
+            ptr, rows = self.incidence_table()
+            self._incidence = _split(rows.tolist(), ptr.tolist())
         return self._incidence
 
     def ranks(self) -> tuple[list[int], list[int]]:

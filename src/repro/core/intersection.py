@@ -16,25 +16,37 @@ incident hyperedges, so construction costs ``O(sum_v deg(v)^2)`` — with the
 bounded node degree ``d`` the paper assumes for circuit netlists, this is
 ``O(d * pins) = O(n)``-ish, and never worse than ``O(n^2)`` overall.
 
-The per-vertex clique loop runs entirely on interned integer node ids
-(:meth:`repro.core.graph.Graph.add_clique`): no ``repr`` calls, no
-string-keyed dict probes.  Pair identity is defined by the stable total
-order on interned indices — two *distinct* edge names with an identical
-``repr`` (possible for arbitrary hashable labels) are therefore never
-conflated, which the old ``repr(a) <= repr(b)`` keying could not
-guarantee.
+The dual is built from the hypergraph's
+:class:`~repro.core.index.HypergraphIndex`, whose edge rows become the
+G-slots: one numpy two-hop gather (each edge row's pins, then each pin's
+incident rows) lists every node's neighbours, and C-level ``set.add``
+calls fill the slot-indexed adjacency sets from it.  Each set receives
+its neighbours in the order one clique per module in vertex order would
+have inserted them, so every set has that build's hash-table layout and
+iteration order; the CSR snapshot freezes that order, and every BFS
+order and tie-break follows it.  Pair identity is the slot, never a
+label or its ``repr``: two *distinct* edge names with an identical
+``repr`` are never conflated.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Hashable
 
+import numpy as np
+
+from repro.core.csr import gather_rows
 from repro.core.graph import Graph
 from repro.core.hypergraph import Hypergraph, HypergraphError
 from repro.core.index import HypergraphIndex
 
 EdgeName = Hashable
 Vertex = Hashable
+
+#: Neighbour entries converted to python ints at a time while filling the
+#: dual's sets, so no whole-run int list is ever held.
+_CHUNK = 1 << 16
 
 
 class IntersectionGraph:
@@ -56,7 +68,8 @@ class IntersectionGraph:
         never needs the full witness table, only :meth:`shared` queries.
     index:
         The per-run :class:`~repro.core.index.HypergraphIndex` of
-        ``hypergraph``; Algorithm I's per-start steps run on its tables.
+        ``hypergraph`` the dual was built from; Algorithm I's per-start
+        steps run on its tables.
     """
 
     __slots__ = ("hypergraph", "graph", "index", "_shared_cache")
@@ -65,11 +78,12 @@ class IntersectionGraph:
         self,
         hypergraph: Hypergraph,
         graph: Graph,
+        index: HypergraphIndex,
         shared_vertices: dict[tuple[EdgeName, EdgeName], frozenset[Vertex]] | None = None,
     ) -> None:
         self.hypergraph = hypergraph
         self.graph = graph
-        self.index = HypergraphIndex(hypergraph)
+        self.index = index
         self._shared_cache = dict(shared_vertices) if shared_vertices is not None else None
 
     @property
@@ -108,11 +122,41 @@ class IntersectionGraph:
         return f"IntersectionGraph(hypergraph={self.hypergraph!r}, graph={self.graph!r})"
 
 
+def _dual_adjacency(index: HypergraphIndex) -> tuple[list[set[int]], list[int]]:
+    """``(adj, slots)``: each edge row's neighbour rows in the dual, and ``range(rows)``.
+
+    Row ``x``'s set receives, for each pin ``v`` of ``x`` in ascending
+    vertex id, the other rows incident to ``v`` in ascending order.  One
+    two-hop gather lists that sequence for every row at once; ``set.add``
+    then consumes it chunk by chunk, with each neighbour given as the
+    shared int object of ``slots``.
+    """
+    slots = list(range(index.num_edges))
+    adj = [set() for _ in slots]
+    inc_ptr, inc_rows = index.incidence_table()
+    degrees, nbrs = gather_rows(inc_ptr, inc_rows, index.pins)
+    owners = np.repeat(index.pin_edge, degrees)
+    other = nbrs != owners
+    owners, nbrs = owners[other], nbrs[other]
+    for lo in range(0, len(nbrs), _CHUNK):
+        hi = lo + _CHUNK
+        deque(
+            map(
+                set.add,
+                map(adj.__getitem__, owners[lo:hi].tolist()),
+                map(slots.__getitem__, nbrs[lo:hi].tolist()),
+            ),
+            maxlen=0,
+        )
+    return adj, slots
+
+
 def intersection_graph(hypergraph: Hypergraph) -> IntersectionGraph:
     """Build the intersection graph ``G`` dual to ``hypergraph``.
 
     Every hyperedge becomes a G-node, even isolated ones (single-pin nets
     or nets sharing no module with any other net become isolated G-nodes).
+    G-node slot ``i`` is the index's edge row ``i``.
 
     Examples
     --------
@@ -125,17 +169,13 @@ def intersection_graph(hypergraph: Hypergraph) -> IntersectionGraph:
         >>> sorted(ig.graph.neighbors("C"), key=str)
         ['B', 'D']
     """
-    g = Graph()
-    for name in hypergraph.edge_names:
-        g.add_vertex(name, weight=hypergraph.edge_weight(name))
-    for v in hypergraph.vertices:
-        incident = hypergraph.incident_edges_view(v)
-        if len(incident) > 1:
-            g.add_clique(incident)
+    index = HypergraphIndex(hypergraph)
+    adj, slots = _dual_adjacency(index)
+    g = Graph.from_rows(hypergraph.edge_names, index.edge_weights.tolist(), adj, slots)
     # Build every per-run table while still inside the dualize phase, so
     # their cost is attributed here and never to a start: the CSR
-    # snapshot (BFS, boundary, G'), the repr ranks (Complete-Cut
-    # tie-break) and the hypergraph's index (steps 4-6).
+    # snapshot (BFS, boundary, G') and the repr ranks (Complete-Cut
+    # tie-break); the index (steps 4-6) is already built.
     g.csr()
     g.repr_ranks()
-    return IntersectionGraph(hypergraph=hypergraph, graph=g)
+    return IntersectionGraph(hypergraph, g, index)

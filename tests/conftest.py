@@ -163,6 +163,54 @@ def labeled_hypergraphs(draw, max_vertices: int = 14, max_edges: int = 22):
     return h
 
 
+#: Vertex and edge label makers; one family per instance.
+BLOCK_LABELS = {
+    "int": (lambda v: v, lambda e: e + 1000),
+    "str": (lambda v: f"m{v}", lambda e: f"n{e}"),
+    "tuple": (lambda v: ("m", v), lambda e: ("n", e)),
+}
+
+#: Weights whose sums are exact in any order.
+EXACT_WEIGHTS = (1.0, 2.0, 3.0, 0.5, 0.25, 1.75)
+
+
+@st.composite
+def block_hypergraphs(draw) -> Hypergraph:
+    """Small hypergraphs of one to three blocks with exact weights.
+
+    Several blocks give a disconnected dual.  A block may repeat an
+    earlier block's shape and weights under fresh labels, so component
+    packing meets blocks of equal weight.  Modules in no net and
+    one-pin nets (isolated dual nodes) come up on their own.
+    """
+    vertex_label, edge_label = BLOCK_LABELS[draw(st.sampled_from(sorted(BLOCK_LABELS)))]
+    blocks = []
+    for _ in range(draw(st.sampled_from([1, 1, 2, 3]))):
+        if blocks and draw(st.integers(0, 2)) == 0:
+            blocks.append(draw(st.sampled_from(blocks)))
+            continue
+        n = draw(st.integers(2, 12))
+        weights = draw(st.lists(st.sampled_from(EXACT_WEIGHTS), min_size=n, max_size=n))
+        edges = []
+        for _ in range(draw(st.integers(1, 2 * n))):
+            size = draw(st.integers(1, min(n, 6)))
+            pins = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=True))
+            edges.append((pins, draw(st.sampled_from(EXACT_WEIGHTS))))
+        blocks.append((weights, edges))
+    h = Hypergraph()
+    offset = 0
+    for weights, edges in blocks:
+        for v, weight in enumerate(weights, offset):
+            h.add_vertex(vertex_label(v), weight)
+        for pins, weight in edges:
+            name = edge_label(h.num_edges)
+            h.add_edge([vertex_label(offset + p) for p in pins], name=name, weight=weight)
+        offset += len(weights)
+    for v in range(offset, offset + draw(st.integers(0, 2))):
+        h.add_vertex(vertex_label(v), draw(st.sampled_from(EXACT_WEIGHTS)))
+    return h
+
+
 @st.composite
 def starts(draw, h: Hypergraph) -> dict:
     """``{"seed": s}``, sometimes with an ``"initial"`` bipartition of ``h``."""

@@ -1,4 +1,4 @@
-"""The label-space per-start path of Algorithm I, kept as a test reference.
+"""The label-space path of Algorithm I, kept as a test reference.
 
 Steps 3-6 of Algorithm I as they ran before the per-start pipeline moved
 onto integer arrays: every start built a label-set :class:`GraphCut`, a
@@ -11,6 +11,13 @@ per-node loop), except that ``boundary_graph`` gathers CSR rows with
 gone; plus :func:`reference_algorithm1`, the multi-start driver around
 it.  ``tests/test_start_differential.py`` checks the index
 path against it.
+
+The per-run setup is kept the same way, as it ran before it moved onto
+the hypergraph index: :func:`filter_large_edges` with its per-pin
+``restricted_to_edges`` loop, :func:`intersection_graph` with one
+``Graph.add_clique`` per module (inlined), and the label-set
+:func:`connected_components`.  ``reference_algorithm1`` runs on them,
+and ``tests/test_setup_differential.py`` compares each with ``src``.
 """
 
 from __future__ import annotations
@@ -26,15 +33,100 @@ from repro.core.algorithm1 import StartRecord, _rank_key
 from repro.core.complete_cut import VARIANTS, CompletionError
 from repro.core.csr import gather_rows
 from repro.core.dual_cut import DualCutError, random_longest_bfs_path
-from repro.core.filtering import filter_large_edges
 from repro.core.graph import Graph, GraphError
-from repro.core.hypergraph import Hypergraph
-from repro.core.intersection import IntersectionGraph, intersection_graph
+from repro.core.hypergraph import Hypergraph, HypergraphError
+from repro.core.index import HypergraphIndex
+from repro.core.intersection import IntersectionGraph
 from repro.core.partition import Bipartition
 
 Node = Hashable
 Vertex = Hashable
 EdgeName = Hashable
+
+
+def restricted_to_edges(hypergraph: Hypergraph, edge_subset) -> Hypergraph:
+    """``Hypergraph.restricted_to_edges``: member frozensets shared, incidence per pin."""
+    h = Hypergraph()
+    h._vertex_weights = dict(hypergraph._vertex_weights)
+    h._incidence = {v: set() for v in hypergraph._vertex_weights}
+    for name in edge_subset:
+        members = hypergraph.edge_members(name)
+        if name in h._edge_members:
+            raise HypergraphError(f"duplicate edge name {name!r}")
+        h._edge_members[name] = members
+        h._edge_weights[name] = hypergraph._edge_weights[name]
+        for v in members:
+            h._incidence[v].add(name)
+    return h
+
+
+def filter_large_edges(
+    hypergraph: Hypergraph, threshold: int = 10
+) -> tuple[Hypergraph, frozenset[EdgeName]]:
+    """Drop hyperedges with ``size >= threshold``."""
+    if threshold < 2:
+        raise ValueError(f"threshold must be >= 2 (got {threshold}); 2-pin nets are never noise")
+    ignored = frozenset(
+        name for name in hypergraph.edge_names if hypergraph.edge_size(name) >= threshold
+    )
+    if not ignored:
+        return hypergraph, ignored
+    kept = [name for name in hypergraph.edge_names if name not in ignored]
+    return restricted_to_edges(hypergraph, kept), ignored
+
+
+def intersection_graph(hypergraph: Hypergraph) -> IntersectionGraph:
+    """Build the intersection graph ``G`` dual to ``hypergraph``, one clique per module."""
+    g = Graph()
+    for name in hypergraph.edge_names:
+        g.add_vertex(name, weight=hypergraph.edge_weight(name))
+    for v in hypergraph.vertices:
+        incident = hypergraph.incident_edges_view(v)
+        if len(incident) > 1:
+            # Graph.add_clique(incident):
+            index = g._index
+            seen_ids = set()
+            ids = []
+            for u in incident:
+                i = index.get(u)
+                if i is None:
+                    g.add_vertex(u)
+                    i = index[u]
+                if i not in seen_ids:
+                    seen_ids.add(i)
+                    ids.append(i)
+            ids.sort()
+            adj = g._adj
+            added = 0
+            for k, a in enumerate(ids):
+                sa = adj[a]
+                for b in ids[k + 1 :]:
+                    if b not in sa:
+                        sa.add(b)
+                        adj[b].add(a)
+                        added += 1
+            g._edge_count += added
+            if added:
+                g._version += 1
+    g.csr()
+    g.repr_ranks()
+    return IntersectionGraph(hypergraph, g, HypergraphIndex(hypergraph))
+
+
+def connected_components(graph: Graph) -> list[set[Node]]:
+    """``Graph.connected_components``: label sets, one BFS per component."""
+    seen: set[int] = set()
+    labels = graph._labels
+    out: list[set[Node]] = []
+    for i in graph._index.values():
+        if i in seen:
+            continue
+        order = graph.bfs_order_from(i)
+        if not isinstance(order, list):
+            order = order.tolist()
+        seen.update(order)
+        out.append({labels[j] for j in order})
+    return out
 
 
 @dataclass(frozen=True)
@@ -842,7 +934,7 @@ def reference_algorithm1(
         return packed(Bipartition(hypergraph, left, right))
 
     total_weight = hypergraph.total_vertex_weight or 1.0
-    components = intersection.graph.connected_components()
+    components = connected_components(intersection.graph)
     if len(components) > 1:
         bipartition = _pack_components(hypergraph, working, components, rng)
         packing_limit = balance_tolerance if balance_tolerance is not None else 0.25

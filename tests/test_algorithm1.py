@@ -53,6 +53,17 @@ class TestInputValidation:
         with pytest.raises(Algorithm1Error):
             algorithm1(triangle_hypergraph, num_starts=0)
 
+    @pytest.mark.parametrize("threshold", [1, 0, -3])
+    def test_threshold_below_two_rejected_typed(self, triangle_hypergraph, threshold):
+        with pytest.raises(Algorithm1Error, match="edge_size_threshold"):
+            algorithm1(triangle_hypergraph, edge_size_threshold=threshold)
+
+    def test_threshold_two_accepted(self, triangle_hypergraph):
+        # Every net of the triangle has two pins: all are ignored, and
+        # the filter then falls back to the whole hypergraph.
+        result = algorithm1(triangle_hypergraph, edge_size_threshold=2, seed=0)
+        assert result.ignored_edges == frozenset()
+
 
 class TestEdgeCases:
     def test_edgeless_hypergraph(self):

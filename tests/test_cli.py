@@ -41,6 +41,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("threshold", ["1", "0", "-2"])
+    def test_threshold_below_two_rejected_at_parse_time(self, threshold, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["partition", "x.hgr", "--threshold", threshold])
+        assert exc.value.code == 2
+        assert "--threshold" in capsys.readouterr().err
+
+    def test_threshold_two_parses(self):
+        args = build_parser().parse_args(["partition", "x.hgr", "--threshold", "2"])
+        assert args.threshold == 2
+
 
 class TestPartitionCommand:
     def test_algorithm1(self, hgr_file, capsys):

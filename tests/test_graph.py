@@ -136,11 +136,43 @@ class TestTraversal:
         assert not g.is_connected()
         assert Graph().is_connected()
 
+    def test_component_slots_follow_first_nodes_in_bfs_order(self):
+        g = Graph(nodes=["c", "a", "b", "d"], edges=[("a", "d"), ("c", "b")])
+        g.remove_vertex("a")
+        g.add_vertex("e")  # reuses a's slot
+        g.add_edge("e", "d")
+        comps = g.component_slots()
+        assert [c.tolist() for c in comps] == [
+            [g.index_of("c"), g.index_of("b")],
+            [g.index_of("d"), g.index_of("e")],
+        ]
+        assert g.connected_components() == [{"c", "b"}, {"d", "e"}]
+        assert Graph().component_slots() == []
+
     def test_induced_subgraph(self):
         g = cycle_graph(6)
         sub = g.induced([0, 1, 2])
         assert sub.num_edges == 2
         assert sub.has_edge(0, 1) and sub.has_edge(1, 2)
+
+
+class TestFromRows:
+    def test_slots_labels_weights_and_edges(self):
+        adj = [{1, 2}, {0}, {0}]
+        g = Graph.from_rows(["x", "y", "z"], [1.0, 2.0, 0.5], adj, [0, 1, 2])
+        assert [g.index_of(v) for v in "xyz"] == [0, 1, 2]
+        assert g.node_weight("y") == 2.0
+        assert g.num_edges == 2
+        assert g.adjacency_view() is adj
+        assert sorted(g.edges()) == [("x", "y"), ("x", "z")]
+        g.add_edge("y", "z")
+        assert g.num_edges == 3 and g.has_edge("z", "y")
+
+    def test_label_index_shares_the_slot_ints(self):
+        # Past 256, every int is its own object unless shared.
+        slots = list(range(300))
+        g = Graph.from_rows([f"n{k}" for k in slots], [1.0] * 300, [set() for _ in slots], slots)
+        assert all(g.index_of(f"n{k}") is slots[k] for k in slots)
 
 
 class TestBipartite:
@@ -251,26 +283,6 @@ class TestIndexedCore:
 
 class TestMutationBugfixes:
     """Regressions for the PR-6 graph-core mutation bugs."""
-
-    def test_add_clique_duplicate_labels_no_self_loop(self):
-        g = Graph()
-        g.add_clique(["a", "b", "a"])
-        assert g.num_edges == 1
-        assert not g.has_edge("a", "a")
-        assert g.index_of("a") not in g.adjacency_view()[g.index_of("a")]
-        assert sorted(g.edges()) == [("a", "b")]
-
-    def test_add_clique_all_duplicates_is_noop_edgewise(self):
-        g = Graph()
-        g.add_clique(["x", "x", "x"])
-        assert g.num_nodes == 1
-        assert g.num_edges == 0
-        assert list(g.edges()) == []
-
-    def test_add_clique_edge_count_matches_edges(self):
-        g = Graph()
-        g.add_clique([1, 2, 3, 2, 1])
-        assert g.num_edges == len(list(g.edges())) == 3
 
     def test_re_add_vertex_preserves_weight(self):
         g = Graph()

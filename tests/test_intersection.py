@@ -70,6 +70,17 @@ class TestStructure:
         ig = intersection_graph(h)
         assert ig.graph.node_weight("x") == 3.0
 
+    def test_slots_are_index_rows_and_share_their_ints(self):
+        h = Hypergraph(edges={("n", k): [k, k + 1, k + 2] for k in range(400)})
+        ig = intersection_graph(h)
+        g = ig.graph
+        assert g.labels_view() == h.edge_names
+        assert g.weights_view() == ig.index.edge_weights.tolist()
+        slots = list(g.node_indices())
+        assert slots == list(range(400))
+        # Each slot number is one int object, shared by every set holding it.
+        assert all(j is slots[j] for row in g.adjacency_view() for j in row)
+
     def test_degree_bound(self):
         """deg_G(e) <= sum over pins of (deg_H(pin) - 1)."""
         h = Hypergraph(

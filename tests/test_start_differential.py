@@ -9,7 +9,8 @@ compared, for int, str and tuple labels, both deterministic Complete-Cut
 variants with and without the engineer's rule, both double-BFS modes,
 double sweep, size thresholds, disconnected duals (attached components
 and packing), isolated seeds, and sequential and parallel runs.  The
-reference runs both of its ``_use_csr()`` twins.
+reference runs both of its ``_use_csr()`` twins, on its own filter, dual
+build and component check.
 
 ``random_min_degree`` is left out of the comparison: the earlier path
 drew its candidates in frozenset order, which for str labels followed
@@ -39,51 +40,12 @@ from repro.core.graph import Graph
 from repro.core.hypergraph import Hypergraph
 from repro.core.intersection import intersection_graph
 from tests import reference_start as ref
+from tests.conftest import block_hypergraphs as instances
 
 # The package re-exports the function under the module's name.
 complete_cut_module = importlib.import_module("repro.core.complete_cut")
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-#: Weights whose sums are exact in any order.
-EXACT_WEIGHTS = (1.0, 2.0, 3.0, 0.5, 0.25, 1.75)
-
-LABELS = {
-    "int": (lambda v: v, lambda e: e + 1000),
-    "str": (lambda v: f"m{v}", lambda e: f"n{e}"),
-    "tuple": (lambda v: ("m", v), lambda e: ("n", e)),
-}
-
-
-@st.composite
-def instances(draw) -> Hypergraph:
-    """Small hypergraphs of one to three blocks with exact weights.
-
-    Several blocks give a disconnected dual; isolated modules and
-    one-pin nets (isolated dual nodes) come up on their own.
-    """
-    vertex_label, edge_label = LABELS[draw(st.sampled_from(sorted(LABELS)))]
-    h = Hypergraph()
-    offset = 0
-    edges = 0
-    for _ in range(draw(st.sampled_from([1, 1, 2, 3]))):
-        n = draw(st.integers(2, 12))
-        for v in range(offset, offset + n):
-            h.add_vertex(vertex_label(v), draw(st.sampled_from(EXACT_WEIGHTS)))
-        for _ in range(draw(st.integers(1, 2 * n))):
-            size = draw(st.integers(1, min(n, 6)))
-            pins = draw(
-                st.lists(st.integers(offset, offset + n - 1), min_size=size, max_size=size, unique=True)
-            )
-            h.add_edge(
-                [vertex_label(p) for p in pins],
-                name=edge_label(edges),
-                weight=draw(st.sampled_from(EXACT_WEIGHTS)),
-            )
-            edges += 1
-        offset += n
-    return h
-
 
 options = st.fixed_dictionaries(
     {
@@ -154,6 +116,7 @@ def assert_same_start(new, old) -> None:
 def test_starts_match_reference(h, opts, data):
     threshold = opts["edge_size_threshold"]
     working = h if threshold is None else filter_large_edges(h, threshold)[0]
+    old_working = h if threshold is None else ref.filter_large_edges(h, threshold)[0]
     if working.num_edges == 0:
         return
     ig = intersection_graph(working)
@@ -171,7 +134,7 @@ def test_starts_match_reference(h, opts, data):
     for use_csr in (False, True):
         old_rng = random.Random(opts["seed"])
         with csr_twin(use_csr):
-            old = ref.run_single_start(intersection_graph(working), h, old_rng, **kwargs)
+            old = ref.run_single_start(ref.intersection_graph(old_working), h, old_rng, **kwargs)
         assert_same_start(new, old)
         assert new_rng.getstate() == old_rng.getstate()
 
