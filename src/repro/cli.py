@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -64,6 +65,22 @@ def _edge_size_threshold(text: str) -> int:
     value = int(text)
     if value < 2:
         raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """``serve`` sizes and counts: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_number(text: str) -> float:
+    """``serve`` budgets (seconds, MiB): a finite number above 0."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
     return value
 
 
@@ -408,7 +425,6 @@ def _serve_argv(args: argparse.Namespace) -> list[str]:
         "--max-retries", str(args.max_retries),
         "--cache-max-bytes", str(args.cache_max_bytes),
         "--cache-max-entries", str(args.cache_max_entries),
-        "--batch-window", str(args.batch_window),
         "--max-inflight", str(args.max_inflight),
         "--max-queue", str(args.max_queue),
         "--drain-timeout", str(args.drain_timeout),
@@ -519,7 +535,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         memory_limit_mb=args.memory_limit,
         cache_max_bytes=args.cache_max_bytes,
         cache_max_entries=args.cache_max_entries,
-        batch_window=args.batch_window,
         obs_enabled=not args.no_obs,
         max_inflight=args.max_inflight,
         max_queue=args.max_queue,
@@ -1054,10 +1069,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="serve on an AF_UNIX socket at PATH instead of TCP",
     )
-    sv.add_argument("--workers", type=int, default=2, help="supervised pool size")
+    sv.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=2,
+        help="supervised pool size; also the number of requests executed "
+        "at once (default 2)",
+    )
     sv.add_argument(
         "--task-timeout",
-        type=float,
+        type=_positive_number,
         default=None,
         metavar="SECONDS",
         help="kill a worker that exceeds this per-request wall clock "
@@ -1072,7 +1093,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sv.add_argument(
         "--memory-limit",
-        type=float,
+        type=_positive_number,
         default=None,
         metavar="MB",
         help="per-worker memory budget in MiB; an over-budget request "
@@ -1085,14 +1106,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="result-cache byte budget (LRU eviction; default 64 MiB)",
     )
     sv.add_argument(
-        "--cache-max-entries", type=int, default=4096, help="result-cache entry cap"
-    )
-    sv.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.005,
-        metavar="SECONDS",
-        help="how long concurrent requests accumulate into one pool batch",
+        "--cache-max-entries",
+        type=_positive_int,
+        default=4096,
+        help="result-cache entry cap",
     )
     sv.add_argument(
         "--no-obs",
@@ -1102,14 +1119,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sv.add_argument(
         "--max-inflight",
-        type=int,
+        type=_positive_int,
         default=64,
         help="admitted concurrent requests; the excess is shed with a "
         "typed 429 + Retry-After (default 64)",
     )
     sv.add_argument(
         "--max-queue",
-        type=int,
+        type=_positive_int,
         default=256,
         help="broker dispatch-queue bound (distinct pending requests); "
         "the excess is shed with a typed 429 (default 256)",
@@ -1124,7 +1141,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sv.add_argument(
         "--breaker-threshold",
-        type=int,
+        type=_positive_int,
         default=3,
         help="worker deaths for one request key before it is "
         "quarantined (typed 503 + cooldown; default 3)",

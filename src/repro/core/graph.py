@@ -7,11 +7,13 @@ to a contiguous integer slot on first insertion; adjacency is stored as
 ``list[set[int]]`` indexed by slot.  The traversal hot paths (BFS levels,
 pseudo-diameter search, double-BFS cuts, boundary extraction) run
 entirely in index space over reusable scratch buffers — no per-call
-``frozenset`` copies, no label hashing inside the inner loops — which is
-what keeps Algorithm I at its advertised 1:110:120 runtime ratio versus
-SA/KL.  A side benefit of the integer core: small-int hashing is not
-randomized, so BFS visit orders (and therefore tie-breaks) are
-reproducible across processes even for string-labelled graphs.
+``frozenset`` copies, no label hashing inside the inner loops.
+EXPERIMENTS.md reads the runtime ratio Algorithm I : SA : KL as
+1 : 1.48 : 2.76 from ``BENCH_pr18.json``'s traced engines-1k pair; the
+paper reports 1 : 110 : 120.  A side benefit of the integer core:
+small-int hashing is not randomized, so BFS visit orders (and therefore
+tie-breaks) are reproducible across processes even for string-labelled
+graphs.
 
 Exposed traversals are exactly what the paper needs:
 

@@ -35,6 +35,11 @@ crash-durable journals (:mod:`repro.runtime.journal`) use to checkpoint
 completed work before the run moves on.  Everything is recorded through
 ``repro.obs`` under ``runtime.supervisor.*``.
 
+:meth:`SupervisedPool.map` may run in several threads at once (the
+partition daemon calls it from each broker dispatcher); each call
+supervises only its own tasks, and process creation is serialized so
+no task's pipe leaks into a sibling's fork.
+
 The pool requires the ``fork`` start method (payloads and shared state
 are inherited, never pickled-in; only results cross the pipe).  On
 platforms without it the pool degrades to pure sequential execution —
@@ -44,6 +49,7 @@ same results, no supervision.
 from __future__ import annotations
 
 import multiprocessing
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -69,6 +75,14 @@ __all__ = [
 SEED_STRIDE = 0x9E3779B97F4A7C15
 
 _SEED_MASK = (1 << 63) - 1
+
+#: Held from a task's ``Pipe()`` until the parent has closed the child's
+#: write end.  Without it, concurrent :meth:`SupervisedPool.map` calls
+#: (the daemon runs one per dispatcher thread) can fork a sibling while
+#: another task's write end is still open in the parent; the sibling
+#: inherits it, and that task's crash shows up as EOF only when the
+#: sibling exits.  Module-wide, because any fork can inherit the fd.
+_SPAWN_LOCK = threading.Lock()
 
 
 def advance_seed(seed: int, attempt: int) -> int:
@@ -448,13 +462,14 @@ class SupervisedPool:
             while queue and len(running) < self.max_workers:
                 key, payload, attempt = queue.popleft()
                 try:
-                    parent_conn, child_conn = ctx.Pipe(duplex=False)
-                    process = ctx.Process(
-                        target=_child_entry,
-                        args=(child_conn, self.worker, payload, self.memory_limit_bytes),
-                    )
-                    process.start()
-                    child_conn.close()
+                    with _SPAWN_LOCK:
+                        parent_conn, child_conn = ctx.Pipe(duplex=False)
+                        process = ctx.Process(
+                            target=_child_entry,
+                            args=(child_conn, self.worker, payload, self.memory_limit_bytes),
+                        )
+                        process.start()
+                        child_conn.close()
                 except OSError as exc:
                     # Cannot fork at all (fd/process limits): the pool is
                     # effectively broken — run this task sequentially,

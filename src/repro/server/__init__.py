@@ -3,9 +3,10 @@
 A long-running daemon (``repro-partition serve``) that accepts
 partition/place requests as JSON over HTTP (TCP or a local ``AF_UNIX``
 socket), executes them on a shared supervised worker pool with
-per-request deadlines and memory budgets, batches concurrent requests,
-coalesces identical in-flight ones, and caches completed results
-content-addressed by ``(hypergraph digest, settings fingerprint)``.
+per-request deadlines and memory budgets, runs distinct requests on
+every worker at once, coalesces identical in-flight ones, and caches
+completed results content-addressed by ``(hypergraph digest, settings
+fingerprint)``.
 
 Pieces:
 
@@ -14,8 +15,8 @@ Pieces:
   byte encoding.
 * :mod:`repro.server.cache` — LRU + max-bytes content-addressed result
   cache.
-* :mod:`repro.server.batching` — the request broker (batch window,
-  in-flight dedupe, bounded dispatch queue).
+* :mod:`repro.server.batching` — the request broker (one dispatcher
+  per worker, in-flight dedupe, bounded dispatch queue).
 * :mod:`repro.server.admission` — overload guards: the bounded
   in-flight :class:`~repro.server.admission.AdmissionController` and
   the poisoned-request

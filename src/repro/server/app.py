@@ -10,8 +10,9 @@ Request lifecycle
    hit splices the stored canonical bytes into the response — the
    result section is byte-identical to the cold run that produced it.
 3. A miss goes through the :class:`~repro.server.batching.RequestBroker`
-   which coalesces identical in-flight requests and batches distinct
-   ones onto a shared :class:`~repro.runtime.SupervisedPool`.
+   which coalesces identical in-flight requests and runs distinct ones
+   on a shared :class:`~repro.runtime.SupervisedPool`, one dispatcher
+   thread per pool worker, so up to ``workers`` misses execute at once.
 4. The pool executes :func:`_service_worker` in a forked child under
    the configured per-task timeout and memory budget.  Crashes, hangs
    and budget overruns surface as **typed error responses** (500) while
@@ -100,7 +101,6 @@ class ServiceConfig:
     memory_limit_mb: float | None = None
     cache_max_bytes: int = 64 << 20
     cache_max_entries: int = 4096
-    batch_window: float = 0.005
     obs_enabled: bool = True
     # Overload & lifecycle knobs (docs/SERVICE.md § Overload & lifecycle)
     max_inflight: int = 64  # admitted concurrent requests; excess -> 429
@@ -414,9 +414,7 @@ class PartitionService:
             sequential_fallback=False,
         )
         self.broker = RequestBroker(
-            self._execute_batch,
-            batch_window=cfg.batch_window,
-            max_queue=cfg.max_queue,
+            self._execute_batch, workers=cfg.workers, max_queue=cfg.max_queue
         )
 
     # -- lifecycle -----------------------------------------------------
@@ -727,7 +725,7 @@ class PartitionService:
             b'{"result":' + result_bytes + b',"served":' + canonical_bytes(served) + b"}"
         )
 
-    # -- executor (called from the broker dispatch thread) -------------
+    # -- executor (called from the broker's dispatcher threads) --------
 
     def _verify_result(self, request: ServiceRequest, body_bytes: bytes) -> None:
         """The boundary integrity gate: distrust the bytes about to leave.

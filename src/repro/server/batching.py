@@ -1,12 +1,14 @@
-"""Request batching and in-flight deduplication for the daemon.
+"""Request dispatch and in-flight deduplication for the daemon.
 
 The HTTP layer is thread-per-connection; the execution layer is one
 shared :class:`~repro.runtime.SupervisedPool`.  The broker sits between
 them:
 
-* concurrent requests accumulate for a short **batch window** and are
-  submitted to the pool as one batch (one ``pool.map`` call), so N
-  simultaneous clients cost one supervision cycle, not N;
+* it runs one **dispatcher thread per pool worker**; a free dispatcher
+  takes the oldest queued request and carries it through the executor
+  (fork, engine, verify, persist) on its own, so up to ``workers``
+  distinct requests execute at once and a miss never waits behind
+  another while a worker sits idle;
 * identical in-flight requests (same cache key) are **coalesced**: the
   first becomes the pool task, the rest block on the same outcome and
   are counted under ``server.dedupe.coalesced``.  N identical
@@ -20,21 +22,24 @@ Lifecycle: :meth:`RequestBroker.stop` first flips the broker into
 **draining** (new submissions raise a typed
 :class:`~repro.server.protocol.Draining`; already-queued work keeps
 dispatching), optionally waits ``drain_timeout`` seconds for the queue
-and in-flight batches to empty, then fails whatever is still queued —
-*promptly*, before joining the dispatcher thread — with the same typed
+and in-flight requests to empty, then fails whatever is still queued —
+*promptly*, before joining the dispatcher threads — with the same typed
 draining error, so parked waiters never rely on their own timeouts.
 
 The broker is generic over the execution function: ``execute_batch``
-receives ``[(key, payload), ...]`` (unique keys) and must return
-``{key: outcome}``.  If it raises, every waiter in the batch receives
-the exception object as its outcome — the dispatcher thread itself must
-never die, because a dead dispatcher hangs every future request.
+receives ``[(key, payload)]`` (one dispatch, one request) and must
+return ``{key: outcome}``.  Each call counts as a batch of one under
+``server.batches`` / ``server.batch.requests`` and is timed by the
+``server.batch`` span.  If it raises, every waiter on that key receives
+the exception object as its outcome — a dispatcher thread itself must
+never die, because dead dispatchers hang every future request.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -56,32 +61,33 @@ class _Pending:
 
 
 class RequestBroker:
-    """Batches unique requests; coalesces duplicate in-flight ones."""
+    """Dispatches unique requests on ``workers`` threads; coalesces duplicates."""
 
     def __init__(
         self,
         execute_batch: Callable[[list[tuple[str, Any]]], dict],
-        batch_window: float = 0.005,
+        workers: int = 1,
         max_queue: int | None = None,
     ) -> None:
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         if max_queue is not None and max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         self._execute_batch = execute_batch
-        self.batch_window = batch_window
+        self.workers = workers
         self.max_queue = max_queue
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._idle = threading.Condition(self._lock)
         self._inflight: dict[str, _Pending] = {}
-        self._queue: list[_Pending] = []
+        self._queue: deque[_Pending] = deque()
         self._draining = False
         self._stopping = False
-        self._thread: threading.Thread | None = None
+        self._threads: list[threading.Thread] = []
         # Always-on tallies for /metrics (obs counters mirror them).
         self._submitted = 0
         self._coalesced = 0
         self._batches = 0
-        self._executed = 0
         self._shed_queue_full = 0
         self._shed_draining = 0
         self._peak_queue_depth = 0
@@ -92,14 +98,20 @@ class RequestBroker:
 
     def start(self) -> None:
         with self._lock:
-            if self._thread is not None:
+            if self._threads:
                 return
             self._draining = False
             self._stopping = False
-            self._thread = threading.Thread(
-                target=self._dispatch_loop, name="repro-server-broker", daemon=True
-            )
-            self._thread.start()
+            self._threads = [
+                threading.Thread(
+                    target=self._dispatch_loop,
+                    name=f"repro-server-broker-{i}",
+                    daemon=True,
+                )
+                for i in range(self.workers)
+            ]
+            for thread in self._threads:
+                thread.start()
 
     def stop(self, drain_timeout: float = 0.0) -> None:
         """Drain (up to ``drain_timeout``), then fail leftovers promptly.
@@ -108,7 +120,7 @@ class RequestBroker:
         :class:`~repro.server.protocol.Draining` the moment this is
         called.  Queued-but-unstarted requests that outlive the drain
         window receive the same typed error as their outcome — *before*
-        the dispatcher thread is joined, so their waiters unblock
+        the dispatcher threads are joined, so their waiters unblock
         immediately instead of riding out a client timeout.
         """
         deadline = time.monotonic() + max(0.0, drain_timeout)
@@ -122,11 +134,10 @@ class RequestBroker:
                         break
                     self._idle.wait(timeout=min(remaining, 0.05))
         with self._lock:
-            thread = self._thread
-            self._thread = None
+            threads = self._threads
+            self._threads = []
             self._stopping = True
-            leftovers = self._queue
-            self._queue = []
+            leftovers, self._queue = self._queue, deque()
             for pending in leftovers:
                 self._inflight.pop(pending.key, None)
             self._wakeup.notify_all()
@@ -136,7 +147,7 @@ class RequestBroker:
                 retry_after=1.0,
             )
             pending.done.set()
-        if thread is not None:
+        for thread in threads:
             thread.join(timeout=30.0)
 
     # ------------------------------------------------------------------
@@ -185,7 +196,7 @@ class RequestBroker:
                     self._peak_queue_depth, len(self._queue)
                 )
                 coalesced = False
-                self._wakeup.notify_all()
+                self._wakeup.notify()
             depth = len(self._queue)
         obs.gauge("server.broker.queue_depth", depth)
         if coalesced:
@@ -199,7 +210,7 @@ class RequestBroker:
                 "submitted": self._submitted,
                 "coalesced": self._coalesced,
                 "batches": self._batches,
-                "executed": self._executed,
+                "executed": self._batches,  # one request per dispatch
                 "inflight": len(self._inflight),
                 "queue_depth": len(self._queue),
                 "peak_queue_depth": self._peak_queue_depth,
@@ -210,7 +221,7 @@ class RequestBroker:
             }
 
     # ------------------------------------------------------------------
-    # Dispatcher
+    # Dispatchers
     # ------------------------------------------------------------------
 
     def _dispatch_loop(self) -> None:
@@ -220,41 +231,27 @@ class RequestBroker:
                     self._wakeup.wait()
                 if self._stopping:
                     return
-            # Let concurrent arrivals pile into the same batch.  The
-            # window trades a few ms of latency for one supervision
-            # cycle per burst; coalescing (above) happens regardless.
-            if self.batch_window > 0:
-                threading.Event().wait(self.batch_window)
-            with self._lock:
-                batch = self._queue
-                self._queue = []
-                if batch:
-                    self._batches += 1
-                    self._executed += len(batch)
-            if not batch:
-                continue  # stop() raced the window and claimed the queue
-            obs.gauge("server.broker.queue_depth", 0)
+                pending = self._queue.popleft()
+                self._batches += 1
+                depth = len(self._queue)
+            obs.gauge("server.broker.queue_depth", depth)
             obs.count("server.batches")
-            obs.count("server.batch.requests", len(batch))
+            obs.count("server.batch.requests")
             try:
                 with obs.span("server.batch"):
-                    outcomes = self._execute_batch(
-                        [(p.key, p.payload) for p in batch]
-                    )
-            except Exception as exc:  # keep the dispatcher alive
-                outcomes = {p.key: exc for p in batch}
-            for pending in batch:
+                    outcomes = self._execute_batch([(pending.key, pending.payload)])
                 outcome = outcomes.get(
                     pending.key,
                     RuntimeError(f"executor returned no outcome for {pending.key}"),
                 )
-                with self._lock:
-                    self._inflight.pop(pending.key, None)
-                    pending.outcome = outcome
-                # Set *after* the key leaves the in-flight map so a
-                # waiter that saw the outcome can immediately re-submit
-                # and get a fresh execution, not a stale coalesce.
-                pending.done.set()
+            except Exception as exc:  # keep the dispatcher alive
+                outcome = exc
             with self._lock:
+                self._inflight.pop(pending.key, None)
+                pending.outcome = outcome
                 if not self._queue and not self._inflight:
                     self._idle.notify_all()
+            # Set *after* the key leaves the in-flight map so a waiter
+            # that saw the outcome can immediately re-submit and get a
+            # fresh execution, not a stale coalesce.
+            pending.done.set()

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _serve_argv, build_parser, main
 from repro.core.hypergraph import Hypergraph
 from repro.io import write_hgr, write_netlist
 
@@ -51,6 +51,70 @@ class TestParser:
     def test_threshold_two_parses(self):
         args = build_parser().parse_args(["partition", "x.hgr", "--threshold", "2"])
         assert args.threshold == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--workers", "0"),
+            ("--workers", "-1"),
+            ("--max-queue", "0"),
+            ("--max-inflight", "0"),
+            ("--breaker-threshold", "0"),
+            ("--cache-max-entries", "0"),
+            ("--task-timeout", "0"),
+            ("--task-timeout", "-1.5"),
+            ("--task-timeout", "nan"),
+            ("--memory-limit", "0"),
+            ("--memory-limit", "-8"),
+            ("--memory-limit", "inf"),
+        ],
+    )
+    def test_serve_out_of_range_rejected_at_parse_time(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and flag in err
+
+    def test_serve_workers_zero_exits_2_without_a_traceback(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--workers", "0"])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_serve_smallest_valid_values_parse(self):
+        args = build_parser().parse_args(
+            [
+                "serve",
+                "--workers", "1",
+                "--max-queue", "1",
+                "--max-inflight", "1",
+                "--breaker-threshold", "1",
+                "--cache-max-entries", "1",
+                "--task-timeout", "0.5",
+                "--memory-limit", "1",
+            ]
+        )
+        assert (args.workers, args.max_queue, args.max_inflight) == (1, 1, 1)
+        assert (args.breaker_threshold, args.cache_max_entries) == (1, 1)
+        assert (args.task_timeout, args.memory_limit) == (0.5, 1.0)
+
+    def test_watchdog_passes_every_serve_knob_to_its_child(self):
+        argv = [
+            "serve", "--socket", "d.sock", "--workers", "3", "--task-timeout", "2.5",
+            "--memory-limit", "512", "--max-queue", "9", "--max-inflight", "7",
+            "--breaker-threshold", "4", "--cache-max-entries", "11",
+            "--state-dir", "state", "--no-verify", "--autorestart",
+        ]
+        args = build_parser().parse_args(argv)
+        child = build_parser().parse_args(_serve_argv(args))
+        assert not child.autorestart
+        assert vars(child) == {**vars(args), "autorestart": False}
+
+    def test_serve_has_no_batch_window(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--batch-window", "0"])
+        assert "unrecognized arguments: --batch-window" in capsys.readouterr().err
 
 
 class TestPartitionCommand:

@@ -74,7 +74,7 @@ def test_registry_fm_and_sa_honour_balance_tolerance(netlist_file, tolerance):
 
 @pytest.fixture(scope="module")
 def client():
-    svc = PartitionService(ServiceConfig(port=0, workers=1, batch_window=0.002)).start()
+    svc = PartitionService(ServiceConfig(port=0, workers=1)).start()
     try:
         client = ServiceClient(url=svc.url, timeout=120.0)
         client.wait_ready(timeout=10.0)

@@ -71,7 +71,7 @@ def test_one_imbalance_definition():
 
 
 def test_daemon_serves_fractional_weights():
-    service = PartitionService(ServiceConfig(port=0, workers=1, batch_window=0.002)).start()
+    service = PartitionService(ServiceConfig(port=0, workers=1)).start()
     try:
         client = ServiceClient(url=service.url, timeout=120.0)
         client.wait_ready(timeout=10.0)

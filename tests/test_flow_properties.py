@@ -372,7 +372,7 @@ class TestFlowChaos:
         h = Hypergraph(vertices=range(12))
         for i in range(11):
             h.add_edge([i, i + 1])
-        config = ServiceConfig(port=0, batch_window=0.0, workers=2)
+        config = ServiceConfig(port=0, workers=2)
         svc = PartitionService(config).start()
         client = ServiceClient(url=svc.url, timeout=120.0)
         client.wait_ready(timeout=10.0)

@@ -83,7 +83,7 @@ def h() -> Hypergraph:
 
 @pytest.fixture
 def service():
-    svc = PartitionService(ServiceConfig(port=0, workers=2, batch_window=0.002)).start()
+    svc = PartitionService(ServiceConfig(port=0, workers=2)).start()
     client = ServiceClient(url=svc.url, timeout=120.0)
     client.wait_ready(timeout=10.0)
     yield svc, client
@@ -214,11 +214,10 @@ class TestEngineParity:
 
 class TestDedupe:
     def test_identical_concurrent_requests_execute_once(self, h):
-        svc = PartitionService(
-            # A wide batch window so all threads land in one in-flight
-            # generation; workers=2 proves dedupe isn't pool starvation.
-            ServiceConfig(port=0, workers=2, batch_window=0.25)
-        ).start()
+        # workers=2 proves dedupe isn't pool starvation; the slow worker
+        # holds the one execution open so every thread lands on it.
+        svc = PartitionService(ServiceConfig(port=0, workers=2)).start()
+        faults.configure("server.request=slow:1:0.5", seed=3)
         try:
             client = ServiceClient(url=svc.url, timeout=120.0)
             client.wait_ready(timeout=10.0)
@@ -256,6 +255,7 @@ class TestDedupe:
             assert metrics["service"]["coalesced"] >= n - 2
             assert metrics["broker"]["coalesced"] == metrics["service"]["coalesced"]
         finally:
+            faults.configure(None)
             svc.stop()
 
     def test_distinct_concurrent_requests_all_execute(self, service, h):
@@ -288,6 +288,91 @@ class TestDedupe:
         for seed in range(n):
             local_bp, _ = run_engine("fm", h, seed=seed, starts=10)
             assert by_seed[seed]["result"]["cutsize"] == local_bp.cutsize
+
+    def test_distinct_misses_run_on_both_workers_at_once(self, h):
+        """With workers=2, a second distinct miss that arrives while the
+        first is executing starts at once: the pair takes about one slow
+        worker period, not two back to back."""
+        slow = 1.0
+        svc = PartitionService(ServiceConfig(port=0, workers=2)).start()
+        faults.configure(f"server.request=slow:1:{slow}", seed=3)
+        try:
+            client = ServiceClient(url=svc.url, timeout=120.0)
+            client.wait_ready(timeout=10.0)
+            statuses: list[str] = []
+
+            def fire(seed: int):
+                response = client.partition(h, engine="fm", settings={"seed": seed})
+                statuses.append(response["served"]["cache"])
+
+            t0 = time.monotonic()
+            first = threading.Thread(target=fire, args=(0,))
+            first.start()
+            deadline = time.monotonic() + 10
+            while client.metrics()["service"]["executions"] < 1:
+                assert time.monotonic() < deadline, "first miss never executed"
+                time.sleep(0.01)
+            second = threading.Thread(target=fire, args=(1,))
+            second.start()
+            for t in (first, second):
+                t.join(timeout=60)
+            elapsed = time.monotonic() - t0
+            assert statuses == ["miss", "miss"]
+            assert elapsed < 1.6 * slow, elapsed
+            metrics = client.metrics()
+            assert metrics["service"]["executions"] == 2
+            assert metrics["broker"]["batches"] == 2
+        finally:
+            faults.configure(None)
+            svc.stop()
+
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_busy_daemon_never_runs_more_than_workers_processes(self, h):
+        svc = PartitionService(ServiceConfig(port=0, workers=2)).start()
+        faults.configure("server.request=slow:1:0.4", seed=3)
+        before = _live_children()
+        try:
+            client = ServiceClient(url=svc.url, timeout=120.0)
+            client.wait_ready(timeout=10.0)
+            threads = [
+                threading.Thread(
+                    target=client.partition, args=(h,),
+                    kwargs={"engine": "fm", "settings": {"seed": seed}},
+                )
+                for seed in range(5)
+            ]
+            for t in threads:
+                t.start()
+            peak = 0
+            while any(t.is_alive() for t in threads):
+                peak = max(peak, len(_live_children() - before))
+                time.sleep(0.005)
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert peak == 2
+            assert client.metrics()["service"]["executions"] == 5
+        finally:
+            faults.configure(None)
+            svc.stop()
+
+
+def _live_children() -> set[int]:
+    """PIDs of this process's children that have not exited yet."""
+    me = os.getpid()
+    found = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == me and fields[0] != "Z":
+            found.add(int(entry))
+    return found
 
 
 class TestDeadline:
@@ -330,7 +415,7 @@ class TestDeadline:
 class TestEviction:
     def test_lru_eviction_under_small_byte_budget(self, h):
         svc = PartitionService(
-            ServiceConfig(port=0, workers=1, batch_window=0.0, cache_max_bytes=2048)
+            ServiceConfig(port=0, workers=1, cache_max_bytes=2048)
         ).start()
         try:
             client = ServiceClient(url=svc.url, timeout=120.0)
@@ -351,7 +436,7 @@ class TestEviction:
 
     def test_entry_cap_evicts(self, h):
         svc = PartitionService(
-            ServiceConfig(port=0, workers=1, batch_window=0.0, cache_max_entries=2)
+            ServiceConfig(port=0, workers=1, cache_max_entries=2)
         ).start()
         try:
             client = ServiceClient(url=svc.url, timeout=120.0)
@@ -528,7 +613,7 @@ class TestObservability:
 
     def test_eviction_counter_in_obs(self, h):
         svc = PartitionService(
-            ServiceConfig(port=0, workers=1, batch_window=0.0, cache_max_entries=1)
+            ServiceConfig(port=0, workers=1, cache_max_entries=1)
         ).start()
         try:
             client = ServiceClient(url=svc.url, timeout=120.0)
@@ -542,7 +627,7 @@ class TestObservability:
 
     def test_disabled_obs_keeps_always_on_metrics(self, h):
         svc = PartitionService(
-            ServiceConfig(port=0, workers=1, batch_window=0.0, obs_enabled=False)
+            ServiceConfig(port=0, workers=1, obs_enabled=False)
         ).start()
         try:
             client = ServiceClient(url=svc.url, timeout=120.0)
@@ -570,7 +655,7 @@ class TestUnixSocket:
     def test_serves_over_unix_socket(self, tmp_path, h):
         path = str(tmp_path / "svc.sock")
         svc = PartitionService(
-            ServiceConfig(socket_path=path, workers=1, batch_window=0.0)
+            ServiceConfig(socket_path=path, workers=1)
         ).start()
         try:
             client = ServiceClient(socket_path=path, timeout=120.0)
@@ -637,7 +722,7 @@ class TestPersistenceVerifyFailover:
         assert client.metrics()["persist"] is None
 
     def test_state_round_trips_across_a_graceful_restart(self, tmp_path, h):
-        cfg = dict(port=0, workers=1, batch_window=0.0, state_dir=str(tmp_path))
+        cfg = dict(port=0, workers=1, state_dir=str(tmp_path))
         svc = PartitionService(ServiceConfig(**cfg)).start()
         client = ServiceClient(url=svc.url, timeout=60.0)
         client.wait_ready(timeout=10.0)
@@ -682,7 +767,7 @@ class TestPersistenceVerifyFailover:
         # damaged body sails through as a 200 — documented escape
         # hatch, not a recommendation.
         svc = PartitionService(
-            ServiceConfig(port=0, workers=1, batch_window=0.0, verify_results=False)
+            ServiceConfig(port=0, workers=1, verify_results=False)
         ).start()
         client = ServiceClient(url=svc.url, timeout=60.0)
         client.wait_ready(timeout=10.0)

@@ -65,7 +65,6 @@ def h() -> Hypergraph:
 
 
 def _start(**config_kwargs):
-    config_kwargs.setdefault("batch_window", 0.0)
     config = ServiceConfig(port=0, **config_kwargs)
     svc = PartitionService(config).start()
     client = ServiceClient(url=svc.url, timeout=120.0)
@@ -245,9 +244,13 @@ class TestBrokerUnderChaos:
     def test_coalesced_requests_share_the_failure(self, h):
         import threading
 
-        svc, client = _start(workers=1, max_retries=0, batch_window=0.25)
+        svc, client = _start(workers=1, max_retries=0)
         try:
-            faults.configure("server.request=kill:1", seed=29)
+            # The slow request site holds the one execution open while
+            # every thread joins it; the FM pass then kills the worker.
+            faults.configure(
+                "server.request=slow:1:0.5,baseline.fm.pass=kill:1", seed=29
+            )
             body = {
                 "op": "partition",
                 "engine": "fm",
@@ -292,7 +295,7 @@ class TestBrokerUnderChaos:
             pytest.skip("AF_UNIX sockets are not available on this platform")
         path = str(tmp_path / "svc.sock")
         svc = PartitionService(
-            ServiceConfig(socket_path=path, workers=1, max_retries=0, batch_window=0.0)
+            ServiceConfig(socket_path=path, workers=1, max_retries=0)
         ).start()
         client = ServiceClient(socket_path=path, timeout=60.0)
         client.wait_ready(timeout=10.0)
@@ -302,7 +305,7 @@ class TestBrokerUnderChaos:
         svc.stop()
         faults.configure(None)
         svc2 = PartitionService(
-            ServiceConfig(socket_path=path, workers=1, batch_window=0.0)
+            ServiceConfig(socket_path=path, workers=1)
         ).start()
         try:
             client2 = ServiceClient(socket_path=path, timeout=60.0)

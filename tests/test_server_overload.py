@@ -257,7 +257,7 @@ class TestBrokerOverload:
             release.wait(timeout=30)
             return {key: f"done:{key}" for key, _ in batch}
 
-        broker = RequestBroker(execute, batch_window=0.0, max_queue=2)
+        broker = RequestBroker(execute, max_queue=2)
         broker.start()
         outcomes = {}
 
@@ -301,7 +301,7 @@ class TestBrokerOverload:
             release.wait(timeout=30)
             return {key: f"done:{key}" for key, _ in batch}
 
-        broker = RequestBroker(execute, batch_window=0.0)
+        broker = RequestBroker(execute)
         broker.start()
         results = {}
         done = {name: threading.Event() for name in ("stuck", "q", "q2")}
@@ -559,6 +559,148 @@ def _error_body(error_type, message="x", retry_after=None):
     return json.dumps({"error": error}).encode()
 
 
+class TestBrokerDispatchers:
+    def test_distinct_keys_are_inside_the_executor_at_once(self):
+        # Each dispatch waits at a 2-party barrier: it only opens when a
+        # second dispatcher brings the other key in while the first
+        # is still executing.
+        barrier = threading.Barrier(2, timeout=5)
+
+        def execute(batch):
+            assert len(batch) == 1
+            barrier.wait()
+            return {key: f"done:{key}" for key, _ in batch}
+
+        broker = RequestBroker(execute, workers=2)
+        broker.start()
+        results = {}
+
+        def submit(key):
+            results[key] = broker.submit(key, None)
+
+        threads = [threading.Thread(target=submit, args=(k,)) for k in "ab"]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert results == {"a": ("done:a", False), "b": ("done:b", False)}
+            stats = broker.stats()
+            assert stats["batches"] == 2 and stats["executed"] == 2
+        finally:
+            broker.stop()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_at_most_workers_dispatches_run_oldest_first(self, workers):
+        lock = threading.Lock()
+        running = [0]
+        peak = [0]
+        order = []
+        release = threading.Event()
+
+        def execute(batch):
+            (key, _), = batch
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+                order.append(key)
+            release.wait(timeout=10)
+            with lock:
+                running[0] -= 1
+            return {key: key}
+
+        broker = RequestBroker(execute, workers=workers)
+        broker.start()
+        keys = [f"k{i}" for i in range(6)]
+        threads = []
+        try:
+            # Submit one at a time so the queue order is known.
+            for i, key in enumerate(keys):
+                threads.append(threading.Thread(target=broker.submit, args=(key, None)))
+                threads[-1].start()
+                deadline = time.monotonic() + 5
+                while broker.stats()["submitted"] < i + 1:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.002)
+            deadline = time.monotonic() + 5
+            while len(order) < workers:
+                assert time.monotonic() < deadline
+                time.sleep(0.002)
+            assert broker.stats()["queue_depth"] == len(keys) - workers
+            assert sorted(order) == keys[:workers]
+            release.set()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert peak[0] == workers
+            assert broker.stats()["executed"] == len(keys)
+            if workers == 1:
+                assert order == keys
+        finally:
+            release.set()
+            broker.stop()
+
+    def test_stress_keeps_every_tally_and_outcome(self):
+        """More submitters than cores, a fast thread switch, and keys that
+        repeat: every submit gets its own key's outcome, no key runs
+        twice at once, and the tallies add up."""
+        lock = threading.Lock()
+        running: set[str] = set()
+        calls = [0]
+        overlaps = []
+
+        def execute(batch):
+            (key, payload), = batch
+            with lock:
+                if key in running:
+                    overlaps.append(key)
+                running.add(key)
+                calls[0] += 1
+            time.sleep(0.001)
+            with lock:
+                running.discard(key)
+            return {key: payload}
+
+        broker = RequestBroker(execute, workers=3)
+        broker.start()
+        stop_at = time.monotonic() + 1.5
+        mismatches = []
+        submits = [0] * 8
+
+        def submitter(i):
+            n = 0
+            while time.monotonic() < stop_at:
+                key = f"k{(i * 7 + n) % 5}"
+                outcome, _coalesced = broker.submit(key, key)
+                if outcome != key:
+                    mismatches.append((key, outcome))
+                n += 1
+            submits[i] = n
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=submitter, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            broker.stop()
+        assert not mismatches and not overlaps
+        stats = broker.stats()
+        assert stats["submitted"] == sum(submits)
+        assert stats["executed"] == stats["batches"] == calls[0]
+        assert stats["executed"] + stats["coalesced"] == stats["submitted"]
+        assert stats["inflight"] == 0 and stats["queue_depth"] == 0
+
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            RequestBroker(lambda batch: {}, workers=0)
+
+
 class TestClientRetryPolicy:
     def test_retries_typed_429_then_succeeds(self, monkeypatch):
         client, calls = _scripted_client(
@@ -661,7 +803,6 @@ class TestWaitReady:
 
 
 def _start(**config_kwargs):
-    config_kwargs.setdefault("batch_window", 0.0)
     config = ServiceConfig(port=0, **config_kwargs)
     svc = PartitionService(config).start()
     client = ServiceClient(url=svc.url, timeout=120.0, max_retries=0)
@@ -857,24 +998,31 @@ class TestOverloadIntegration:
 
 
 def _spawn_daemon(socket_path, *extra_args, fault=None):
+    """Start ``serve`` on ``socket_path`` and wait for its banner.
+
+    stdout stays a pipe for the banner (the caller closes it); stderr
+    goes to ``<socket_path>.stderr``, so a chatty daemon can never fill
+    a pipe nobody reads and block.
+    """
     env = dict(os.environ, PYTHONPATH="src")
     if fault:
         env["REPRO_FAULTS"] = fault
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "serve",
-            "--socket",
-            socket_path,
-            *extra_args,
-        ],
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
+    with open(f"{socket_path}.stderr", "wb") as stderr:
+        proc = subprocess.Popen(
+            [
+                sys.executable,
+                "-m",
+                "repro.cli",
+                "serve",
+                "--socket",
+                socket_path,
+                *extra_args,
+            ],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+            text=True,
+        )
     banner = proc.stdout.readline().strip()
     assert banner == f"serving on unix:{socket_path}", banner
     return proc
@@ -948,6 +1096,7 @@ class TestSigtermDrainSubprocess:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=15)
+            proc.stdout.close()
 
 
 @pytest.mark.chaos
@@ -1014,6 +1163,7 @@ class TestSoak:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait(timeout=15)
+            proc.stdout.close()
         assert proc.returncode == 0
         assert not os.path.exists(socket_path)
         assert _pids_mentioning(socket_path) == []

@@ -99,8 +99,6 @@ def _spawn(socket_path: str, *extra_args: str, faults_spec: str | None = None):
             "1",
             "--max-retries",
             "0",
-            "--batch-window",
-            "0",
             *extra_args,
         ],
         env=env,
@@ -328,10 +326,10 @@ class TestClientFailover:
         re-running crashing work is what the daemon-side breaker exists
         to punish."""
         svc1 = PartitionService(
-            ServiceConfig(port=0, workers=1, max_retries=0, batch_window=0.0)
+            ServiceConfig(port=0, workers=1, max_retries=0)
         ).start()
         svc2 = PartitionService(
-            ServiceConfig(port=0, workers=1, max_retries=0, batch_window=0.0)
+            ServiceConfig(port=0, workers=1, max_retries=0)
         ).start()
         try:
             client = ServiceClient(
@@ -371,8 +369,6 @@ class TestAutorestartWatchdog:
                 "--workers",
                 "1",
                 "--max-retries",
-                "0",
-                "--batch-window",
                 "0",
             ],
             env=dict(os.environ, PYTHONPATH="src"),
@@ -462,7 +458,7 @@ class TestOperatorSurfaces:
     def test_soak_json_summary_and_budget_gate(self, tmp_path, h, capsys):
         socket_path = str(tmp_path / "svc.sock")
         svc = PartitionService(
-            ServiceConfig(socket_path=socket_path, workers=2, batch_window=0.0)
+            ServiceConfig(socket_path=socket_path, workers=2)
         ).start()
         try:
             base_args = [
@@ -503,7 +499,7 @@ class TestOperatorSurfaces:
         from repro.bench import QUICK_SUITE, run_bench
 
         svc = PartitionService(
-            ServiceConfig(port=0, workers=2, batch_window=0.0)
+            ServiceConfig(port=0, workers=2)
         ).start()
         try:
             payload = run_bench(

@@ -93,6 +93,16 @@ def _retry_payload(payload, attempt):
     return ("ok", x)
 
 
+SLEEPER_S = 1.0
+
+
+def _crash_or_sleep(flag):
+    if flag == "crash":
+        os._exit(70)
+    time.sleep(SLEEPER_S)
+    return flag
+
+
 class TestSupervisedPool:
     def test_plain_map_is_clean_and_ordered(self):
         pool = SupervisedPool(_double, max_workers=3)
@@ -278,6 +288,74 @@ class TestSupervisedPool:
         results, _report = pool.map([("x", ("crash", 1))])
         assert not results[0].ok
         assert results[0].aborted is False
+
+
+class TestConcurrentMaps:
+    def test_crashes_report_at_once_beside_sleeping_siblings(self):
+        """More threads than cores share one pool, as the daemon's broker
+        dispatchers do: half map tasks that die at once, half map ~1 s
+        sleepers.  A sleeper forked while a crashing task's pipe is still
+        open in the parent would inherit its write end and hold back the
+        crash report until the sleeper exits; no report may wait that
+        long, and every task ends in exactly one final result."""
+        lock = threading.Lock()
+        finals = []
+        returned = []
+        crash_seconds = []
+
+        def on_result(result):
+            with lock:
+                finals.append(result)
+
+        pool = SupervisedPool(
+            _crash_or_sleep,
+            max_workers=2,
+            max_retries=0,
+            sequential_fallback=False,
+            on_result=on_result,
+        )
+        stop_at = time.monotonic() + 3.0
+
+        def crasher(i):
+            n = 0
+            while time.monotonic() < stop_at:
+                t0 = time.monotonic()
+                results, _report = pool.map([(f"crash-{i}-{n}", "crash")])
+                with lock:
+                    crash_seconds.append(time.monotonic() - t0)
+                    returned.extend(results)
+                n += 1
+
+        def sleeper(i):
+            n = 0
+            while time.monotonic() < stop_at:
+                tasks = [(f"sleep-{i}-{n}-{j}", "sleep") for j in range(2)]
+                results, _report = pool.map(tasks)
+                with lock:
+                    returned.extend(results)
+                n += 1
+
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 2
+        threads = [
+            threading.Thread(target=crasher if i % 2 == 0 else sleeper, args=(i,))
+            for i in range(min(cores + 2, 8))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+
+        assert crash_seconds
+        assert max(crash_seconds) < SLEEPER_S / 2, sorted(crash_seconds)[-5:]
+        keys = [result.key for result in finals]
+        assert len(keys) == len(set(keys))
+        assert sorted(keys) == sorted(result.key for result in returned)
+        for result in finals:
+            if result.key.startswith("crash"):
+                assert not result.ok and result.failure == "crash"
+            else:
+                assert result.ok and result.value == "sleep"
 
 
 # ----------------------------------------------------------------------
