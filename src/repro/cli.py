@@ -27,6 +27,7 @@ from repro.core.algorithm1 import algorithm1
 from repro.core.hypergraph import Hypergraph
 from repro.engines import ALL_ENGINES, PLACERS, REFINERS, apply_refine, run_engine, run_placer
 from repro.placement.mincut_placement import PARTITIONERS
+from repro.runtime import JournalError
 
 
 def _load_hypergraph(path: str, fmt: str | None) -> Hypergraph:
@@ -124,20 +125,23 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             # Journaling needs the pre-drawn per-start seed contract;
             # parallel=1 provides it without any pool overhead.
             parallel = 1
-        result = algorithm1(
-            h,
-            num_starts=args.starts,
-            seed=args.seed,
-            edge_size_threshold=args.threshold,
-            weighted_balance=args.weighted_balance,
-            balance_tolerance=args.balance_tolerance,
-            parallel=parallel,
-            deadline=args.deadline,
-            task_timeout=args.task_timeout,
-            max_retries=args.max_retries,
-            journal_path=args.journal,
-            resume_path=args.resume,
-        )
+        try:
+            result = algorithm1(
+                h,
+                num_starts=args.starts,
+                seed=args.seed,
+                edge_size_threshold=args.threshold,
+                weighted_balance=args.weighted_balance,
+                balance_tolerance=args.balance_tolerance,
+                parallel=parallel,
+                deadline=args.deadline,
+                task_timeout=args.task_timeout,
+                max_retries=args.max_retries,
+                journal_path=args.journal,
+                resume_path=args.resume,
+            )
+        except JournalError as exc:
+            raise SystemExit(str(exc))
         bp = result.bipartition
         _check_degraded(result.degraded, result.degrade_reason, args.on_error)
         if args.resume:
@@ -355,28 +359,31 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     engines = tuple(args.engines.split(",")) if args.engines else ALL_ENGINES
     scale = "quick" if args.quick else args.scale
     resume_notes: list[str] = []
-    payload = run_bench(
-        args.label,
-        cases=SUITES[scale],
-        engines=engines,
-        seed=args.seed,
-        starts=args.starts,
-        repeats=args.repeats,
-        deadline_seconds=args.deadline,
-        parallel=args.parallel,
-        task_timeout=args.task_timeout,
-        max_retries=args.max_retries,
-        total_deadline_seconds=args.total_deadline,
-        journal_path=args.journal,
-        resume_path=args.resume,
-        memory_limit_mb=args.memory_limit,
-        on_resume=lambda replayed, pending: resume_notes.append(
-            f"resume: {replayed} pair(s) replayed, {pending} remaining"
-        ),
-        server=args.server,
-        refine=args.refine,
-        verify=args.verify,
-    )
+    try:
+        payload = run_bench(
+            args.label,
+            cases=SUITES[scale],
+            engines=engines,
+            seed=args.seed,
+            starts=args.starts,
+            repeats=args.repeats,
+            deadline_seconds=args.deadline,
+            parallel=args.parallel,
+            task_timeout=args.task_timeout,
+            max_retries=args.max_retries,
+            total_deadline_seconds=args.total_deadline,
+            journal_path=args.journal,
+            resume_path=args.resume,
+            memory_limit_mb=args.memory_limit,
+            on_resume=lambda replayed, pending: resume_notes.append(
+                f"resume: {replayed} pair(s) replayed, {pending} remaining"
+            ),
+            server=args.server,
+            refine=args.refine,
+            verify=args.verify,
+        )
+    except JournalError as exc:
+        raise SystemExit(str(exc))
     # Resume progress goes to stderr: --json promises the payload is the
     # entire stdout, and the payload itself must stay resume-agnostic.
     for note in resume_notes:
@@ -520,7 +527,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from repro.server import PartitionService, ServiceConfig, ServiceError
+    from repro.server import (
+        PartitionService,
+        ServiceConfig,
+        ServiceError,
+        StateStoreError,
+    )
 
     if args.autorestart:
         return _serve_watchdog(args)
@@ -546,7 +558,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     try:
         service = PartitionService(config).start()
-    except (ServiceError, OSError) as exc:
+    except (ServiceError, StateStoreError, OSError) as exc:
         raise SystemExit(f"cannot start daemon: {exc}")
     address = service.address
     if isinstance(address, str):

@@ -12,7 +12,10 @@ engine, the portfolio, and the bench harness:
   sequential fallback.
 * :class:`RunJournal` — an append-only, fsynced JSONL checkpoint log
   with a settings fingerprint, making bench sweeps and multi-start runs
-  resumable after the orchestrating process itself is killed.
+  resumable after the orchestrating process itself is killed.  It is
+  one of two record schemas on the one record log,
+  :mod:`repro.runtime.recordlog`, which owns the file; the daemon's
+  state log (:mod:`repro.server.persist`) is the other.
 * :mod:`repro.runtime.memory` — the memory-governance primitives
   (``RLIMIT_AS`` in the child, ``/proc`` RSS polling in the parent).
 * :mod:`repro.runtime.faults` — env/config-driven probabilistic fault

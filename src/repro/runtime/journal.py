@@ -4,7 +4,7 @@ A long bench sweep or 50-start Algorithm I run loses *everything* when
 the orchestrating process is killed — every completed (instance, engine)
 pair, every finished start.  A :class:`RunJournal` makes those runs
 resumable: each completed unit of work is appended to a JSONL file and
-fsynced **before** the run moves on, so after a SIGKILL the journal
+made durable **before** the run moves on, so after a SIGKILL the journal
 holds exactly the work that finished, and a ``--resume`` run replays it
 instead of recomputing.
 
@@ -21,19 +21,19 @@ File format (one JSON object per line)::
   does not match the current invocation: replaying records produced
   under different settings would silently fabricate a payload no real
   run could produce.
-* **Appends are fsynced per record** (``write`` + ``flush`` +
-  ``os.fsync``), so a crash loses at most the record being written.
-* **A truncated final line is tolerated**: the one partial record a
-  mid-``write`` crash can leave is detected, dropped, and truncated
-  away on resume, and the journal is then appended to from the last
-  durable record.  A malformed line anywhere *else* is corruption and
-  raises.
+* **Appends are durable per record**, so a crash loses at most the
+  record being written.
+* **A torn final line is tolerated**: a record is durable only once
+  its newline is on disk, so the one partial record a mid-``write``
+  crash can leave is dropped, and cut from the file on resume; the
+  journal is then appended to from the last durable record.  A
+  malformed line anywhere *else* is corruption and raises.
 
-The line encoding, fsync-per-append, and truncated-tail-tolerant read
-are the shared :mod:`repro.runtime.recordlog` core (the daemon's state
-store reuses the same discipline); this module owns the journal
-*semantics* — the header schema, the fingerprint refusal, and the
-``(key, value)`` record shape.
+The file itself — line encoding, durable appends, the torn tail — is
+the one record log of :mod:`repro.runtime.recordlog`, which the
+daemon's state log shares; this module is the journal's record schema:
+the header, the fingerprint refusal, the ``(key, value)`` record shape,
+and the policy that mid-file corruption is fatal.
 
 Errors extend the typed, context-carrying style of
 :class:`repro.io.errors.ParseError` (PR 3): :class:`JournalError` is a
@@ -49,7 +49,13 @@ import os
 from pathlib import Path
 from typing import Any
 
-from repro.runtime.recordlog import RecordLog, RecordLogError, read_log
+from repro.runtime.recordlog import (
+    LogContents,
+    RecordLog,
+    RecordLogError,
+    encode_line,
+    read_log,
+)
 
 __all__ = [
     "JournalError",
@@ -77,7 +83,7 @@ class JournalError(RecordLogError):
 
 
 class JournalFormatError(JournalError):
-    """The journal file is malformed beyond the tolerated truncated tail."""
+    """The journal file is malformed beyond the tolerated torn tail."""
 
 
 class JournalFingerprintError(JournalError):
@@ -127,11 +133,9 @@ class RunJournal:
             "settings": settings,
         }
         try:
-            log = RecordLog.create(path, header, error=JournalError)
-        except JournalError as exc:
-            raise JournalError(
-                f"cannot create journal: {exc.message}", path=path
-            ) from exc
+            log = RecordLog.create(path, header)
+        except OSError as exc:
+            raise JournalError(f"cannot create journal: {exc}", path=path) from exc
         return cls(path, log, task, fingerprint)
 
     @classmethod
@@ -141,14 +145,18 @@ class RunJournal:
         """Reopen ``path`` for appending; returns ``(journal, records)``.
 
         Verifies the header fingerprint against ``settings`` (raising
-        :class:`JournalFingerprintError` on mismatch), drops and
-        truncates away a partial final line if the writing process died
-        mid-append, and returns the durable ``(key, value)`` records in
-        append order.
+        :class:`JournalFingerprintError` on mismatch), drops a torn
+        final line left by a writer that died mid-append (cutting it
+        from the file), and returns the durable ``(key, value)``
+        records in append order.
         """
         path = Path(path)
         fingerprint = settings_fingerprint(settings)
-        header, records, valid_bytes = cls._read(path)
+        try:
+            contents = read_log(path)
+        except OSError as exc:
+            raise JournalError(f"cannot read journal: {exc}", path=path) from exc
+        header, records = cls._parse(path, contents)
         if header.get("journal") != JOURNAL_SCHEMA_VERSION:
             raise JournalFormatError(
                 f"journal schema {header.get('journal')!r} is not "
@@ -170,69 +178,59 @@ class RunJournal:
                 path=path,
             )
         try:
-            log = RecordLog.reopen(path, valid_bytes, error=JournalError)
-        except JournalError as exc:
-            raise JournalError(
-                f"cannot reopen journal: {exc.message}", path=path
-            ) from exc
+            log = RecordLog.reopen(path, contents.durable)
+        except OSError as exc:
+            raise JournalError(f"cannot reopen journal: {exc}", path=path) from exc
         return cls(path, log, task, fingerprint), records
 
     @staticmethod
-    def _read(path: Path) -> tuple[dict, list[tuple[Any, Any]], int]:
-        """Parse ``path``; returns ``(header, records, durable_byte_count)``.
+    def _parse(
+        path: Path, contents: LogContents
+    ) -> tuple[dict, list[tuple[Any, Any]]]:
+        """Check the read log's shape; returns ``(header, records)``.
 
-        The final line is allowed to be truncated/corrupt (it is simply
-        not counted as durable); any earlier malformed line raises
-        :class:`JournalFormatError` with its 1-based line number.
+        Any malformed line before the torn tail raises
+        :class:`JournalFormatError` with its 1-based line number: replay
+        data must be perfect or refused.
         """
-        try:
-            header, raw_records, valid_bytes, _corrupt = read_log(
-                path, error=JournalError, format_error=JournalFormatError
-            )
-        except JournalFormatError as exc:
-            if "empty log" in exc.message:
-                raise JournalFormatError("empty journal (no header line)", path=path)
-            if "no durable header" in exc.message:
-                raise JournalFormatError(
-                    "no durable header line (journal truncated at birth)", path=path
-                )
+        if contents.corrupt:
+            lineno, reason = contents.corrupt[0]
             raise JournalFormatError(
-                exc.message.replace("malformed record", "malformed journal record"),
-                path=path,
-            ) from exc
-        except JournalError as exc:
-            raise JournalError(
-                exc.message.replace("cannot read log", "cannot read journal"),
-                path=path,
-            ) from exc
+                f"line {lineno}: malformed journal record: {reason}", path=path
+            )
+        header = contents.header
+        if header is None and contents.size == 0:
+            raise JournalFormatError("empty journal (no header line)", path=path)
+        if header is None:
+            raise JournalFormatError(
+                "no durable header line (journal truncated at birth)", path=path
+            )
         if "journal" not in header:
             raise JournalFormatError(
                 "line 1: first line is not a journal header", path=path
             )
         records: list[tuple[Any, Any]] = []
-        for lineno, obj in raw_records:
+        for lineno, obj in contents.records:
             if "key" not in obj:
                 raise JournalFormatError(
                     f"line {lineno}: record without a 'key' field", path=path
                 )
             records.append((obj["key"], obj.get("value")))
-        return header, records, valid_bytes
+        return header, records
 
     # ------------------------------------------------------------------
     # Appending
 
     def record(self, key: Any, value: Any) -> None:
-        """Append one ``(key, value)`` record durably (write+flush+fsync)."""
+        """Append one ``(key, value)`` record, durable before this returns."""
         try:
-            self._log.append({"key": key, "value": value})
-        except JournalError as exc:
-            if "not JSON-serializable" in exc.message:
-                raise JournalError(
-                    f"record for key {key!r} is not JSON-serializable: "
-                    f"{exc.message.split(': ', 1)[-1]}",
-                    path=self.path,
-                ) from exc
-            raise
+            line = encode_line({"key": key, "value": value})
+        except (TypeError, ValueError) as exc:
+            raise JournalError(
+                f"record for key {key!r} is not JSON-serializable: {exc}",
+                path=self.path,
+            ) from exc
+        self._log.append(line)
 
     def close(self) -> None:
         self._log.close()

@@ -1,44 +1,50 @@
-"""The append-only record-log core shared by journals and state stores.
+"""One append-only record log: its file format and every byte of I/O on it.
 
-:class:`repro.runtime.journal.RunJournal` (PR 5) established a durable
-log discipline that more than one subsystem now needs — the bench/run
-journal and the partition daemon's crash-recoverable state store
-(:mod:`repro.server.persist`) both write:
+Two record schemas sit on this log: the run journal
+(:class:`repro.runtime.journal.RunJournal`), which makes bench sweeps
+and multi-start runs resumable, and the partition daemon's state log
+(:class:`repro.server.persist.StateStore`).  This module owns what they
+share:
 
 * one JSON object per line (canonical encoding: sorted keys, tight
-  separators), the first line being a **header** that identifies the
-  log;
-* every append made durable *before* the caller moves on
-  (``write`` + ``flush`` + ``os.fsync``), so a crash loses at most the
-  record being written;
-* a **truncated final line tolerated** on read — the one partial record
-  a mid-``write`` crash can leave is detected and not counted as
-  durable, while malformed lines anywhere else are real corruption.
+  separators), the first line being a **header** that names the schema;
+* a fresh log's header, and every record after it, made durable
+  (``write`` + ``flush`` + ``os.fsync``) before the caller moves on, so
+  a crash loses at most the record being written;
+* a line is durable only once its newline is on disk.  The one line a
+  mid-append crash can leave, an unterminated or malformed final line,
+  is the **torn tail**: :func:`read_log` drops it and
+  :meth:`RecordLog.reopen` truncates it away, so the next append starts
+  a line of its own;
+* the atomic rewrite that compaction needs (:meth:`RecordLog.rewrite`).
 
-This module is that discipline, factored out.  Callers own the record
-*semantics* (what a header must contain, what shape records take, and
-whether mid-file corruption is fatal or skippable) and pass their own
-typed error classes in, so :class:`~repro.runtime.journal.JournalError`
-and friends keep their exact types and messages.
+The schemas own the rest: what a header must contain, what a record
+holds, how records fold, and what a malformed line before the tail
+means — :func:`read_log` reports it, the journal refuses the file, and
+the state log skips and counts the line.  Disk failures surface as the
+``OSError`` that caused them; each schema raises its own typed error (a
+:class:`RecordLogError`) where it detects a problem.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterable
 from pathlib import Path
+from typing import NamedTuple
 
 __all__ = [
+    "LogContents",
     "RecordLog",
     "RecordLogError",
-    "RecordLogFormatError",
     "encode_line",
     "read_log",
 ]
 
 
 class RecordLogError(ValueError):
-    """Base class for record-log failures (a ``ValueError``).
+    """Base class of the log schemas' typed errors (a ``ValueError``).
 
     Attributes
     ----------
@@ -55,192 +61,129 @@ class RecordLogError(ValueError):
         super().__init__(prefix + message)
 
 
-class RecordLogFormatError(RecordLogError):
-    """The log file is malformed beyond the tolerated truncated tail."""
-
-
 def encode_line(obj: dict) -> bytes:
     """One canonical JSONL line (sorted keys, tight separators)."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
 
 
-def read_log(
-    path: Path,
-    *,
-    error: type[RecordLogError] = RecordLogError,
-    format_error: type[RecordLogFormatError] = RecordLogFormatError,
-    on_corrupt: str = "raise",
-) -> tuple[dict, list[tuple[int, dict]], int, list[int]]:
-    """Parse ``path``; returns ``(header, records, durable_bytes, corrupt)``.
+class LogContents(NamedTuple):
+    """A log as :func:`read_log` found it.
 
-    ``records`` are ``(lineno, obj)`` pairs in append order (the header
-    line excluded); ``durable_bytes`` is the byte count through the last
-    durable line — reopening for append should truncate to it.  The
-    final line is allowed to be truncated/corrupt (a mid-append crash
-    leaves exactly one such line); it is simply not counted as durable.
-
-    A malformed line anywhere *else* is corruption.  With the default
-    ``on_corrupt="raise"`` it raises ``format_error`` with its 1-based
-    line number (the journal discipline: settings-fingerprinted replay
-    data must be perfect or refused).  With ``on_corrupt="skip"`` the
-    line is dropped and its number collected into the returned
-    ``corrupt`` list — the state-store discipline, where each record is
-    independently checksummed and a damaged one is skipped-and-logged
-    rather than poisoning every record after it.
+    ``header`` is the first well-formed line (``None`` when no durable
+    line holds one); ``records`` are ``(lineno, obj)`` for the later
+    well-formed lines in append order; ``corrupt`` are ``(lineno,
+    reason)`` for the malformed lines before the tail; ``durable`` is
+    the byte count through the last durable newline, the length
+    :meth:`RecordLog.reopen` cuts the file to; ``size`` is the file's
+    size as read.  Line numbers are 1-based.
     """
-    if on_corrupt not in ("raise", "skip"):
-        raise ValueError(f"on_corrupt must be 'raise' or 'skip', got {on_corrupt!r}")
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise error(f"cannot read log: {exc}", path=path) from exc
-    if not raw:
-        raise format_error("empty log (no header line)", path=path)
 
+    header: dict | None
+    records: list[tuple[int, dict]]
+    corrupt: list[tuple[int, str]]
+    durable: int
+    size: int
+
+
+def read_log(path: str | os.PathLike) -> LogContents:
+    """Parse the log at ``path`` without changing the file."""
+    raw = Path(path).read_bytes()
     header: dict | None = None
     records: list[tuple[int, dict]] = []
-    corrupt: list[int] = []
+    corrupt: list[tuple[int, str]] = []
     offset = 0
     lineno = 0
-    truncated = False
-    while offset < len(raw):
-        newline = raw.find(b"\n", offset)
-        final = newline < 0
-        end = len(raw) if final else newline
-        line = raw[offset:end]
+    # An unterminated final line is never reached: it is the torn tail.
+    while (newline := raw.find(b"\n", offset)) >= 0:
         lineno += 1
         try:
-            obj = json.loads(line)
+            obj = json.loads(raw[offset:newline])
             if not isinstance(obj, dict):
                 raise ValueError("log lines must be JSON objects")
         except ValueError as exc:
-            if final or newline == len(raw) - 1:
-                # The last line (with or without its newline) is the one
-                # record a mid-append crash can corrupt: drop it.
-                truncated = True
-                break
-            if on_corrupt == "skip":
-                corrupt.append(lineno)
-                offset = end + 1
-                continue
-            raise format_error(
-                f"line {lineno}: malformed record: {exc}", path=path
-            ) from exc
-        if header is None:
-            header = obj
+            if newline == len(raw) - 1:
+                break  # a malformed final line is the torn tail too
+            corrupt.append((lineno, str(exc)))
         else:
-            records.append((lineno, obj))
-        offset = end + 1  # durable through this line's newline
-
-    if header is None:
-        raise format_error(
-            "no durable header line (log truncated at birth)", path=path
-        )
-    durable = min(offset, len(raw)) if not truncated else offset
-    return header, records, min(durable, len(raw)), corrupt
+            if header is None:
+                header = obj
+            else:
+                records.append((lineno, obj))
+        offset = newline + 1
+    return LogContents(header, records, corrupt, offset, len(raw))
 
 
 class RecordLog:
-    """An open, append-only, per-record-fsynced JSONL log.
+    """An open log, appended to one fsynced line at a time.
 
-    Use :meth:`create` for a fresh log (header written and fsynced
-    before returning) and :meth:`reopen` to continue one whose durable
-    byte count a :func:`read_log` call established.  The log owns its
-    file handle — :meth:`close` it (or use it as a context manager).
+    :meth:`create` starts a fresh log and :meth:`reopen` continues one
+    that :func:`read_log` has read.  The log owns its file handle —
+    :meth:`close` it when done.
     """
 
-    def __init__(
-        self, path: Path, fh, *, error: type[RecordLogError] = RecordLogError
-    ) -> None:
+    def __init__(self, path: Path, fh) -> None:
         self.path = path
         self._fh = fh
-        self._error = error
 
     @classmethod
-    def create(
-        cls,
-        path: str | os.PathLike,
-        header: dict,
-        *,
-        error: type[RecordLogError] = RecordLogError,
-    ) -> "RecordLog":
-        """Start a fresh log at ``path`` (truncating any existing file)."""
-        path = Path(path)
+    def create(cls, path: str | os.PathLike, header: dict) -> "RecordLog":
+        """Start a fresh log at ``path`` (truncating any existing file).
+
+        The header is durable on disk before this returns.
+        """
+        line = encode_line(header)
+        log = cls(Path(path), open(path, "wb"))
         try:
-            line = encode_line(header)
-        except (TypeError, ValueError) as exc:
-            raise error(f"header is not JSON-serializable: {exc}", path=path) from exc
-        try:
-            fh = open(path, "wb")
-            fh.write(line)
+            log.append(line)
+        except OSError:
+            log.close()
+            raise
+        return log
+
+    @classmethod
+    def reopen(cls, path: str | os.PathLike, durable: int) -> "RecordLog":
+        """Continue the log at ``path`` after its first ``durable`` bytes.
+
+        Truncates away the torn tail a mid-append crash may have left
+        (everything past ``durable``, as :func:`read_log` measured it)
+        before the first new append, so the file only ever holds whole
+        lines.
+        """
+        os.truncate(path, durable)
+        return cls(Path(path), open(path, "ab"))
+
+    def append(self, line: bytes) -> None:
+        """Append one :func:`encode_line` line durably (write + flush + fsync).
+
+        Taking the encoded bytes lets a writer transform them on their
+        way to disk — in practice the state store's corruption-chaos
+        hook, which damages a record to prove the read side catches it.
+        """
+        self._fh.write(line)
+        self._fh.flush()
+        os.fsync(self._fh.fileno())
+
+    def rewrite(self, header: dict, records: Iterable[dict]) -> None:
+        """Atomically replace the log with ``header`` and ``records``.
+
+        The new content is written to ``<log>.compact`` beside the log,
+        fsynced, and renamed over it with ``os.replace``, so a crash
+        leaves either the old log or the new one, never a hybrid.
+        Appends continue on the new file.
+        """
+        tmp_path = self.path.with_name(self.path.name + ".compact")
+        with open(tmp_path, "wb") as fh:
+            fh.write(encode_line(header))
+            for record in records:
+                fh.write(encode_line(record))
             fh.flush()
             os.fsync(fh.fileno())
-        except OSError as exc:
-            raise error(f"cannot create log: {exc}", path=path) from exc
-        return cls(path, fh, error=error)
-
-    @classmethod
-    def reopen(
-        cls,
-        path: str | os.PathLike,
-        durable_bytes: int,
-        *,
-        error: type[RecordLogError] = RecordLogError,
-    ) -> "RecordLog":
-        """Reopen ``path`` for appending after its durable prefix.
-
-        Truncates away the partial tail a mid-append crash may have
-        left (everything past ``durable_bytes``) before the first new
-        append, so the file only ever contains whole lines.
-        """
-        path = Path(path)
-        try:
-            fh = open(path, "r+b")
-            fh.truncate(durable_bytes)
-            fh.seek(durable_bytes)
-        except OSError as exc:
-            raise error(f"cannot reopen log: {exc}", path=path) from exc
-        return cls(path, fh, error=error)
-
-    def append(self, obj: dict) -> None:
-        """Append one record durably (write + flush + fsync)."""
-        try:
-            line = encode_line(obj)
-        except (TypeError, ValueError) as exc:
-            raise self._error(
-                f"record is not JSON-serializable: {exc}", path=self.path
-            ) from exc
-        try:
-            self._fh.write(line)
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-        except OSError as exc:  # pragma: no cover - disk-level failures
-            raise self._error(f"cannot append record: {exc}", path=self.path) from exc
-
-    def append_bytes(self, line: bytes) -> None:
-        """Append one pre-encoded line durably (write + flush + fsync).
-
-        The caller owns the line's shape (one newline-terminated JSON
-        object).  Exists for writers that transform the encoded bytes
-        before they hit the disk — in practice the state store's
-        corruption-chaos hook, which deliberately damages a record to
-        prove the read side catches it.
-        """
-        try:
-            self._fh.write(line)
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-        except OSError as exc:  # pragma: no cover - disk-level failures
-            raise self._error(f"cannot append record: {exc}", path=self.path) from exc
+        os.replace(tmp_path, self.path)
+        self._fh.close()
+        self._fh = open(self.path, "ab")
 
     def close(self) -> None:
         try:
             self._fh.close()
         except OSError:  # pragma: no cover
             pass
-
-    def __enter__(self) -> "RecordLog":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

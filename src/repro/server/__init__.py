@@ -23,8 +23,10 @@ Pieces:
   :class:`~repro.server.admission.QuarantineBreaker`.
 * :mod:`repro.server.persist` — the crash-recoverable state store
   (:class:`~repro.server.persist.StateStore`): cache entries and
-  quarantine records spilled to an append-only log under
-  ``--state-dir`` and rehydrated on restart.
+  quarantine records spilled under ``--state-dir`` and rehydrated on
+  restart.  The file is the run journal's record log
+  (:mod:`repro.runtime.recordlog`) with the state log's own record
+  schema.
 * :mod:`repro.server.app` — the daemon itself
   (:class:`~repro.server.app.PartitionService`), including the boundary
   integrity gate (results re-verified before being cached, persisted,

@@ -111,8 +111,6 @@ class ServiceConfig:
     # Durability & integrity knobs (docs/SERVICE.md § State persistence)
     state_dir: str | None = None  # set -> spill cache + breaker state here
     verify_results: bool = True  # re-verify result bodies before serving
-    compact_ratio: float = 0.5  # dead-record fraction that triggers compaction
-    compact_min_records: int = 64  # records before compaction is considered
 
 
 # ----------------------------------------------------------------------
@@ -426,11 +424,7 @@ class PartitionService:
         if cfg.obs_enabled and not obs.is_enabled():
             obs.enable()
         if cfg.state_dir is not None and self.store is None:
-            self.store = StateStore.open(
-                cfg.state_dir,
-                compact_ratio=cfg.compact_ratio,
-                compact_min_records=cfg.compact_min_records,
-            )
+            self.store = StateStore.open(cfg.state_dir)
             # Warm the cache oldest-entry-first so LRU order survives the
             # restart too; these puts go straight to the in-memory cache —
             # the records backing them are already durable.

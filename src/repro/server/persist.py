@@ -17,15 +17,15 @@ them on the next start:
   cooldown keeps counting down across the restart); a recovery appends
   a clear tombstone.
 
-The on-disk format is one append-only JSONL log
-(``<state-dir>/state.jsonl``) under the :mod:`repro.runtime.recordlog`
-discipline: canonical line encoding, a fingerprinted header, fsync per
-record, truncated-final-line tolerance.  Where it deliberately departs
-from the journal is corruption handling — each record is independently
-checksummed and self-describing, so a damaged record (bit-rot, or an
-armed ``server.verify`` chaos rule) is **skipped and counted** on
-rehydrate, never served and never allowed to poison the records around
-it.  Schema::
+The on-disk format is the one record log of
+:mod:`repro.runtime.recordlog` (``<state-dir>/state.jsonl``) —
+canonical line encoding, one durable append per record, the torn final
+line dropped — with this module's record schema on top.  Where it
+departs from the run journal's schema is corruption handling: each
+record is independently checksummed and self-describing, so a damaged
+record (bit-rot, or an armed ``server.verify`` chaos rule) is **skipped
+and counted** on rehydrate, never served and never allowed to poison
+the records around it.  Schema::
 
     {"statelog": 1, "store": "partition-server", "fingerprint": ..., "settings": {...}}
     {"kind": "cache", "key": "<digest>:<fp>", "sha256": "...", "value": "<canonical result JSON>"}
@@ -34,11 +34,12 @@ it.  Schema::
     {"kind": "breaker_clear", "key": "..."}
 
 Later records supersede earlier ones for the same ``(kind, key)``; a
-superseded or cleared record is **dead**.  Once dead records exceed
-``compact_ratio`` of the log (and the log holds at least
-``compact_min_records``), a background thread rewrites the log with
-only the live records — bounded disk without ever blocking the request
-path on a rewrite.
+superseded or cleared record is **dead**.  Once the log holds at least
+:data:`COMPACT_MIN_RECORDS` records and more than :data:`COMPACT_RATIO`
+of them are dead, a background thread rewrites the log with only the
+live records, bounding the disk it uses.  The rewrite holds the store
+lock from its read to its rename, so appends — ``record_cache`` on the
+daemon's miss path included — wait for it.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ from repro import obs
 from repro.runtime import faults
 from repro.runtime.journal import settings_fingerprint
 from repro.runtime.recordlog import (
+    LogContents,
     RecordLog,
     RecordLogError,
-    RecordLogFormatError,
     encode_line,
     read_log,
 )
@@ -71,23 +72,93 @@ STATE_SCHEMA_VERSION = 1
 #: see :func:`repro.runtime.faults.corrupt_bytes`.
 CORRUPTION_SITE = "server.verify"
 
+#: Compaction waits until the log holds this many records ...
+COMPACT_MIN_RECORDS = 64
+#: ... and more than this fraction of them are dead.
+COMPACT_RATIO = 0.5
+
 _STORE_NAME = "partition-server"
+_SETTINGS = {"store": _STORE_NAME, "schema": STATE_SCHEMA_VERSION}
+_HEADER = {
+    "statelog": STATE_SCHEMA_VERSION,
+    "store": _STORE_NAME,
+    "fingerprint": settings_fingerprint(_SETTINGS),
+    "settings": _SETTINGS,
+}
 
 
 class StateStoreError(RecordLogError):
-    """A state-store failure (bad directory, wrong schema, disk error)."""
-
-
-class _StateLogFormatError(StateStoreError, RecordLogFormatError):
-    """The log file itself is unreadable as a record log (recoverable)."""
+    """A state dir or state log the daemon cannot open or will not adopt."""
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _header_settings() -> dict:
-    return {"store": _STORE_NAME, "schema": STATE_SCHEMA_VERSION}
+def _check_header(path: Path, header: dict) -> None:
+    if any(
+        header.get(field) != _HEADER[field]
+        for field in ("statelog", "store", "fingerprint")
+    ):
+        raise StateStoreError(
+            f"state log schema {header.get('statelog')!r}/"
+            f"{header.get('store')!r} is not this daemon's "
+            f"(schema {STATE_SCHEMA_VERSION}, store {_STORE_NAME!r}); "
+            "refusing to reinterpret foreign state",
+            path=path,
+        )
+
+
+def _valid_cache_record(record: dict) -> bool:
+    """Checksum-check one cache record; ``False`` = corrupt, skip it."""
+    key = record.get("key")
+    value = record.get("value")
+    sha = record.get("sha256")
+    return (
+        isinstance(key, str)
+        and isinstance(value, str)
+        and isinstance(sha, str)
+        and _sha256(value.encode("utf-8")) == sha
+    )
+
+
+def _valid_breaker_record(record: dict) -> bool:
+    failures = record.get("failures")
+    open_elapsed = record.get("open_elapsed")
+    return (
+        isinstance(record.get("key"), str)
+        and isinstance(failures, int)
+        and not isinstance(failures, bool)
+        and failures >= 1
+        and (open_elapsed is None or isinstance(open_elapsed, (int, float)))
+        and isinstance(record.get("wall"), (int, float))
+    )
+
+
+def _fold(records: list[tuple[int, dict]]) -> tuple[dict, dict, int]:
+    """Fold records into the live ones; returns ``(cache, breaker, invalid)``.
+
+    ``cache`` and ``breaker`` map each live key to its last record —
+    cache keys in the order of their last write, breaker keys in the
+    order they first appeared since any clear — and ``invalid`` counts
+    the records that failed validation or have an unknown kind.
+    Rehydration and compaction both read the log through this one fold.
+    """
+    cache: dict[str, dict] = {}
+    breaker: dict[str, dict] = {}
+    invalid = 0
+    for _lineno, record in records:
+        kind = record.get("kind")
+        if kind == "cache" and _valid_cache_record(record):
+            cache.pop(record["key"], None)  # re-append keeps insertion order fresh
+            cache[record["key"]] = record
+        elif kind == "breaker" and _valid_breaker_record(record):
+            breaker[record["key"]] = record
+        elif kind == "breaker_clear" and isinstance(record.get("key"), str):
+            breaker.pop(record["key"], None)
+        else:
+            invalid += 1
+    return cache, breaker, invalid
 
 
 class StateStore:
@@ -103,23 +174,13 @@ class StateStore:
     folded into ``open_elapsed``).
 
     All appends are thread-safe; compaction runs on a background thread
-    and atomically replaces the log file (write-temp + fsync +
-    ``os.replace``), so a crash mid-compaction leaves either the old
-    log or the new one, never a hybrid.
+    and atomically replaces the log file, so a crash mid-compaction
+    leaves either the old log or the new one, never a hybrid.
     """
 
-    def __init__(
-        self,
-        path: Path,
-        log: RecordLog,
-        *,
-        compact_ratio: float,
-        compact_min_records: int,
-    ) -> None:
+    def __init__(self, path: Path, log: RecordLog) -> None:
         self.path = path
         self._log = log
-        self.compact_ratio = compact_ratio
-        self.compact_min_records = compact_min_records
         self._lock = threading.Lock()
         self._live: set[tuple[str, str]] = set()
         self._records = 0  # durable records (header excluded)
@@ -134,22 +195,8 @@ class StateStore:
     # Construction / rehydration
 
     @classmethod
-    def open(
-        cls,
-        state_dir: str | os.PathLike,
-        *,
-        compact_ratio: float = 0.5,
-        compact_min_records: int = 64,
-    ) -> "StateStore":
+    def open(cls, state_dir: str | os.PathLike) -> "StateStore":
         """Open (creating if needed) the state log under ``state_dir``."""
-        if not 0.0 < compact_ratio <= 1.0:
-            raise StateStoreError(
-                f"compact_ratio must be in (0, 1], got {compact_ratio}"
-            )
-        if compact_min_records < 1:
-            raise StateStoreError(
-                f"compact_min_records must be >= 1, got {compact_min_records}"
-            )
         state_dir = Path(state_dir)
         try:
             state_dir.mkdir(parents=True, exist_ok=True)
@@ -158,145 +205,47 @@ class StateStore:
                 f"cannot create state dir: {exc}", path=state_dir
             ) from exc
         path = state_dir / "state.jsonl"
-        if not path.exists():
-            log = RecordLog.create(path, cls._header(), error=StateStoreError)
-            return cls(
-                path,
-                log,
-                compact_ratio=compact_ratio,
-                compact_min_records=compact_min_records,
-            )
-
-        store = cls(
-            Path(path),
-            None,  # attached below, after the read establishes durable bytes
-            compact_ratio=compact_ratio,
-            compact_min_records=compact_min_records,
-        )
-        durable = store._load(path)
-        store._log = RecordLog.reopen(path, durable, error=StateStoreError)
+        try:
+            contents = read_log(path) if path.exists() else None
+            if contents is not None and contents.header is None:
+                # An empty or headerless file is not worth refusing a
+                # daemon start over: recreate it and start cold.
+                obs.count("server.persist.reset")
+                contents = None
+            if contents is None:
+                return cls(path, RecordLog.create(path, _HEADER))
+            _check_header(path, contents.header)
+            store = cls(path, RecordLog.reopen(path, contents.durable))
+        except OSError as exc:
+            raise StateStoreError(f"cannot open state log: {exc}", path=path) from exc
+        store._rehydrate(contents)
         return store
 
-    @staticmethod
-    def _header() -> dict:
-        settings = _header_settings()
-        return {
-            "statelog": STATE_SCHEMA_VERSION,
-            "store": _STORE_NAME,
-            "fingerprint": settings_fingerprint(settings),
-            "settings": settings,
-        }
-
-    def _load(self, path: Path) -> int:
-        """Read the existing log into this store; returns durable bytes."""
-        try:
-            header, records, durable, corrupt_lines = read_log(
-                path,
-                error=StateStoreError,
-                format_error=_StateLogFormatError,
-                on_corrupt="skip",
-            )
-        except _StateLogFormatError:
-            # An empty or headerless file is not worth refusing a daemon
-            # start over: recreate it and start cold.
-            log = RecordLog.create(path, self._header(), error=StateStoreError)
-            log.close()
-            obs.count("server.persist.reset")
-            return len(encode_line(self._header()))
-        if (
-            header.get("statelog") != STATE_SCHEMA_VERSION
-            or header.get("store") != _STORE_NAME
-            or header.get("fingerprint")
-            != settings_fingerprint(_header_settings())
-        ):
-            raise StateStoreError(
-                f"state log schema {header.get('statelog')!r}/"
-                f"{header.get('store')!r} is not this daemon's "
-                f"(schema {STATE_SCHEMA_VERSION}, store {_STORE_NAME!r}); "
-                "refusing to reinterpret foreign state",
-                path=path,
-            )
-        self._corrupt_skipped = len(corrupt_lines)
-
-        cache: dict[str, bytes] = {}
-        breaker: dict[str, tuple[int, float | None, float]] = {}
-        total = 0
-        for _lineno, record in records:
-            total += 1
-            kind = record.get("kind")
-            if kind == "cache":
-                parsed = self._validate_cache_record(record)
-                if parsed is None:
-                    self._corrupt_skipped += 1
-                    continue
-                key, value = parsed
-                cache.pop(key, None)  # re-append keeps insertion order fresh
-                cache[key] = value
-            elif kind == "breaker":
-                parsed = self._validate_breaker_record(record)
-                if parsed is None:
-                    self._corrupt_skipped += 1
-                    continue
-                key, failures, open_elapsed = parsed
-                breaker[key] = (failures, open_elapsed, record["wall"])
-            elif kind == "breaker_clear":
-                key = record.get("key")
-                if not isinstance(key, str):
-                    self._corrupt_skipped += 1
-                    continue
-                breaker.pop(key, None)
-            else:
-                self._corrupt_skipped += 1
-
+    def _rehydrate(self, contents: LogContents) -> None:
+        cache, breaker, invalid = _fold(contents.records)
+        self._corrupt_skipped = len(contents.corrupt) + invalid
         if self._corrupt_skipped:
             obs.count("server.persist.corrupt", self._corrupt_skipped)
-        self._records = total
-        self.cache_entries = list(cache.items())
+        self._track(len(contents.records), cache, breaker)
+        self.cache_entries = [
+            (key, record["value"].encode("utf-8")) for key, record in cache.items()
+        ]
         now = time.time()
-        for key, (failures, open_elapsed, wall) in breaker.items():
+        for key, record in breaker.items():
+            open_elapsed = record["open_elapsed"]
             if open_elapsed is not None:
                 # The cooldown kept counting down while the daemon was
                 # dead: fold the wall-clock downtime into the elapsed
                 # open time (clamped — a skewed clock must not produce
                 # a key that cools for longer than it would have).
-                open_elapsed += max(0.0, now - wall)
-            self.breaker_entries.append((key, failures, open_elapsed))
+                open_elapsed = float(open_elapsed) + max(0.0, now - record["wall"])
+            self.breaker_entries.append((key, record["failures"], open_elapsed))
+
+    def _track(self, records: int, cache: dict, breaker: dict) -> None:
+        """Count ``records`` durable records, of which the folded ones live."""
+        self._records = records
         self._live = {("cache", key) for key in cache}
         self._live.update(("breaker", key) for key in breaker)
-        return durable
-
-    @staticmethod
-    def _validate_cache_record(record: dict) -> tuple[str, bytes] | None:
-        """Checksum-check one cache record; ``None`` = corrupt, skip it."""
-        key = record.get("key")
-        value = record.get("value")
-        sha = record.get("sha256")
-        if not (
-            isinstance(key, str) and isinstance(value, str) and isinstance(sha, str)
-        ):
-            return None
-        value_bytes = value.encode("utf-8")
-        if _sha256(value_bytes) != sha:
-            return None
-        return key, value_bytes
-
-    @staticmethod
-    def _validate_breaker_record(
-        record: dict,
-    ) -> tuple[str, int, float | None] | None:
-        key = record.get("key")
-        failures = record.get("failures")
-        open_elapsed = record.get("open_elapsed")
-        wall = record.get("wall")
-        if not isinstance(key, str):
-            return None
-        if not isinstance(failures, int) or isinstance(failures, bool) or failures < 1:
-            return None
-        if open_elapsed is not None and not isinstance(open_elapsed, (int, float)):
-            return None
-        if not isinstance(wall, (int, float)):
-            return None
-        return key, failures, None if open_elapsed is None else float(open_elapsed)
 
     # ------------------------------------------------------------------
     # Appending (the daemon's spill path)
@@ -342,7 +291,7 @@ class StateStore:
         with self._lock:
             if self._closed:
                 return
-            self._log.append_bytes(line)
+            self._log.append(line)
             self._records += 1
             if live_key is not None:
                 self._live.add(live_key)
@@ -360,8 +309,8 @@ class StateStore:
         with self._lock:
             if (
                 self._closed
-                or self._records < self.compact_min_records
-                or self._dead_ratio_locked() <= self.compact_ratio
+                or self._records < COMPACT_MIN_RECORDS
+                or self._dead_ratio_locked() <= COMPACT_RATIO
                 or (
                     self._compact_thread is not None
                     and self._compact_thread.is_alive()
@@ -376,57 +325,20 @@ class StateStore:
     def compact(self) -> None:
         """Rewrite the log with only the live records (atomic replace).
 
-        Reads the current log back (the same lenient read rehydration
-        uses), keeps the last record per ``(kind, key)`` — dropping
-        cleared breaker keys and corrupt lines — and atomically swaps
-        the rewritten file in.  Safe to call directly; the append path
+        Reads the log back and folds it the way rehydration does —
+        keeping the last record per ``(kind, key)`` and dropping
+        cleared breaker keys and corrupt lines — then swaps the
+        rewritten file in.  Safe to call directly; the append path
         triggers it on a background thread once the dead ratio trips.
         """
         with self._lock:
             if self._closed:
                 return
-            self._log.close()
-            try:
-                _header, records, _durable, _corrupt = read_log(
-                    self.path,
-                    error=StateStoreError,
-                    format_error=StateStoreError,
-                    on_corrupt="skip",
-                )
-                cache: dict[str, dict] = {}
-                breaker: dict[str, dict] = {}
-                for _lineno, record in records:
-                    kind = record.get("kind")
-                    if kind == "cache":
-                        if self._validate_cache_record(record) is not None:
-                            cache.pop(record["key"], None)
-                            cache[record["key"]] = record
-                    elif kind == "breaker":
-                        if self._validate_breaker_record(record) is not None:
-                            breaker[record["key"]] = record
-                    elif kind == "breaker_clear":
-                        breaker.pop(record.get("key"), None)
-                tmp_path = self.path.with_suffix(".jsonl.compact")
-                with open(tmp_path, "wb") as fh:
-                    fh.write(encode_line(self._header()))
-                    for record in cache.values():
-                        fh.write(encode_line(record))
-                    for record in breaker.values():
-                        fh.write(encode_line(record))
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp_path, self.path)
-                self._records = len(cache) + len(breaker)
-                self._live = {("cache", key) for key in cache}
-                self._live.update(("breaker", key) for key in breaker)
-                self._compactions += 1
-                obs.count("server.persist.compactions")
-            finally:
-                self._log = RecordLog.reopen(
-                    self.path,
-                    self.path.stat().st_size,
-                    error=StateStoreError,
-                )
+            cache, breaker, _invalid = _fold(read_log(self.path).records)
+            self._log.rewrite(_HEADER, [*cache.values(), *breaker.values()])
+            self._track(len(cache) + len(breaker), cache, breaker)
+            self._compactions += 1
+            obs.count("server.persist.compactions")
 
     # ------------------------------------------------------------------
 
@@ -440,7 +352,7 @@ class StateStore:
                 "dead": self._records - len(self._live),
                 "corrupt_skipped": self._corrupt_skipped,
                 "compactions": self._compactions,
-                "compact_ratio": self.compact_ratio,
+                "compact_ratio": COMPACT_RATIO,
                 "rehydrated_cache": len(self.cache_entries),
                 "rehydrated_breaker": len(self.breaker_entries),
             }

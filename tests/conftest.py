@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import warnings
 
 import pytest
 from hypothesis import strategies as st
@@ -65,6 +67,35 @@ def small_random_hypergraph() -> Hypergraph:
 def triangle_hypergraph() -> Hypergraph:
     """Three 2-pin nets forming a triangle — smallest non-trivial case."""
     return Hypergraph(edges={"ab": ["a", "b"], "bc": ["b", "c"], "ca": ["c", "a"]})
+
+
+# ----------------------------------------------------------------------
+# Resource hygiene
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def no_leaked_handles():
+    """Fail the test if it drops a file or socket without closing it.
+
+    A leaked handle warns from its finalizer, where an exception cannot
+    reach the test, so ``-W error::ResourceWarning`` alone lets the test
+    pass.  Record the warnings instead, collect garbage so handles held
+    in cycles are finalized too, and fail on any.  Modules opt in with
+    ``pytestmark = pytest.mark.usefixtures("no_leaked_handles")``.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    leaked = []
+    for w in caught:
+        if issubclass(w.category, ResourceWarning):
+            leaked.append(str(w.message))
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    if leaked:
+        pytest.fail("leaked handles: " + "; ".join(leaked))
 
 
 # ----------------------------------------------------------------------

@@ -225,3 +225,49 @@ class TestPortfolioCommand:
     def test_portfolio_bad_method(self, hgr_file):
         with pytest.raises(ValueError):
             main(["portfolio", hgr_file, "--methods", "quantum"])
+
+
+class TestLogErrors:
+    """Journal and state-log failures exit with one line, no traceback."""
+
+    def _exit_message(self, argv) -> str:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert isinstance(exc.value.code, str)
+        assert "\n" not in exc.value.code
+        return exc.value.code
+
+    def test_partition_resume_of_a_missing_journal(self, hgr_file, tmp_path):
+        missing = str(tmp_path / "missing.jsonl")
+        message = self._exit_message(["partition", hgr_file, "--resume", missing])
+        assert "cannot read journal" in message
+
+    def test_partition_journal_in_a_missing_directory(self, hgr_file, tmp_path):
+        path = str(tmp_path / "nonexistent" / "j.jsonl")
+        message = self._exit_message(["partition", hgr_file, "--journal", path])
+        assert "cannot create journal: [Errno 2]" in message
+
+    def test_bench_resume_of_a_missing_journal(self, tmp_path):
+        missing = str(tmp_path / "missing.jsonl")
+        out = str(tmp_path / "b.json")
+        message = self._exit_message(
+            ["bench", "--quick", "--repeats", "1", "--resume", missing, "--out", out]
+        )
+        assert "cannot read journal" in message
+
+    def test_partition_resume_of_a_bench_journal(self, hgr_file, tmp_path):
+        from repro.runtime import RunJournal
+
+        path = tmp_path / "bench.jsonl"
+        RunJournal.create(path, "bench", {"seed": 0}).close()
+        message = self._exit_message(["partition", hgr_file, "--resume", str(path)])
+        assert "records a 'bench' run, not 'partition'" in message
+
+    def test_serve_state_dir_that_is_a_regular_file(self, tmp_path):
+        state = tmp_path / "state"
+        state.write_text("not a directory")
+        message = self._exit_message(
+            ["serve", "--no-obs", "--port", "0", "--state-dir", str(state)]
+        )
+        assert message.startswith("cannot start daemon: ")
+        assert "cannot create state dir" in message

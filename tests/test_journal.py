@@ -35,6 +35,8 @@ from repro.runtime import (
     settings_fingerprint,
 )
 
+pytestmark = pytest.mark.usefixtures("no_leaked_handles")
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 SETTINGS = {"seed": 7, "starts": 3, "cases": ["a", "b"]}
@@ -88,7 +90,8 @@ class TestRunJournal:
             journal.record("first", 1)
         with RunJournal.resume(path, "bench", SETTINGS)[0] as journal:
             journal.record("second", 2)
-        _, records = RunJournal.resume(path, "bench", SETTINGS)
+        resumed, records = RunJournal.resume(path, "bench", SETTINGS)
+        resumed.close()
         assert [k for k, _ in records] == ["first", "second"]
 
     def test_truncated_final_line_is_dropped_and_truncated_away(self, tmp_path):
@@ -97,7 +100,8 @@ class TestRunJournal:
             journal.record("done", 1)
         durable = path.read_bytes()
         path.write_bytes(durable + b'{"key": "half')
-        _, records = RunJournal.resume(path, "bench", SETTINGS)
+        resumed, records = RunJournal.resume(path, "bench", SETTINGS)
+        resumed.close()
         assert records == [("done", 1)]
         assert path.read_bytes() == durable  # partial tail physically removed
 
@@ -144,6 +148,46 @@ class TestRunJournal:
             {"b": 2, "a": 1}
         )
         assert settings_fingerprint({"a": 1}) != settings_fingerprint({"a": 2})
+
+    def test_on_disk_format_is_pinned(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        run_settings = {"seed": 7, "cases": ["a", "b"]}
+        with RunJournal.create(path, "bench", run_settings) as journal:
+            journal.record(["a", "fm"], {"ok": True, "cutsize": 3})
+            journal.record(["b", "fm"], {"ok": False, "error": "boom"})
+        assert path.read_text().splitlines(keepends=True) == [
+            '{"fingerprint":"c23642730a3533141b6d4fe388d794021ec69eac2fbb5174'
+            '5222231aa91bf05a","journal":1,"settings":{"cases":["a","b"],'
+            '"seed":7},"task":"bench"}\n',
+            '{"key":["a","fm"],"value":{"cutsize":3,"ok":true}}\n',
+            '{"key":["b","fm"],"value":{"error":"boom","ok":false}}\n',
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_append_after_any_cut_keeps_every_durable_record(
+        self, tmp_path_factory, data
+    ):
+        # A record counts only once its newline is on disk: a cut just
+        # before a newline leaves a whole JSON object that must still be
+        # dropped, or the next append is glued onto its line.
+        path = tmp_path_factory.mktemp("torn") / "run.jsonl"
+        with RunJournal.create(path, "bench", SETTINGS) as journal:
+            for key in ("x", "y", "z"):
+                journal.record(key, {"v": key})
+        raw = path.read_bytes()
+        header_end = raw.index(b"\n") + 1
+        newlines = [i for i in range(header_end, len(raw)) if raw[i] == ord("\n")]
+        cut = data.draw(
+            st.sampled_from(newlines) | st.integers(header_end, len(raw))
+        )
+        path.write_bytes(raw[:cut])
+        journal, first = RunJournal.resume(path, "bench", SETTINGS)
+        with journal:
+            journal.record("new", {"v": "new"})
+        journal, second = RunJournal.resume(path, "bench", SETTINGS)
+        journal.close()
+        assert second == first + [("new", {"v": "new"})]
 
 
 # ----------------------------------------------------------------------

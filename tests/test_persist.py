@@ -23,8 +23,11 @@ from __future__ import annotations
 import json
 import random
 import threading
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.hypergraph import Hypergraph
 from repro.engines import run_engine
@@ -36,10 +39,13 @@ from repro.metrics import (
 )
 from repro.runtime import faults
 from repro.runtime.recordlog import encode_line, read_log
+from repro.server import persist
 from repro.server.admission import POISON_ERROR_TYPES, QuarantineBreaker
 from repro.server.cache import ResultCache
 from repro.server.persist import StateStore, StateStoreError
 from repro.server.protocol import Quarantined, canonical_bytes
+
+pytestmark = pytest.mark.usefixtures("no_leaked_handles")
 
 
 @pytest.fixture(autouse=True)
@@ -118,6 +124,89 @@ class TestStateStoreRoundTrip:
             assert open_elapsed == pytest.approx(6.0, abs=1.0)
 
 
+#: The state log written by :func:`_write_pinned_log`, line by line.
+PINNED_HEADER = (
+    '{"fingerprint":"44646ca751164086f63e28c660fcd13b20ab6d46db6175ffaa375ce0b6f582b8",'
+    '"settings":{"schema":1,"store":"partition-server"},"statelog":1,'
+    '"store":"partition-server"}\n'
+)
+PINNED_D1_V3 = (
+    '{"key":"d1:f1","kind":"cache","sha256":"a72135145f8b08053bba1fb6f563ca96'
+    '1f50521509b922b1f552c6a1f6d387da",'
+    '"value":"{\\"cutsize\\":3}"}\n'
+)
+PINNED_D4 = (
+    '{"key":"d4:f4","kind":"cache","sha256":"f0c5f49a3ea60094df001a90ac1d5e7d'
+    '27a9aa60dfac10ee235764f2a32c9d8a",'
+    '"value":"{\\"cutsize\\":5}"}\n'
+)
+PINNED_D1_V4 = (
+    '{"key":"d1:f1","kind":"cache","sha256":"292c5c87285f4b19a9d87db1d3dd374c'
+    '7127488129ad8da2c2832b475f49b3dd",'
+    '"value":"{\\"cutsize\\":4}"}\n'
+)
+PINNED_D2_FAILING = (
+    '{"failures":2,"key":"d2:f2","kind":"breaker","open_elapsed":null,"wall":1754650000.5}\n'
+)
+PINNED_D5 = (
+    '{"failures":3,"key":"d5:f5","kind":"breaker","open_elapsed":0.25,"wall":1754650000.5}\n'
+)
+PINNED_D3 = (
+    '{"failures":2,"key":"d3:f3","kind":"breaker","open_elapsed":null,"wall":1754650000.5}\n'
+)
+PINNED_D2_OPEN = (
+    '{"failures":3,"key":"d2:f2","kind":"breaker","open_elapsed":0.5,"wall":1754650000.5}\n'
+)
+PINNED_D3_CLEAR = '{"key":"d3:f3","kind":"breaker_clear"}\n'
+
+
+def _write_pinned_log(store: StateStore) -> None:
+    """Fixed inputs: a refreshed cache key, an updated and a cleared breaker."""
+    store.record_cache("d1:f1", b'{"cutsize":3}')
+    store.record_cache("d4:f4", b'{"cutsize":5}')
+    store.record_breaker("d2:f2", 2, None)
+    store.record_breaker("d5:f5", 3, 0.25)
+    store.record_breaker("d3:f3", 2, None)
+    store.record_cache("d1:f1", b'{"cutsize":4}')
+    store.record_breaker("d2:f2", 3, 0.5)
+    store.record_breaker_clear("d3:f3")
+
+
+class TestStateLogFormat:
+    @pytest.fixture(autouse=True)
+    def _pinned_clock(self, monkeypatch):
+        monkeypatch.setattr(time, "time", lambda: 1754650000.5)
+
+    def test_on_disk_format_is_pinned(self, tmp_path):
+        with StateStore.open(tmp_path) as store:
+            _write_pinned_log(store)
+        assert (tmp_path / "state.jsonl").read_text().splitlines(keepends=True) == [
+            PINNED_HEADER,
+            PINNED_D1_V3,
+            PINNED_D4,
+            PINNED_D2_FAILING,
+            PINNED_D5,
+            PINNED_D3,
+            PINNED_D1_V4,
+            PINNED_D2_OPEN,
+            PINNED_D3_CLEAR,
+        ]
+
+    def test_compacted_format_is_pinned(self, tmp_path):
+        # Live cache records in refresh order, then live breaker records
+        # in the order their keys first appeared.
+        with StateStore.open(tmp_path) as store:
+            _write_pinned_log(store)
+            store.compact()
+        assert (tmp_path / "state.jsonl").read_text().splitlines(keepends=True) == [
+            PINNED_HEADER,
+            PINNED_D4,
+            PINNED_D1_V4,
+            PINNED_D2_OPEN,
+            PINNED_D5,
+        ]
+
+
 class TestStateStoreCorruption:
     def test_checksum_mismatch_is_skipped_and_counted(self, tmp_path):
         with StateStore.open(tmp_path) as store:
@@ -186,6 +275,33 @@ class TestStateStoreCorruption:
         with StateStore.open(tmp_path) as store:
             assert store.cache_entries == [("a", b'{"v":1}')]
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_append_after_any_cut_keeps_every_durable_record(
+        self, tmp_path_factory, data
+    ):
+        # A record counts only once its newline is on disk: a cut just
+        # before a newline leaves a whole JSON object that must still be
+        # dropped, or the next append is glued onto its line.
+        state_dir = tmp_path_factory.mktemp("torn")
+        with StateStore.open(state_dir) as store:
+            for key in ("a", "b", "c"):
+                store.record_cache(key, b'{"v":"%s"}' % key.encode())
+        path = state_dir / "state.jsonl"
+        raw = path.read_bytes()
+        header_end = raw.index(b"\n") + 1
+        newlines = [i for i in range(header_end, len(raw)) if raw[i] == ord("\n")]
+        cut = data.draw(
+            st.sampled_from(newlines) | st.integers(header_end, len(raw))
+        )
+        path.write_bytes(raw[:cut])
+        with StateStore.open(state_dir) as store:
+            first = store.cache_entries
+            store.record_cache("new", b'{"v":"new"}')
+        with StateStore.open(state_dir) as store:
+            assert store.cache_entries == first + [("new", b'{"v":"new"}')]
+            assert store.stats()["corrupt_skipped"] == 0
+
     def test_unknown_record_kind_is_skipped(self, tmp_path):
         with StateStore.open(tmp_path) as store:
             store.record_cache("a", b'{"v":1}')
@@ -220,12 +336,9 @@ class TestStateStoreCompaction:
             assert entries["fresh"] == b'{"v":99}'
             assert store.breaker_entries[0][0] == "poison"
 
-    def test_dead_ratio_triggers_background_compaction(self, tmp_path):
-        import time
-
-        store = StateStore.open(
-            tmp_path, compact_ratio=0.5, compact_min_records=8
-        )
+    def test_dead_ratio_triggers_background_compaction(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(persist, "COMPACT_MIN_RECORDS", 8)
+        store = StateStore.open(tmp_path)
         try:
             for i in range(20):
                 store.record_cache("same-key", b'{"v":%d}' % i)
@@ -241,12 +354,6 @@ class TestStateStoreCompaction:
             store.close()
         with StateStore.open(tmp_path) as store:
             assert dict(store.cache_entries)["same-key"] == b'{"v":19}'
-
-    def test_open_rejects_bad_knobs(self, tmp_path):
-        with pytest.raises(StateStoreError):
-            StateStore.open(tmp_path, compact_ratio=0.0)
-        with pytest.raises(StateStoreError):
-            StateStore.open(tmp_path, compact_min_records=0)
 
 
 # ----------------------------------------------------------------------
@@ -575,7 +682,7 @@ class TestResultCacheHammer:
 
 
 # ----------------------------------------------------------------------
-# read_log skip mode (the state-store read discipline)
+# read_log: the record log's read, under both corruption policies
 # ----------------------------------------------------------------------
 
 
@@ -588,24 +695,20 @@ class TestReadLogSkipMode:
             + b"garbage\n"
             + encode_line({"kind": "b"})
         )
-        header, records, durable, corrupt = read_log(path, on_corrupt="skip")
-        assert header == {"header": 1}
-        assert [obj["kind"] for _ln, obj in records] == ["a", "b"]
-        assert corrupt == [3]
-        assert durable == path.stat().st_size
+        contents = read_log(path)
+        assert contents.header == {"header": 1}
+        assert [obj["kind"] for _ln, obj in contents.records] == ["a", "b"]
+        assert [lineno for lineno, _reason in contents.corrupt] == [3]
+        assert contents.durable == path.stat().st_size
 
     def test_raise_mode_still_raises(self, tmp_path):
-        from repro.runtime.recordlog import RecordLogFormatError
+        # The journal is the schema whose policy is fatal.
+        from repro.runtime import JournalFormatError, RunJournal
 
         path = tmp_path / "log.jsonl"
+        RunJournal.create(path, "bench", {}).close()
         path.write_bytes(
-            encode_line({"header": 1}) + b"garbage\n" + encode_line({"k": 1})
+            path.read_bytes() + b"garbage\n" + encode_line({"key": 1})
         )
-        with pytest.raises(RecordLogFormatError, match="line 2"):
-            read_log(path)
-
-    def test_bad_mode_rejected(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        path.write_bytes(encode_line({"header": 1}))
-        with pytest.raises(ValueError, match="on_corrupt"):
-            read_log(path, on_corrupt="ignore")
+        with pytest.raises(JournalFormatError, match="line 2"):
+            RunJournal.resume(path, "bench", {})
