@@ -24,6 +24,7 @@ halves of the contract.
 from __future__ import annotations
 
 import hashlib
+from itertools import repeat
 
 from repro.core.hypergraph import Hypergraph
 
@@ -37,13 +38,22 @@ def hypergraph_digest(hypergraph: Hypergraph) -> str:
     ``Hypergraph.__eq__`` (same labelled vertices with the same weights,
     same named edges over the same members with the same weights) —
     construction order and internal slot layout never matter.
+
+    The hashed text is the ``repr`` of ``(vertices, edges)``: the sorted
+    ``(repr(label), weight)`` pairs and the sorted ``(repr(name),
+    sorted member reprs, weight)`` triples.  It is assembled with
+    ``map``/``zip`` over the hypergraph's tables, so the per-item work
+    runs in C.
     """
-    vertices = sorted(
-        (repr(v), hypergraph.vertex_weight(v)) for v in hypergraph.vertices
-    )
+    vertex_weights = hypergraph._vertex_weights
+    edge_members = hypergraph._edge_members
+    vertices = sorted(zip(map(repr, vertex_weights), vertex_weights.values()))
     edges = sorted(
-        (repr(name), sorted(repr(m) for m in members), hypergraph.edge_weight(name))
-        for name, members in hypergraph.edges.items()
+        zip(
+            map(repr, edge_members),
+            map(sorted, map(map, repeat(repr), edge_members.values())),
+            hypergraph._edge_weights.values(),
+        )
     )
     blob = repr((vertices, edges)).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()

@@ -13,9 +13,17 @@ Vertex weights model module area (used by the weighted r-bipartition
 Design notes
 ------------
 * All mutation goes through :meth:`add_vertex` / :meth:`add_edge` /
-  :meth:`remove_edge` / :meth:`remove_vertex`, which keep the
-  vertex->incident-edge index consistent.  Every query is O(1) or linear in
-  the size of the answer.
+  :meth:`remove_edge` / :meth:`remove_vertex`.  Every query is O(1) or
+  linear in the size of the answer, apart from the first read of the
+  vertex->incident-edge index.
+* That index is built on first read (:meth:`incident_edges`,
+  :meth:`neighbors`, :meth:`connected_components`, ...) and kept up to
+  date from then on.  It receives edge names in edge order, as adding
+  the edges one by one does, so every vertex's set has the same layout
+  (and iteration order) whenever it is built.  Algorithm I, the content
+  digest and the service's request path never read it, so they never
+  pay for it.
+* Weights are positive and finite (:func:`checked_weight`).
 * Hyperedges are *sets* of vertices: a net listing the same module twice is
   the same as listing it once, matching netlist semantics.
 * Singleton edges (one-pin nets) are legal — they can never cross a cut —
@@ -24,6 +32,7 @@ Design notes
 
 from __future__ import annotations
 
+import math
 from collections.abc import Hashable, Iterable, Mapping
 from typing import Iterator
 
@@ -33,6 +42,29 @@ EdgeName = Hashable
 
 class HypergraphError(ValueError):
     """Raised on structurally invalid hypergraph operations."""
+
+
+def checked_weight(kind: str, weight: float) -> float:
+    """``weight`` as a float; raises :class:`HypergraphError` unless positive and finite.
+
+    ``kind`` (``"vertex"`` or ``"edge"``) names the weight in the message.
+    """
+    if weight <= 0:
+        raise HypergraphError(f"{kind} weight must be positive, got {weight!r}")
+    try:
+        value = float(weight)
+    except OverflowError:  # an int too large for a float
+        value = math.inf
+    if not value < math.inf:  # inf, and nan (which compares false)
+        raise HypergraphError(f"{kind} weight must be finite, got {weight!r}")
+    return value
+
+
+def auto_edge_name(taken: Mapping, counter: int) -> tuple[str, int]:
+    """The first name ``e<k>`` with ``k >= counter`` not in ``taken``, and ``k + 1``."""
+    while f"e{counter}" in taken:
+        counter += 1
+    return f"e{counter}", counter + 1
 
 
 class Hypergraph:
@@ -66,7 +98,8 @@ class Hypergraph:
         self._vertex_weights: dict[Vertex, float] = {}
         self._edge_members: dict[EdgeName, frozenset[Vertex]] = {}
         self._edge_weights: dict[EdgeName, float] = {}
-        self._incidence: dict[Vertex, set[EdgeName]] = {}
+        # Built on first read by _incidence_map(); None until then.
+        self._incidence: dict[Vertex, set[EdgeName]] | None = None
         self._auto_edge_counter = 0
 
         if vertices is not None:
@@ -84,13 +117,32 @@ class Hypergraph:
     # construction
     # ------------------------------------------------------------------
 
+    @classmethod
+    def _from_tables(
+        cls,
+        vertex_weights: dict[Vertex, float],
+        edge_members: dict[EdgeName, frozenset[Vertex]],
+        edge_weights: dict[EdgeName, float],
+        auto_edge_counter: int = 0,
+    ) -> "Hypergraph":
+        """A hypergraph that owns the given tables (not copied, not re-checked).
+
+        Every member of every edge must be a key of ``vertex_weights``,
+        and both edge tables must list the same names in the same order.
+        """
+        h = cls()
+        h._vertex_weights = vertex_weights
+        h._edge_members = edge_members
+        h._edge_weights = edge_weights
+        h._auto_edge_counter = auto_edge_counter
+        return h
+
     def add_vertex(self, v: Vertex, weight: float = 1.0) -> Vertex:
         """Add vertex ``v`` (idempotent; re-adding updates the weight)."""
-        if weight <= 0:
-            raise HypergraphError(f"vertex weight must be positive, got {weight!r}")
-        if v not in self._vertex_weights:
+        weight = checked_weight("vertex", weight)
+        if self._incidence is not None and v not in self._vertex_weights:
             self._incidence[v] = set()
-        self._vertex_weights[v] = float(weight)
+        self._vertex_weights[v] = weight
         return v
 
     def add_edge(
@@ -108,31 +160,35 @@ class Hypergraph:
         member_set = frozenset(members)
         if not member_set:
             raise HypergraphError("hyperedge must contain at least one vertex")
-        if weight <= 0:
-            raise HypergraphError(f"edge weight must be positive, got {weight!r}")
+        weight = checked_weight("edge", weight)
         if name is None:
-            while f"e{self._auto_edge_counter}" in self._edge_members:
-                self._auto_edge_counter += 1
-            name = f"e{self._auto_edge_counter}"
-            self._auto_edge_counter += 1
+            name, self._auto_edge_counter = auto_edge_name(
+                self._edge_members, self._auto_edge_counter
+            )
         elif name in self._edge_members:
             raise HypergraphError(f"duplicate edge name {name!r}")
         for v in member_set:
             if v not in self._vertex_weights:
                 self.add_vertex(v)
-            self._incidence[v].add(name)
+        if self._incidence is not None:
+            for v in member_set:
+                self._incidence[v].add(name)
         self._edge_members[name] = member_set
-        self._edge_weights[name] = float(weight)
+        self._edge_weights[name] = weight
         return name
 
     def remove_edge(self, name: EdgeName) -> None:
         """Remove hyperedge ``name``; its vertices remain."""
-        members = self._edge_members.pop(name, None)
-        if members is None:
+        if name not in self._edge_members:
             raise HypergraphError(f"no such edge {name!r}")
+        # Build the index before the edge leaves: a removal leaves its
+        # mark on a set's layout, which a later build from the remaining
+        # edges would not reproduce.
+        incidence = self._incidence_map()
+        members = self._edge_members.pop(name)
         del self._edge_weights[name]
         for v in members:
-            self._incidence[v].discard(name)
+            incidence[v].discard(name)
 
     def remove_vertex(self, v: Vertex) -> None:
         """Remove vertex ``v`` from the graph and from every incident edge.
@@ -141,13 +197,14 @@ class Hypergraph:
         """
         if v not in self._vertex_weights:
             raise HypergraphError(f"no such vertex {v!r}")
-        for name in list(self._incidence[v]):
+        incidence = self._incidence_map()
+        for name in list(incidence[v]):
             shrunk = self._edge_members[name] - {v}
             if shrunk:
                 self._edge_members[name] = shrunk
             else:
                 self.remove_edge(name)
-        del self._incidence[v]
+        del incidence[v]
         del self._vertex_weights[v]
 
     @classmethod
@@ -233,18 +290,32 @@ class Hypergraph:
     def set_vertex_weight(self, v: Vertex, weight: float) -> None:
         if v not in self._vertex_weights:
             raise HypergraphError(f"no such vertex {v!r}")
-        if weight <= 0:
-            raise HypergraphError(f"vertex weight must be positive, got {weight!r}")
-        self._vertex_weights[v] = float(weight)
+        self._vertex_weights[v] = checked_weight("vertex", weight)
 
     @property
     def total_vertex_weight(self) -> float:
         return sum(self._vertex_weights.values())
 
+    def _incidence_map(self) -> dict[Vertex, set[EdgeName]]:
+        """Each vertex's incident edge names, built on first call and kept.
+
+        Names go in in edge order, as :meth:`add_edge` inserts them one
+        edge at a time, so each set has the layout (and iteration order)
+        that adding the edges one by one gives it.
+        """
+        incidence = self._incidence
+        if incidence is None:
+            incidence = {v: set() for v in self._vertex_weights}
+            for name, members in self._edge_members.items():
+                for v in members:
+                    incidence[v].add(name)
+            self._incidence = incidence
+        return incidence
+
     def incident_edges(self, v: Vertex) -> frozenset[EdgeName]:
         """Names of hyperedges containing vertex ``v``."""
         try:
-            return frozenset(self._incidence[v])
+            return frozenset(self._incidence_map()[v])
         except KeyError:
             raise HypergraphError(f"no such vertex {v!r}") from None
 
@@ -256,7 +327,7 @@ class Hypergraph:
         mutate the returned set or hold it across hypergraph mutations.
         """
         try:
-            return self._incidence[v]
+            return self._incidence_map()[v]
         except KeyError:
             raise HypergraphError(f"no such vertex {v!r}") from None
 
@@ -281,7 +352,7 @@ class Hypergraph:
         """The paper's ``d`` bound: max edges incident to one vertex."""
         if not self._vertex_weights:
             return 0
-        return max(len(e) for e in self._incidence.values())
+        return max(len(e) for e in self._incidence_map().values())
 
     @property
     def max_edge_size(self) -> int:
@@ -323,9 +394,9 @@ class Hypergraph:
 
         The edge tables are built with dict bulk operations: member
         frozensets are immutable and shared with ``self`` rather than
-        rebuilt.  Each vertex's incidence set receives its kept edges in
-        the given order, as adding the edges one by one would.  This runs
-        once per :func:`algorithm1` call (the large-edge filter).
+        rebuilt, and the incidence index is left to be built on first
+        read.  This runs once per :func:`algorithm1` call (the
+        large-edge filter).
         """
         names = list(edge_subset)
         members = self._edge_members
@@ -341,21 +412,18 @@ class Hypergraph:
                 if name in seen:
                     raise HypergraphError(f"duplicate edge name {name!r}")
                 seen.add(name)
-        h = Hypergraph()
-        h._vertex_weights = dict(self._vertex_weights)
-        h._edge_members = kept
-        h._edge_weights = dict(zip(names, map(self._edge_weights.__getitem__, names)))
-        h._incidence = incidence = {v: set() for v in self._vertex_weights}
-        for name, pins in kept.items():
-            for v in pins:
-                incidence[v].add(name)
-        return h
+        return Hypergraph._from_tables(
+            dict(self._vertex_weights),
+            kept,
+            dict(zip(names, map(self._edge_weights.__getitem__, names))),
+        )
 
     def connected_components(self) -> list[set[Vertex]]:
         """Vertex sets of the connected components of ``H``.
 
         Two vertices are connected when linked by a chain of hyperedges.
         """
+        incidence = self._incidence_map()
         seen: set[Vertex] = set()
         components: list[set[Vertex]] = []
         for start in self._vertex_weights:
@@ -366,7 +434,7 @@ class Hypergraph:
             seen.add(start)
             while frontier:
                 v = frontier.pop()
-                for name in self._incidence[v]:
+                for name in incidence[v]:
                     for u in self._edge_members[name]:
                         if u not in seen:
                             seen.add(u)
@@ -434,9 +502,13 @@ class Hypergraph:
             for v in members:
                 if v not in self._vertex_weights:
                     raise HypergraphError(f"edge {name!r} references unknown vertex {v!r}")
-                if name not in self._incidence[v]:
+        # Every member is a known vertex, so the index can be built.
+        incidence = self._incidence_map()
+        for name, members in self._edge_members.items():
+            for v in members:
+                if name not in incidence[v]:
                     raise HypergraphError(f"incidence index missing {name!r} at vertex {v!r}")
-        for v, names in self._incidence.items():
+        for v, names in incidence.items():
             for name in names:
                 if name not in self._edge_members:
                     raise HypergraphError(f"incidence of {v!r} lists unknown edge {name!r}")

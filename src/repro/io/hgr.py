@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.core.hypergraph import Hypergraph
+from repro.core.hypergraph import Hypergraph, HypergraphError
 from repro.io.errors import ParseError
 
 
@@ -115,7 +115,10 @@ def parse_hgr(text: str) -> Hypergraph:
             )
         if not pins:
             raise HgrFormatError(f"edge line {i + 1}: empty hyperedge", line=lineno)
-        h.add_edge(pins, name=f"net{i + 1}", weight=weight)
+        try:
+            h.add_edge(pins, name=f"net{i + 1}", weight=weight)
+        except HypergraphError as exc:
+            raise HgrFormatError(f"edge line {i + 1}: {exc}", line=lineno) from None
 
     if has_vertex_weights:
         for j in range(num_vertices):
@@ -126,7 +129,12 @@ def parse_hgr(text: str) -> Hypergraph:
                 raise HgrFormatError(
                     f"vertex weight line {j + 1}: not a number", line=lineno
                 ) from None
-            h.set_vertex_weight(j + 1, w)
+            try:
+                h.set_vertex_weight(j + 1, w)
+            except HypergraphError as exc:
+                raise HgrFormatError(
+                    f"vertex weight line {j + 1}: {exc}", line=lineno
+                ) from None
     return h
 
 

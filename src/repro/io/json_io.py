@@ -10,6 +10,8 @@ Schema::
 Labels and names must be JSON-serializable (str/int/float/bool); tuples
 — e.g. the ``("chain", module, i)`` names from granularization — are
 encoded as tagged lists ``{"__tuple__": [...]}`` and restored on read.
+Weights must be positive and finite (``NaN`` and ``Infinity``, which
+Python's decoder accepts, are refused).
 """
 
 from __future__ import annotations
@@ -17,7 +19,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.core.hypergraph import Hypergraph
+from repro.core.hypergraph import (
+    Hypergraph,
+    HypergraphError,
+    auto_edge_name,
+    checked_weight,
+)
 from repro.io.errors import ParseError
 
 
@@ -82,13 +89,17 @@ def hypergraph_from_payload(payload) -> Hypergraph:
 
     The dict-level half of :func:`hypergraph_from_json`; raises
     :class:`JsonFormatError` (never a bare ``KeyError``/``TypeError``)
-    on structurally wrong payloads.
+    on structurally wrong payloads, naming the first bad vertex or edge
+    entry.  The tables are filled in bulk, with the checks, the first
+    error, and the vertex and edge order that adding each entry through
+    :meth:`Hypergraph.add_vertex` / :meth:`Hypergraph.add_edge` gives;
+    the incidence index is left to be built on first read.
     """
     if not isinstance(payload, dict) or "vertices" not in payload or "edges" not in payload:
         raise JsonFormatError("JSON hypergraph must have 'vertices' and 'edges' keys")
     if not isinstance(payload["vertices"], list) or not isinstance(payload["edges"], list):
         raise JsonFormatError("'vertices' and 'edges' must be lists")
-    h = Hypergraph()
+    vertex_weights: dict = {}
     for i, entry in enumerate(payload["vertices"]):
         if not isinstance(entry, list) or len(entry) != 2:
             raise JsonFormatError(
@@ -97,7 +108,14 @@ def hypergraph_from_payload(payload) -> Hypergraph:
         label, weight = entry
         if not isinstance(weight, (int, float)) or isinstance(weight, bool):
             raise JsonFormatError(f"vertex entry {i}: weight {weight!r} is not a number")
-        h.add_vertex(_decode_label(label), weight)
+        try:
+            label = _decode_label(label)
+            vertex_weights[label] = checked_weight("vertex", weight)
+        except (ValueError, TypeError) as exc:
+            raise JsonFormatError(f"vertex entry {i}: {exc}") from None
+    edge_members: dict = {}
+    edge_weights: dict = {}
+    auto_counter = 0
     for i, entry in enumerate(payload["edges"]):
         if not isinstance(entry, list) or len(entry) != 3:
             raise JsonFormatError(
@@ -109,12 +127,26 @@ def hypergraph_from_payload(payload) -> Hypergraph:
         if not isinstance(weight, (int, float)) or isinstance(weight, bool):
             raise JsonFormatError(f"edge entry {i}: weight {weight!r} is not a number")
         try:
-            h.add_edge(
-                [_decode_label(p) for p in pins], name=_decode_label(name), weight=weight
-            )
+            try:
+                # Hashable pins are plain labels: they decode to themselves.
+                pins = frozenset(pins)
+            except TypeError:
+                pins = [_decode_label(p) for p in pins]
+            name = _decode_label(name)
+            members = frozenset(pins)
+            weight = checked_weight("edge", weight)
+            if name is None:
+                name, auto_counter = auto_edge_name(edge_members, auto_counter)
+            elif name in edge_members:
+                raise HypergraphError(f"duplicate edge name {name!r}")
         except (ValueError, TypeError) as exc:
             raise JsonFormatError(f"edge entry {i}: {exc}") from None
-    return h
+        for v in members:  # implicit vertices, in member order
+            if v not in vertex_weights:
+                vertex_weights[v] = 1.0
+        edge_members[name] = members
+        edge_weights[name] = weight
+    return Hypergraph._from_tables(vertex_weights, edge_members, edge_weights, auto_counter)
 
 
 def read_json(path: str | Path) -> Hypergraph:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.core.hypergraph import Hypergraph
+from repro.core.hypergraph import Hypergraph, HypergraphError
 from repro.io.errors import ParseError
 
 
@@ -64,7 +64,7 @@ def parse_netlist(text: str) -> Hypergraph:
                 weight = float(parts[2][len("weight=") :])
             except ValueError:
                 raise NetlistFormatError(f"bad weight in {raw!r}", line=lineno) from None
-            pending_weights[module] = weight
+            pending_weights[module] = (weight, lineno)
             continue
         if ":" not in line:
             raise NetlistFormatError(
@@ -89,13 +89,16 @@ def parse_netlist(text: str) -> Hypergraph:
             raise NetlistFormatError(f"signal {name!r} has no modules", line=lineno)
         if h.has_edge(name):
             raise NetlistFormatError(f"duplicate signal {name!r}", line=lineno)
-        h.add_edge(modules, name=name, weight=weight)
+        try:
+            h.add_edge(modules, name=name, weight=weight)
+        except HypergraphError as exc:
+            raise NetlistFormatError(f"signal {name!r}: {exc}", line=lineno) from None
 
-    for module, weight in pending_weights.items():
-        if module not in h:
+    for module, (weight, lineno) in pending_weights.items():
+        try:
             h.add_vertex(module, weight)
-        else:
-            h.set_vertex_weight(module, weight)
+        except HypergraphError as exc:
+            raise NetlistFormatError(f"module {module!r}: {exc}", line=lineno) from None
     return h
 
 

@@ -3,12 +3,16 @@
 Request lifecycle
 -----------------
 
-1. A handler thread reads the body and parses it
+1. A handler thread reads the body.  A body byte-identical to one whose
+   result is still cached (same endpoint) is answered from the cache's
+   alias table at once: no decode, no ``Hypergraph``, no digest.
+   Any other body is parsed
    (:func:`repro.server.protocol.parse_request`); malformed requests
    stop here with a structured 400.
 2. The content-addressed cache is probed (``digest:fingerprint``); a
    hit splices the stored canonical bytes into the response — the
-   result section is byte-identical to the cold run that produced it.
+   result section is byte-identical to the cold run that produced it —
+   and aliases the body to the entry.
 3. A miss goes through the :class:`~repro.server.batching.RequestBroker`
    which coalesces identical in-flight requests and runs distinct ones
    on a shared :class:`~repro.runtime.SupervisedPool`, one dispatcher
@@ -19,9 +23,10 @@ Request lifecycle
    the daemon itself stays up — the pool is built with
    ``sequential_fallback=False`` precisely so failing work is never
    pulled into the serving process.
-5. Fault-free, non-degraded results are cached; degraded (deadline-cut)
-   results are served but *not* cached, since they depend on wall-clock
-   luck rather than request content.
+5. Fault-free, non-degraded results are cached, and the body aliased
+   to them; degraded (deadline-cut) results are served but *not*
+   cached, since they depend on wall-clock luck rather than request
+   content.
 
 Overload posture (see ``docs/SERVICE.md`` § Overload & lifecycle): in
 front of step 3 sit three guards.  A **draining** daemon rejects new
@@ -68,7 +73,7 @@ from repro.metrics import (
 from repro.runtime import Deadline, SupervisedPool, faults
 from repro.server.admission import AdmissionController, QuarantineBreaker
 from repro.server.batching import RequestBroker
-from repro.server.cache import ResultCache
+from repro.server.cache import ResultCache, body_alias
 from repro.server.persist import CORRUPTION_SITE, StateStore
 from repro.server.protocol import (
     MAX_REQUEST_BYTES,
@@ -573,6 +578,16 @@ class PartitionService:
         t0 = time.perf_counter()
         self._tally("requests")
         obs.count("server.requests")
+        # The cache is probed before any guard: hits cost no pool
+        # capacity, so even a draining daemon keeps answering them —
+        # doing so cannot delay its drain, since the drain barrier
+        # waits only on admitted requests.  A repeat of a body whose
+        # result is cached is answered before it is even parsed.
+        alias = body_alias(raw, expected_op)
+        cached = self.cache.get_alias(alias)
+        if cached is not None:
+            self._tally("hits")
+            return 200, self._envelope(cached, "hit", t0, attempts=0), {}
         try:
             request = parse_request(raw, expected_op=expected_op)
         except RequestError as exc:
@@ -580,12 +595,9 @@ class PartitionService:
             obs.count("server.requests.malformed")
             return 400, canonical_bytes(error_payload(exc)), {}
 
-        # The cache is probed before any guard: hits cost no pool
-        # capacity, so even a draining daemon keeps answering them —
-        # doing so cannot delay its drain, since the drain barrier
-        # waits only on admitted requests.
         cached = self.cache.get(request.cache_key)
         if cached is not None:
+            self.cache.add_alias(alias, request.cache_key)
             self._tally("hits")
             return 200, self._envelope(cached, "hit", t0, attempts=0), {}
 
@@ -645,6 +657,10 @@ class PartitionService:
         if isinstance(outcome, _Success):
             if outcome.degraded:
                 self._tally("degraded")
+            else:
+                # Only once the result is cached (it may have been
+                # rejected as oversized, or evicted since).
+                self.cache.add_alias(alias, request.cache_key)
             status = "coalesced" if coalesced else "miss"
             return 200, self._envelope(
                 outcome.body_bytes, status, t0, attempts=outcome.attempts

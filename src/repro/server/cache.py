@@ -9,23 +9,49 @@ cannot differ from the cold-run response it was cut from.
 
 Eviction is LRU, driven by both an entry count and a byte budget; an
 oversized single value is rejected outright rather than wiping the
-cache to make room.  Counters flow two ways:
+cache to make room.
+
+The cache also keeps an **alias table**: the SHA-256 of a raw request
+body and its endpoint's op (:func:`body_alias`), pointing at the cache
+key that body parsed to.  A request is a pure function of those bytes,
+so a body seen before is answered with :meth:`ResultCache.get_alias`
+before any decoding, with no ``Hypergraph`` built and no digest taken.
+An alias is added (:meth:`ResultCache.add_alias`) only while its key is
+cached; the table holds at most ``max_entries`` aliases, dropping the
+least recently used, and an alias whose entry has been evicted is
+dropped when next looked up.
+
+Counters flow two ways:
 
 * through :mod:`repro.obs` (``server.cache.hits`` / ``.misses`` /
-  ``.evictions`` / ``.insertions`` / ``.rejected``) when observability
-  is enabled — zero-cost when disabled, like every other obs site;
+  ``.evictions`` / ``.insertions`` / ``.rejected`` / ``.alias_hits``)
+  when observability is enabled — zero-cost when disabled, like every
+  other obs site;
 * into an always-on internal tally exposed by :meth:`ResultCache.stats`
   so the ``/metrics`` endpoint works even with obs off.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict
 
 from repro import obs
 
-__all__ = ["ResultCache"]
+__all__ = ["ResultCache", "body_alias"]
+
+
+def body_alias(raw: bytes, op: str | None) -> bytes:
+    """The alias-table key of request body ``raw`` sent to the endpoint of ``op``.
+
+    ``op`` is the endpoint's pinned op (``None`` for the generic one):
+    the same bytes can parse on one endpoint and be refused on another.
+    """
+    alias = hashlib.sha256((op or "").encode())
+    alias.update(b"\0")
+    alias.update(raw)
+    return alias.digest()
 
 
 class ResultCache:
@@ -40,12 +66,14 @@ class ResultCache:
         self.max_entries = int(max_entries)
         self._lock = threading.Lock()
         self._entries: OrderedDict[str, bytes] = OrderedDict()
+        self._aliases: OrderedDict[bytes, str] = OrderedDict()
         self._bytes = 0
         self._hits = 0
         self._misses = 0
         self._evictions = 0
         self._insertions = 0
         self._rejected = 0
+        self._alias_hits = 0
 
     def get(self, key: str) -> bytes | None:
         """Return the cached bytes for ``key`` (refreshing LRU) or None."""
@@ -59,6 +87,45 @@ class ResultCache:
             self._hits += 1
             obs.count("server.cache.hits")
             return value
+
+    def get_alias(self, alias: bytes) -> bytes | None:
+        """The cached bytes ``alias`` points at (a hit), or None.
+
+        A hit refreshes the alias and its entry in LRU order.  None
+        counts no miss: the caller parses the body and probes
+        :meth:`get`, which counts it.  An alias whose entry has left the
+        cache is dropped.
+        """
+        with self._lock:
+            key = self._aliases.get(alias)
+            if key is None:
+                return None
+            value = self._entries.get(key)
+            if value is None:
+                del self._aliases[alias]
+                return None
+            self._aliases.move_to_end(alias)
+            self._entries.move_to_end(key)
+            self._hits += 1
+            self._alias_hits += 1
+        obs.count("server.cache.hits")
+        obs.count("server.cache.alias_hits")
+        return value
+
+    def add_alias(self, alias: bytes, key: str) -> bool:
+        """Point ``alias`` at ``key`` if ``key`` is cached; False if it is not.
+
+        The table keeps at most ``max_entries`` aliases, dropping the
+        least recently used.
+        """
+        with self._lock:
+            if key not in self._entries:
+                return False
+            self._aliases[alias] = key
+            self._aliases.move_to_end(alias)
+            if len(self._aliases) > self.max_entries:
+                self._aliases.popitem(last=False)
+        return True
 
     def put(self, key: str, value: bytes) -> bool:
         """Insert ``value`` under ``key``, evicting LRU entries to fit.
@@ -106,6 +173,7 @@ class ResultCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._aliases.clear()
             self._bytes = 0
 
     def stats(self) -> dict:
@@ -121,4 +189,6 @@ class ResultCache:
                 "evictions": self._evictions,
                 "insertions": self._insertions,
                 "rejected": self._rejected,
+                "aliases": len(self._aliases),
+                "alias_hits": self._alias_hits,
             }

@@ -439,7 +439,9 @@ class ServiceClient:
                 self._active = candidate
                 return payload
             time.sleep(min(poll, max(0.0, timeout - (time.monotonic() - t0))))
-            poll = min(poll * 2, 0.5)  # capped exponential
+            # Capped exponential: a daemon that comes up is noticed
+            # within 50 ms, whenever in the wait that happens.
+            poll = min(poll * 2, 0.05)
         raise ServiceClientError(
             f"daemon not ready after {timeout}s (last error: {last_error})"
         )

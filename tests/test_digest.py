@@ -108,6 +108,55 @@ class TestStability:
         assert hypergraph_digest(clone) == hypergraph_digest(h)
 
 
+def _weighted() -> Hypergraph:
+    h = Hypergraph()
+    h.add_vertex(("chain", "m", 0), 2.5)
+    h.add_vertex(("chain", "m", 1), 0.75)
+    h.add_vertex("io", 3)
+    h.add_edge([("chain", "m", 0), ("chain", "m", 1)], name=("net", 0), weight=1.5)
+    h.add_edge([("chain", "m", 1), "io", 7], name="clk", weight=4)
+    h.add_edge(["io"], name=("net", 1))
+    return h
+
+
+def _mixed_payload() -> Hypergraph:
+    # Colliding labels (True is 1), an implicit vertex, a tagged tuple
+    # and an auto-named edge.
+    return hypergraph_from_payload(
+        {
+            "vertices": [
+                [1, 1], ["1", 2.25], [True, 3], [0.5, 1], [{"__tuple__": ["t", 1]}, 1.5],
+            ],
+            "edges": [
+                ["a", [1, "1", 9], 2],
+                [7, [0.5, {"__tuple__": ["t", 1]}], 0.125],
+                [None, ["1", "z"], 1],
+            ],
+        }
+    )
+
+
+class TestPinnedValues:
+    """Literal digests: state dirs and journals are keyed by them.
+
+    Each value was computed before the digest moved to ``map``/``zip``;
+    a change to any of them orphans every cache entry and journal
+    written before it.
+    """
+
+    @pytest.mark.parametrize(
+        "build,expected",
+        [
+            (_figure4, "0887e6639e6b01a89d58ebda73944e1b78c2beeb419fe374427e70d3de113a37"),
+            (_weighted, "cfe2e152a7d1276d5776fdd6e65b21aa64703c41d213029304c38707792e46c9"),
+            (_mixed_payload, "9dc1858714a0e1c61eb85f90e75f6d3e3b9d99ca40b7b7b07a12c6293b9e4273"),
+        ],
+        ids=["figure4", "weighted-tuples", "mixed-payload"],
+    )
+    def test_digest_is_pinned(self, build, expected):
+        assert hypergraph_digest(build()) == expected
+
+
 class TestSensitivity:
     def test_vertex_weight_changes_digest(self):
         a, b = _figure4(), _figure4()

@@ -103,6 +103,30 @@ class TestMalformedHgr:
             parse_hgr("1 2 10\n1 2\nheavy\n2\n")
         assert exc_info.value.line == 3
 
+    @pytest.mark.parametrize(
+        "weight,rule", [("0", "positive"), ("-2", "positive"), ("nan", "finite"), ("inf", "finite")]
+    )
+    def test_bad_edge_weight_value(self, weight, rule):
+        text = f"% weighted\n2 3 1\n1 1 2\n{weight} 2 3\n"
+        with pytest.raises(HgrFormatError, match=f"edge line 2: edge weight must be {rule}") as exc_info:
+            parse_hgr(text)
+        assert exc_info.value.line == 4
+
+    @pytest.mark.parametrize("weight,rule", [("0", "positive"), ("nan", "finite")])
+    def test_bad_vertex_weight_value(self, weight, rule):
+        with pytest.raises(HgrFormatError, match=f"vertex weight line 2: vertex weight must be {rule}") as exc_info:
+            parse_hgr(f"1 2 10\n1 2\n1\n{weight}\n")
+        assert exc_info.value.line == 4
+
+    def test_read_reports_a_bad_weight_with_file_and_line(self, tmp_path):
+        path = tmp_path / "zero.hgr"
+        path.write_text("1 2 1\n0 1 2\n")
+        with pytest.raises(HgrFormatError) as exc_info:
+            read_hgr(path)
+        assert str(exc_info.value) == (
+            f"{path}: line 2: edge line 1: edge weight must be positive, got 0.0"
+        )
+
     def test_read_attaches_filename(self, tmp_path):
         path = tmp_path / "broken.hgr"
         path.write_text("1 3\n1 x\n")
@@ -142,6 +166,21 @@ class TestMalformedNetlist:
     def test_bad_module_weight(self):
         with pytest.raises(NetlistFormatError, match="bad weight"):
             parse_netlist("%module 3 weight=big\n")
+
+    @pytest.mark.parametrize(
+        "weight,rule", [("0", "positive"), ("-1", "positive"), ("nan", "finite"), ("inf", "finite")]
+    )
+    def test_bad_signal_weight_value(self, weight, rule):
+        with pytest.raises(NetlistFormatError, match=f"signal 'clk': edge weight must be {rule}") as exc_info:
+            parse_netlist(f"a: 1 2\nclk({weight}): 1 2\n")
+        assert exc_info.value.line == 2
+
+    @pytest.mark.parametrize("weight,rule", [("0", "positive"), ("nan", "finite")])
+    def test_bad_module_weight_value(self, weight, rule):
+        text = f"a: 1 2\n%module 2 weight={weight}\n# trailer\n"
+        with pytest.raises(NetlistFormatError, match=f"module 2: vertex weight must be {rule}") as exc_info:
+            parse_netlist(text)
+        assert exc_info.value.line == 2
 
     def test_comments_count_toward_line_numbers(self):
         text = "# banner\n\na: 1 2\n# more\nbad line\n"
@@ -186,6 +225,40 @@ class TestMalformedJson:
         payload = '{"vertices": [["a", 1], ["b", 1]], "edges": [["n1", ["a", "b"]]]}'
         with pytest.raises(JsonFormatError, match="edge entry 0"):
             hypergraph_from_json(payload)
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            ('["b", 0]', "vertex entry 1: vertex weight must be positive, got 0"),
+            ('["b", -1]', "vertex entry 1: vertex weight must be positive, got -1"),
+            ('["b", NaN]', "vertex entry 1: vertex weight must be finite, got nan"),
+            ('["b", Infinity]', "vertex entry 1: vertex weight must be finite, got inf"),
+            ('[["b"], 1]', "vertex entry 1: unhashable type: 'list'"),
+            ('[{"__tuple__": 5}, 1]', "vertex entry 1: 'int' object is not iterable"),
+        ],
+        ids=["zero", "negative", "nan", "inf", "list-label", "bad-tuple-label"],
+    )
+    def test_bad_vertex_entry_is_typed(self, entry, message):
+        text = '{"vertices": [["a", 1], %s], "edges": []}' % entry
+        with pytest.raises(JsonFormatError) as exc_info:
+            hypergraph_from_json(text)
+        assert exc_info.value.message == message
+
+    @pytest.mark.parametrize(
+        "weight,message",
+        [
+            ("0", "edge weight must be positive, got 0"),
+            ("NaN", "edge weight must be finite, got nan"),
+            ("-Infinity", "edge weight must be positive, got -inf"),
+            ("1" + "0" * 400, "edge weight must be finite, got 1" + "0" * 400),
+        ],
+        ids=["zero", "nan", "minus-infinity", "int-beyond-float"],
+    )
+    def test_bad_edge_weight_value_is_typed(self, weight, message):
+        text = '{"vertices": [["a", 1]], "edges": [["n", ["a"], %s]]}' % weight
+        with pytest.raises(JsonFormatError) as exc_info:
+            hypergraph_from_json(text)
+        assert exc_info.value.message == f"edge entry 0: {message}"
 
     def test_empty_pins_rejected(self):
         payload = '{"vertices": [["a", 1]], "edges": [["n1", [], 1]]}'

@@ -3,10 +3,13 @@
 Everything here talks to a real daemon over a real transport (TCP on an
 OS-assigned port, or an AF_UNIX socket in a tmpdir) through
 :class:`repro.server.ServiceClient` — no reaching into service
-internals except via ``/metrics``.  Covered:
+internals except via ``/metrics``, a spy on ``parse_request`` and
+``cache.clear()`` for the repeat alias.  Covered:
 
 * cache-hit responses byte-identical to the cold run (modulo the
   ``served`` timing section);
+* repeats of a cached body served by alias, without parsing, and the
+  alias table's bounds and lifetime;
 * N identical concurrent requests coalescing onto exactly one pool
   execution;
 * per-request deadline enforcement (degraded results served, never
@@ -48,7 +51,9 @@ from repro.server import (
     ServiceConfig,
     ServiceError,
     ServiceResponseError,
+    app,
 )
+from repro.server.cache import ResultCache, body_alias
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
 
@@ -176,6 +181,175 @@ class TestCacheByteIdentity:
         client.partition(_graph(EDGESETS[0]), engine="fm")
         response = client.partition(_graph(EDGESETS[1]), engine="fm")
         assert response["served"]["cache"] == "miss"
+
+
+def _served(raw: bytes) -> str:
+    return json.loads(raw)["served"]["cache"]
+
+
+@pytest.fixture
+def parse_spy(monkeypatch):
+    """Counts the daemon's calls of ``parse_request``."""
+    calls = []
+    original = app.parse_request
+
+    def spy(raw, expected_op=None):
+        calls.append(raw)
+        return original(raw, expected_op=expected_op)
+
+    monkeypatch.setattr(app, "parse_request", spy)
+    return calls
+
+
+class TestRepeatAlias:
+    """A body byte-identical to one whose result is cached skips parsing."""
+
+    def test_repeat_is_a_hit_without_parsing(self, service, h, parse_spy):
+        _, client = service
+        body = json.dumps(_partition_body(h, engine="algorithm1", starts=4, seed=7)).encode()
+        status1, raw1 = _post_raw(client, body)
+        assert len(parse_spy) == 1
+        status2, raw2 = _post_raw(client, body)
+        assert status1 == status2 == 200
+        assert _served(raw1) == "miss"
+        assert _served(raw2) == "hit"
+        assert raw1.split(b',"served":')[0] == raw2.split(b',"served":')[0]
+        assert len(parse_spy) == 1, "the repeat was parsed"
+        cache = client.metrics()["cache"]
+        assert cache["alias_hits"] == 1
+        assert cache["hits"] == 1
+        assert cache["aliases"] == 1
+
+    def test_a_hit_after_parsing_aliases_the_new_spelling(self, service, h, parse_spy):
+        _, client = service
+        body = _partition_body(h, engine="fm", seed=3)
+        _post_raw(client, json.dumps(body).encode())
+        # Same request, other bytes: parsed once, then served by alias.
+        respelled = json.dumps(body, indent=1).encode()
+        assert _served(_post_raw(client, respelled)[1]) == "hit"
+        assert _served(_post_raw(client, respelled)[1]) == "hit"
+        assert len(parse_spy) == 2
+        cache = client.metrics()["cache"]
+        assert (cache["hits"], cache["alias_hits"], cache["aliases"]) == (2, 1, 2)
+
+    def test_same_bytes_on_another_endpoint_are_still_refused(self, service, h):
+        _, client = service
+        body = json.dumps(_partition_body(h, engine="fm")).encode()
+        assert _post_raw(client, body)[0] == 200
+        status, raw = _post_raw(client, body, path="/place")
+        assert status == 400
+        assert "does not match" in json.loads(raw)["error"]["message"]
+        # The generic endpoint accepts it: parsed there, then aliased too.
+        assert _served(_post_raw(client, body, path="/")[1]) == "hit"
+        assert client.metrics()["cache"]["aliases"] == 2
+
+    def test_repeat_after_clear_reparses_and_misses_once(self, service, h, parse_spy):
+        svc, client = service
+        body = json.dumps(_partition_body(h, engine="fm", seed=4)).encode()
+        first = _post_raw(client, body)[1]
+        svc.cache.clear()
+        before = client.metrics()
+        again = _post_raw(client, body)[1]
+        after = client.metrics()
+        assert _served(again) == "miss"
+        assert len(parse_spy) == 2
+        assert after["cache"]["misses"] == before["cache"]["misses"] + 1
+        assert after["service"]["executions"] == before["service"]["executions"] + 1
+        assert again.split(b',"served":')[0] == first.split(b',"served":')[0]
+        assert _served(_post_raw(client, body)[1]) == "hit"
+        assert len(parse_spy) == 2
+
+    def test_repeat_after_eviction_reparses_and_misses_once(self, h, parse_spy):
+        svc = PartitionService(ServiceConfig(port=0, workers=1, cache_max_entries=1)).start()
+        try:
+            client = ServiceClient(url=svc.url, timeout=120.0)
+            client.wait_ready(timeout=10.0)
+            body_a = json.dumps(_partition_body(h, engine="fm", seed=0)).encode()
+            body_b = json.dumps(_partition_body(h, engine="fm", seed=1)).encode()
+            _post_raw(client, body_a)
+            _post_raw(client, body_b)  # evicts a's entry; a's alias goes stale
+            before = client.metrics()
+            assert _served(_post_raw(client, body_a)[1]) == "miss"
+            after = client.metrics()
+            assert len(parse_spy) == 3
+            assert after["cache"]["misses"] == before["cache"]["misses"] + 1
+            assert after["service"]["executions"] == before["service"]["executions"] + 1
+            assert after["cache"]["aliases"] <= 1
+        finally:
+            svc.stop()
+
+    def test_malformed_bodies_leave_no_alias(self, service, parse_spy):
+        _, client = service
+        for _ in range(2):
+            assert _post_raw(client, b"{broken")[0] == 400
+        assert len(parse_spy) == 2
+        metrics = client.metrics()
+        assert metrics["cache"]["aliases"] == 0
+        assert metrics["service"]["malformed"] == 2
+
+    def test_degraded_results_leave_no_alias(self, service, parse_spy):
+        _, client = service
+        big = Hypergraph(vertices=range(60))
+        import random as random_module
+
+        rng = random_module.Random(5)
+        for i in range(120):
+            big.add_edge(rng.sample(range(60), rng.choice([2, 3, 4])), name=f"e{i}")
+        body = json.dumps(
+            _partition_body(big, engine="algorithm1", starts=400, seed=0, deadline_seconds=0.02)
+        ).encode()
+        for _ in range(2):
+            raw = _post_raw(client, body)[1]
+            assert json.loads(raw)["result"]["degraded"] is True
+            assert _served(raw) == "miss"
+        assert len(parse_spy) == 2
+        assert client.metrics()["cache"]["aliases"] == 0
+
+    def test_rejected_results_leave_no_alias(self, h, parse_spy):
+        # Every result is larger than the byte budget: the cache refuses it.
+        svc = PartitionService(ServiceConfig(port=0, workers=1, cache_max_bytes=64)).start()
+        try:
+            client = ServiceClient(url=svc.url, timeout=120.0)
+            client.wait_ready(timeout=10.0)
+            body = json.dumps(_partition_body(h, engine="fm")).encode()
+            for _ in range(2):
+                assert _served(_post_raw(client, body)[1]) == "miss"
+            cache = client.metrics()["cache"]
+            assert cache["rejected"] == 2
+            assert cache["aliases"] == 0
+            assert len(parse_spy) == 2
+        finally:
+            svc.stop()
+
+    def test_alias_table_never_exceeds_the_entry_cap(self, h):
+        svc = PartitionService(ServiceConfig(port=0, workers=1, cache_max_entries=2)).start()
+        try:
+            client = ServiceClient(url=svc.url, timeout=120.0)
+            client.wait_ready(timeout=10.0)
+            for seed in range(3):
+                body = _partition_body(h, engine="fm", seed=seed)
+                # Three spellings per request: one miss, then two hits
+                # that parse and alias their own bytes.
+                for indent in (None, 1, 2):
+                    _post_raw(client, json.dumps(body, indent=indent).encode())
+                    cache = client.metrics()["cache"]
+                    assert cache["aliases"] <= 2
+            assert cache["aliases"] == 2
+        finally:
+            svc.stop()
+
+    def test_alias_table_unit_bounds_and_liveness(self):
+        cache = ResultCache(max_entries=3)
+        assert not cache.add_alias(b"x", "absent")  # only cached keys
+        for i in range(5):
+            cache.put(f"k{i}", b"v%d" % i)
+            cache.add_alias(body_alias(b"body%d" % i, "partition"), f"k{i}")
+            assert cache.stats()["aliases"] <= 3
+        assert cache.get_alias(body_alias(b"body4", "partition")) == b"v4"
+        assert cache.get_alias(body_alias(b"body4", "place")) is None
+        assert cache.get_alias(body_alias(b"body0", "partition")) is None
+        stats = cache.stats()
+        assert (stats["hits"], stats["alias_hits"], stats["misses"]) == (1, 1, 0)
 
 
 class TestEngineParity:
@@ -530,6 +704,46 @@ MALFORMED_BODIES = [
         "at least 2",
         id="too-small",
     ),
+    *(
+        pytest.param(
+            json.dumps(
+                {
+                    "op": "partition",
+                    "hypergraph": {"vertices": [["a", 1], entry], "edges": []},
+                }
+            ).encode(),
+            needle,
+            id=case,
+        )
+        for case, entry, needle in [
+            ("zero-vertex-weight", ["b", 0], "vertex entry 1: vertex weight must be positive"),
+            ("negative-vertex-weight", ["b", -1], "vertex entry 1: vertex weight must be positive"),
+            ("nan-vertex-weight", ["b", float("nan")], "vertex entry 1: vertex weight must be finite"),
+            ("inf-vertex-weight", ["b", float("inf")], "vertex entry 1: vertex weight must be finite"),
+            ("list-label", [["b"], 1], "vertex entry 1: unhashable type: 'list'"),
+            ("bad-tuple-label", [{"__tuple__": 5}, 1], "vertex entry 1: 'int' object is not iterable"),
+        ]
+    ),
+    *(
+        pytest.param(
+            json.dumps(
+                {
+                    "op": "partition",
+                    "hypergraph": {
+                        "vertices": [["a", 1], ["b", 1]],
+                        "edges": [["n", ["a", "b"], weight]],
+                    },
+                }
+            ).encode(),
+            f"edge entry 0: edge weight must be {rule}",
+            id=case,
+        )
+        for case, weight, rule in [
+            ("zero-edge-weight", 0, "positive"),
+            ("nan-edge-weight", float("nan"), "finite"),
+            ("inf-edge-weight", float("inf"), "finite"),
+        ]
+    ),
 ]
 
 
@@ -589,6 +803,26 @@ class TestMalformedRequests:
         before = client.metrics()["service"]["malformed"]
         _post_raw(client, b"{broken")
         assert client.metrics()["service"]["malformed"] == before + 1
+
+    def test_non_finite_edge_weight_is_refused_before_execution(self, service):
+        # A NaN weight used to be accepted, fail verification on every
+        # execution and end in a quarantine; it is a 400 now.
+        _, client = service
+        body = json.dumps(
+            {
+                "op": "partition",
+                "hypergraph": {
+                    "vertices": [["a", 1], ["b", 1]],
+                    "edges": [["n", ["a", "b"], float("nan")]],
+                },
+            }
+        ).encode()
+        for _ in range(4):
+            assert _post_raw(client, body)[0] == 400
+        metrics = client.metrics()["service"]
+        assert metrics["malformed"] == 4
+        assert metrics["executions"] == 0
+        assert metrics["shed_quarantined"] == 0
 
 
 class TestObservability:

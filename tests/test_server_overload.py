@@ -771,6 +771,42 @@ class TestClientRetryPolicy:
 
 
 class TestWaitReady:
+    def test_poll_interval_doubles_up_to_50ms(self, monkeypatch):
+        """The probe schedule against a refused socket, on a fake clock:
+        a daemon that comes up is noticed within 50 ms."""
+        from repro.server import client as client_module
+
+        probe = socket_module.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()  # nothing listens: every connect is refused
+
+        class FakeClock:
+            def __init__(self):
+                self.now = 0.0
+                self.sleeps: list[float] = []
+
+            def monotonic(self):
+                return self.now
+
+            def sleep(self, seconds):
+                self.sleeps.append(round(seconds, 6))
+                self.now += seconds
+
+        clock = FakeClock()
+        monkeypatch.setattr(client_module, "time", clock)
+        client = ServiceClient(url=f"http://127.0.0.1:{port}", timeout=0.5)
+        with pytest.raises(ServiceClientError, match="not ready"):
+            client.wait_ready(timeout=1.0)
+        assert clock.sleeps[:5] == [0.02, 0.04, 0.05, 0.05, 0.05]
+        assert max(clock.sleeps) == 0.05
+        probes, t = [0.0], 0.0
+        for seconds in clock.sleeps:
+            t += seconds
+            probes.append(round(t, 6))
+        assert probes[:6] == [0.0, 0.02, 0.06, 0.11, 0.16, 0.21]
+        assert probes[-1] == pytest.approx(1.0)
+
     def test_fails_fast_on_a_broken_listener(self):
         """Something listening but speaking garbage is not 'not up yet':
         wait_ready must surface it immediately, not burn the timeout."""
