@@ -22,7 +22,7 @@ cutsize / balance / per-phase runtime / observability counters per
 
 Large (instance, engine) sweeps can be fanned out across a
 :class:`repro.runtime.SupervisedPool` (``bench --parallel k``): each pair
-runs in its own forked worker, so one crashing or hanging engine no
+runs in a supervised forked worker, so one crashing or hanging engine no
 longer takes down the whole bench run — the pair becomes an explicit
 *failed* entry (``"failed": true`` plus an ``"error"`` string) and every
 other pair still reports.  Fault-free records are byte-identical to the
@@ -671,7 +671,8 @@ def run_bench(
 
             _BENCH_STATE["instances"] = materialized
             try:
-                pool = SupervisedPool(
+                # The workers inherit this run's instances: they end with it.
+                with SupervisedPool(
                     _bench_worker,
                     max_workers=parallel,
                     task_timeout=task_timeout,
@@ -679,8 +680,7 @@ def run_bench(
                     deadline=total_deadline,
                     memory_limit_bytes=memory_limit_bytes,
                     on_result=on_result,
-                )
-                with obs.span("bench.parallel"):
+                ) as pool, obs.span("bench.parallel"):
                     _task_results, report = pool.map(tasks)
             finally:
                 _BENCH_STATE.clear()

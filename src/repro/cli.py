@@ -31,7 +31,7 @@ from repro.runtime import JournalError
 
 
 def _load_hypergraph(path: str, fmt: str | None) -> Hypergraph:
-    from repro.io import read_hgr, read_json, read_netlist
+    from repro.io import ParseError, read_hgr, read_json, read_netlist
 
     suffix = (fmt or Path(path).suffix.lstrip(".")).lower()
     readers = {"hgr": read_hgr, "netlist": read_netlist, "net": read_netlist, "json": read_json}
@@ -39,7 +39,11 @@ def _load_hypergraph(path: str, fmt: str | None) -> Hypergraph:
         raise SystemExit(
             f"cannot infer format from {path!r}; pass --format hgr|netlist|json"
         )
-    return readers[suffix](path)
+    try:
+        return readers[suffix](path)
+    except (ParseError, OSError) as exc:
+        # A bad or missing input is the user's to fix: one line, no traceback.
+        raise SystemExit(str(exc))
 
 
 def _save_hypergraph(h: Hypergraph, path: str) -> None:

@@ -593,7 +593,8 @@ def _run_parallel_starts(
 
         _parallel_init(state)
         try:
-            pool = SupervisedPool(
+            # The workers inherit this run's state: they end with it.
+            with SupervisedPool(
                 _run_one_start,
                 max_workers=workers,
                 task_timeout=task_timeout,
@@ -601,8 +602,8 @@ def _run_parallel_starts(
                 deadline=deadline,
                 reseed=_reseed_start,
                 on_result=on_result,
-            )
-            outcomes, report = pool.map(pending)
+            ) as pool:
+                outcomes, report = pool.map(pending)
         finally:
             _PARALLEL_STATE.clear()
 

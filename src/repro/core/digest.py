@@ -41,9 +41,12 @@ def hypergraph_digest(hypergraph: Hypergraph) -> str:
 
     The hashed text is the ``repr`` of ``(vertices, edges)``: the sorted
     ``(repr(label), weight)`` pairs and the sorted ``(repr(name),
-    sorted member reprs, weight)`` triples.  It is assembled with
-    ``map``/``zip`` over the hypergraph's tables, so the per-item work
-    runs in C.
+    sorted member reprs, weight)`` triples.  The tables are sorted with
+    ``map``/``zip``, so the per-item work runs in C, and the text is
+    written out with f-strings rather than by ``repr`` of the nested
+    lists, which pays a recursion guard for every pair and triple.  Each
+    pin keeps its own ``repr``: an edge member may equal its vertex's
+    label without sharing its text (``1.0`` and ``1``).
     """
     vertex_weights = hypergraph._vertex_weights
     edge_members = hypergraph._edge_members
@@ -55,5 +58,7 @@ def hypergraph_digest(hypergraph: Hypergraph) -> str:
             hypergraph._edge_weights.values(),
         )
     )
-    blob = repr((vertices, edges)).encode("utf-8")
+    vertex_text = ", ".join([f"({r!r}, {w!r})" for r, w in vertices])
+    edge_text = ", ".join([f"({n!r}, {members!r}, {w!r})" for n, members, w in edges])
+    blob = f"([{vertex_text}], [{edge_text}])".encode("utf-8")
     return hashlib.sha256(blob).hexdigest()

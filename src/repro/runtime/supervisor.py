@@ -4,8 +4,10 @@
 a worker killed by the OOM killer poisons the whole pool
 (``BrokenProcessPool`` aborts every pending future), and a *hung* worker
 is worse — the pool waits forever, with no per-task time bound.  This
-module owns its worker processes instead, one short-lived forked process
-per task, so the supervisor can:
+module owns its worker processes instead.  It forks a worker when a task
+finds none idle, keeps it, and sends it the next task over its pipe, so
+a long-lived caller forks once per worker slot rather than once per
+task.  The supervisor can:
 
 * enforce a **per-task timeout** — a worker past it is SIGTERMed and the
   task retried;
@@ -15,17 +17,32 @@ per task, so the supervisor can:
   a retry explores a fresh rng stream but reruns are reproducible;
 * stop launching at a **deadline** and report what finished;
 * enforce a **per-worker memory budget** (``memory_limit_bytes``) — the
-  child caps its own address space with ``RLIMIT_AS`` and converts the
+  worker caps its own address space with ``RLIMIT_AS`` and converts the
   resulting ``MemoryError`` into a typed over-budget failure, while the
   supervisor polls ``/proc/<pid>/status`` RSS and SIGTERMs workers whose
-  resident set exceeds the budget.  Over-budget tasks fail *terminally*:
-  the allocation pattern is deterministic, so a retry would fail the
-  same way, and an in-process rerun would OOM the parent — exactly the
-  outcome the budget exists to prevent;
+  resident set exceeds the budget.  Over-budget tasks fail *terminally*
+  once a fresh worker has failed them: the allocation pattern is
+  deterministic, so a retry would fail the same way, and an in-process
+  rerun would OOM the parent — exactly the outcome the budget exists to
+  prevent.  A worker that had already run a task may be over budget on
+  its own leftovers, so its task gets one more try in a fresh worker;
 * **fall back to sequential** in-process execution — per task once its
   retry budget is exhausted, or wholesale when processes cannot be
   forked at all — with fault injection suppressed, so chaos cannot chase
   the run into its hardened path.
+
+A worker is replaced after any failure (crash, hang, error, memory,
+deadline or abort); only a worker whose task succeeded is reused.  Each
+task travels with :func:`repro.runtime.faults.current_plan`, so a fault
+plan configured after a worker was forked reaches its next task.  A
+worker releases every descriptor it inherited except its own pipe and
+the standard streams (above all a daemon's listening socket, which must
+not outlive the daemon), resets ``SIGTERM`` to its default and ignores
+``SIGINT`` (its parent decides when it ends), and exits when its pipe
+reaches EOF.  :meth:`SupervisedPool.close` — or leaving a ``with``
+block — ends the idle workers at once and the busy ones as their tasks
+finish; callers whose workers inherit per-run state close the pool when
+the run ends.
 
 Tasks are ``(key, payload)`` pairs; results come back as
 :class:`TaskResult` records plus a :class:`SupervisionReport` the caller
@@ -33,27 +50,33 @@ folds into its ``degraded`` contract.  An ``on_result`` callback fires
 in the parent the moment each task reaches its final state — the hook
 crash-durable journals (:mod:`repro.runtime.journal`) use to checkpoint
 completed work before the run moves on.  Everything is recorded through
-``repro.obs`` under ``runtime.supervisor.*``.
+``repro.obs`` under ``runtime.supervisor.*``; ``runtime.supervisor.spawns``
+against ``runtime.supervisor.tasks`` shows how often workers are reused.
 
 :meth:`SupervisedPool.map` may run in several threads at once (the
-partition daemon calls it from each broker dispatcher); each call
-supervises only its own tasks, and process creation is serialized so
-no task's pipe leaks into a sibling's fork.
+partition daemon calls it from each broker dispatcher).  Each call
+supervises only its own tasks: idle workers are shared, but a call that
+finds none idle forks its own instead of waiting behind another call's
+tasks.  Process creation is serialized so no task's pipe leaks into a
+sibling's fork.
 
-The pool requires the ``fork`` start method (payloads and shared state
-are inherited, never pickled-in; only results cross the pipe).  On
-platforms without it the pool degrades to pure sequential execution —
-same results, no supervision.
+The pool requires ``os.fork``: the worker function and any state it
+reads are inherited when the worker is forked, and only payloads and
+results are pickled across the pipe.  On platforms without it the pool
+degrades to pure sequential execution — same results, no supervision.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import os
+import signal
+import sys
 import threading
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing.connection import Connection, wait as _wait_connections
+from multiprocessing.connection import Connection, Pipe, wait as _wait_connections
 from typing import Any, Callable
 
 from repro import obs
@@ -76,13 +99,17 @@ SEED_STRIDE = 0x9E3779B97F4A7C15
 
 _SEED_MASK = (1 << 63) - 1
 
-#: Held from a task's ``Pipe()`` until the parent has closed the child's
-#: write end.  Without it, concurrent :meth:`SupervisedPool.map` calls
+#: Held from a worker's ``Pipe()`` until the parent has closed the
+#: child's end.  Without it, concurrent :meth:`SupervisedPool.map` calls
 #: (the daemon runs one per dispatcher thread) can fork a sibling while
-#: another task's write end is still open in the parent; the sibling
-#: inherits it, and that task's crash shows up as EOF only when the
-#: sibling exits.  Module-wide, because any fork can inherit the fd.
+#: another worker's end is still open in the parent; the sibling
+#: inherits it, and that worker's crash shows up as EOF only when the
+#: sibling lets go of it.  Module-wide, because any fork can inherit the
+#: fd.
 _SPAWN_LOCK = threading.Lock()
+
+#: Seconds a stopped worker gets to exit before it is SIGKILLed.
+_REAP_TIMEOUT = 5.0
 
 
 def advance_seed(seed: int, attempt: int) -> int:
@@ -174,10 +201,77 @@ class SupervisionReport:
         return "; ".join(parts) if parts else "clean"
 
 
+def _reap(pid: int, timeout: float = _REAP_TIMEOUT) -> int | None:
+    """Wait up to ``timeout`` seconds for child ``pid`` to exit.
+
+    Returns its exit code (``-signum`` when a signal ended it, as
+    ``multiprocessing`` reports it), or ``None`` if it is still running.
+    """
+    end = time.monotonic() + timeout
+    delay = 0.0002
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        if time.monotonic() >= end:
+            return None
+        time.sleep(delay)
+        delay = min(2 * delay, 0.02)
+
+
+@dataclass
+class _Worker:
+    """A forked worker process and the parent's end of its pipe."""
+
+    pid: int
+    conn: Connection
+    generation: int
+    tasks_done: int = 0
+    stopped: bool = False
+    exitcode: int | None = None
+
+    def stop(self, sig: int | None = None) -> int | None:
+        """End the worker and reap it (once); returns its exit code.
+
+        Closing the pipe ends an idle worker (it exits at EOF); ``sig``
+        (SIGTERM) ends one that is still running a task.  A worker that
+        outlives the grace period is SIGKILLed.
+        """
+        if not self.stopped:
+            self.stopped = True
+            self.conn.close()
+            # Until we reap it the pid stays ours; if something else
+            # reaped it, it may name another process: stop signalling.
+            for signum in (sig, signal.SIGKILL):
+                try:
+                    if signum is not None:
+                        os.kill(self.pid, signum)
+                    self.exitcode = _reap(self.pid)
+                except (ProcessLookupError, ChildProcessError):
+                    break
+                if self.exitcode is not None:
+                    break
+        return self.exitcode
+
+
+def _stop_all(workers: list[_Worker], owner: int) -> None:
+    """Close every worker's pipe, then reap them (they exit in parallel).
+
+    ``owner`` is the pid that forked them: a forked child that inherited
+    the pool (and so this list) must neither close nor reap its
+    parent's workers.
+    """
+    if os.getpid() != owner:
+        return
+    for worker in workers:
+        worker.conn.close()
+    for worker in workers:
+        worker.stop()
+
+
 @dataclass
 class _Running:
-    process: multiprocessing.process.BaseProcess
-    conn: Connection
+    worker: _Worker
     key: Any
     payload: Any
     attempt: int
@@ -185,53 +279,77 @@ class _Running:
     peak_rss: int = 0
 
 
-def _child_entry(
-    conn: Connection,
-    worker: Callable,
-    payload: Any,
-    memory_limit_bytes: int | None = None,
-) -> None:
-    """Worker-side wrapper: report a value or a typed error, then exit.
+def _run_task(worker: Callable, payload: Any, memory_limit_bytes: int | None) -> tuple:
+    """Worker side: one task's ``(status, value)`` report.
 
-    With a memory budget the child caps its own address space first, so
-    an over-budget allocation surfaces here as ``MemoryError`` and is
-    reported as a *typed* over-budget failure (``"memory"`` status) —
-    distinguishable from ordinary crashes because the supervisor must
-    neither retry it nor rerun it in the parent process.
+    With a memory budget an over-budget allocation surfaces here as
+    ``MemoryError`` and is reported as a *typed* over-budget failure
+    (``"memory"`` status) — distinguishable from ordinary crashes
+    because the supervisor must neither retry it nor rerun it in the
+    parent process.
     """
-    if memory_limit_bytes is not None:
-        memory.apply_address_space_limit(memory_limit_bytes)
     try:
-        value = worker(payload)
-        message = ("ok", value)
+        return ("ok", worker(payload))
     except MemoryError as exc:
         budget = (
             f"the {memory.format_bytes(memory_limit_bytes)} memory budget"
             if memory_limit_bytes is not None
             else "available memory"
         )
-        message = ("memory", f"worker exceeded {budget}: {type(exc).__name__}: {exc}")
+        return ("memory", f"worker exceeded {budget}: {type(exc).__name__}: {exc}")
     except BaseException as exc:  # noqa: BLE001 - the whole point is to report it
-        message = ("error", f"{type(exc).__name__}: {exc}")
-    try:
-        conn.send(message)
-    except Exception:  # pragma: no cover - parent gone; nothing to report to
-        pass
-    finally:
-        conn.close()
+        return ("error", f"{type(exc).__name__}: {exc}")
+
+
+def _worker_main(conn: Connection, worker: Callable, memory_limit_bytes: int | None) -> None:
+    """A forked worker's life: run each task its pipe brings until EOF.
+
+    It first lets go of every inherited descriptor but its pipe and the
+    standard streams, so a parent's listening socket or a sibling's pipe
+    never outlives the parent's own use of it.
+    """
+    keep = conn.fileno()
+    os.closerange(3, keep)
+    os.closerange(keep + 1, os.sysconf("SC_OPEN_MAX"))
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if memory_limit_bytes is not None:
+        memory.apply_address_space_limit(memory_limit_bytes)
+    while True:
+        try:
+            plan, payload = conn.recv()
+        except EOFError:  # the pool closed this worker
+            return
+        if plan != faults.current_plan():
+            faults.configure(plan)
+        conn.send(_run_task(worker, payload, memory_limit_bytes))
+
+
+def _flush_std_streams() -> None:
+    """Flush buffered stdio so a fork cannot write it out a second time."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, OSError, ValueError):  # None, closed, or a gone reader
+            pass
 
 
 class SupervisedPool:
-    """Run tasks across forked workers with supervision and recovery.
+    """Run tasks across reused forked workers with supervision and recovery.
+
+    Use it as a context manager (or call :meth:`close`) so its workers
+    end with the run that created them.
 
     Parameters
     ----------
     worker:
         ``worker(payload) -> value``, executed in a forked child (and
         in-process, under :func:`repro.runtime.faults.suppressed`, on the
-        sequential fallback).  The value must be picklable.
+        sequential fallback).  Payload and value must be picklable; the
+        function itself is inherited when a worker is forked.
     max_workers:
-        Concurrent worker processes.
+        Concurrent worker processes per :meth:`map` call, and the most
+        idle workers the pool keeps.
     task_timeout:
         Seconds a single attempt may run before it is declared hung,
         SIGTERMed and retried (``None`` disables hang detection; the
@@ -249,12 +367,13 @@ class SupervisedPool:
         embed rng seeds should derive the new seed with
         :func:`advance_seed`.
     memory_limit_bytes:
-        Per-worker memory budget.  Applied as ``RLIMIT_AS`` inside the
-        forked child (over-budget allocations fail there as a typed
+        Per-worker memory budget.  Applied as ``RLIMIT_AS`` inside each
+        forked worker (over-budget allocations fail there as a typed
         task failure) and enforced from the parent by polling worker
-        RSS (over-budget workers are SIGTERMed).  Over-budget tasks are
-        never retried and never rerun in-process.  ``None`` disables
-        governance; peak RSS is still tracked where ``/proc`` exists.
+        RSS (over-budget workers are SIGTERMed).  A task over budget in
+        a fresh worker is never retried and never rerun in-process.
+        ``None`` disables governance; peak RSS is still tracked where
+        ``/proc`` exists.
     on_result:
         ``on_result(task_result)`` invoked in the parent the moment a
         task reaches its *final* :class:`TaskResult` (retries do not
@@ -267,9 +386,9 @@ class SupervisedPool:
         parents — the partition daemon above all — set this: running a
         crashing task in the serving process would trade one lost
         request for the process the budget and timeout exist to protect.
-        (On platforms without the ``fork`` start method the pool still
-        degrades to sequential execution regardless — there is no worker
-        process to protect the parent with in the first place.)
+        (On platforms without ``os.fork`` the pool still degrades to
+        sequential execution regardless — there is no worker process to
+        protect the parent with in the first place.)
     poll_interval:
         Supervisor wake-up granularity (also the hang/deadline/memory
         detection latency bound).
@@ -310,6 +429,14 @@ class SupervisedPool:
         self.sequential_fallback = sequential_fallback
         self.poll_interval = poll_interval
         self._abort_message: str | None = None
+        # Idle workers, shared by concurrent maps; a worker forked before
+        # the last close() (an older generation) is stopped, not kept.
+        self._lock = threading.Lock()
+        self._idle: list[_Worker] = []
+        self._generation = 0
+        self._owner = os.getpid()
+        # A pool dropped without close() still ends its idle workers.
+        weakref.finalize(self, _stop_all, self._idle, self._owner)
 
     # ------------------------------------------------------------------
 
@@ -325,25 +452,38 @@ class SupervisedPool:
         """
         self._abort_message = message
 
+    def close(self) -> None:
+        """End every idle worker now, and each busy one when its task ends.
+
+        The pool stays usable: a later :meth:`map` forks fresh workers.
+        """
+        with self._lock:
+            self._generation += 1
+            idle = self._idle[:]
+            self._idle.clear()
+        _stop_all(idle, self._owner)
+
+    def __enter__(self) -> "SupervisedPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     # ------------------------------------------------------------------
 
     def map(self, tasks: list[tuple[Any, Any]]) -> tuple[list[TaskResult], SupervisionReport]:
         """Execute every task; returns results in input order plus the report."""
         report = SupervisionReport(workers=self.max_workers)
         results: dict[Any, TaskResult] = {}
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            ctx = None
 
         with obs.span("runtime.supervisor.map"):
-            if ctx is None:
+            if not hasattr(os, "fork"):  # pragma: no cover - non-POSIX platforms
                 report.sequential_fallbacks += len(tasks)
                 obs.count("runtime.supervisor.sequential_fallbacks", len(tasks))
                 for key, payload in tasks:
                     self._finish(results, self._run_sequential(key, payload, 0, report))
             else:
-                self._run_supervised(ctx, tasks, results, report)
+                self._run_supervised(tasks, results, report)
 
         obs.count("runtime.supervisor.tasks", len(tasks))
         if report.peak_rss_bytes:
@@ -363,20 +503,80 @@ class SupervisedPool:
 
     # ------------------------------------------------------------------
 
+    def _spawn(self) -> _Worker:
+        """Fork a worker (raises ``OSError`` when no process can be made)."""
+        with _SPAWN_LOCK:
+            parent_conn, child_conn = Pipe()
+            try:
+                _flush_std_streams()
+                pid = os.fork()
+                if pid == 0:  # pragma: no cover - runs in the forked child
+                    code = 1
+                    try:
+                        _worker_main(child_conn, self.worker, self.memory_limit_bytes)
+                        code = 0
+                    finally:
+                        _flush_std_streams()  # what its tasks printed
+                        os._exit(code)
+            except OSError:
+                parent_conn.close()
+                raise
+            finally:
+                child_conn.close()
+        obs.count("runtime.supervisor.spawns")
+        return _Worker(pid=pid, conn=parent_conn, generation=self._generation)
+
+    def _acquire(self, fresh: bool) -> _Worker:
+        """An idle worker (unless ``fresh``), else a newly forked one."""
+        while not fresh:
+            with self._lock:
+                if not self._idle:
+                    break
+                worker = self._idle.pop()
+            if not worker.conn.poll():  # an idle pipe is silent unless its worker died
+                return worker
+            worker.stop()
+        return self._spawn()
+
+    def _release(self, worker: _Worker) -> None:
+        """Keep a worker whose task succeeded, unless the pool has enough."""
+        worker.tasks_done += 1
+        with self._lock:
+            if worker.generation == self._generation and len(self._idle) < self.max_workers:
+                self._idle.append(worker)
+                return
+        worker.stop()
+
+    # ------------------------------------------------------------------
+
     def _run_supervised(
         self,
-        ctx,
         tasks: list[tuple[Any, Any]],
         results: dict[Any, TaskResult],
         report: SupervisionReport,
     ) -> None:
-        queue: deque[tuple[Any, Any, int]] = deque((key, payload, 0) for key, payload in tasks)
+        # (key, payload, attempt, fresh): ``fresh`` asks for a newly
+        # forked worker (a memory failure's one rerun).
+        queue: deque[tuple[Any, Any, int, bool]] = deque(
+            (key, payload, 0, False) for key, payload in tasks
+        )
         running: dict[Connection, _Running] = {}
-        deadline = self.deadline
+        try:
+            self._supervise(queue, running, results, report)
+        finally:
+            # Only an exception (an on_result callback raising) leaves
+            # work here; its workers must not outlive the map.
+            for rec in running.values():
+                rec.worker.stop(signal.SIGTERM)
 
-        def reap(rec: _Running) -> None:
-            rec.conn.close()
-            rec.process.join(timeout=5.0)
+    def _supervise(
+        self,
+        queue: deque,
+        running: dict[Connection, _Running],
+        results: dict[Any, TaskResult],
+        report: SupervisionReport,
+    ) -> None:
+        deadline = self.deadline
 
         def handle_failure(rec: _Running, reason: str, failure: str) -> None:
             next_attempt = rec.attempt + 1
@@ -387,7 +587,9 @@ class SupervisedPool:
             ):
                 report.retries += 1
                 obs.count("runtime.supervisor.retries")
-                queue.append((rec.key, self.reseed(rec.payload, next_attempt), next_attempt))
+                queue.append(
+                    (rec.key, self.reseed(rec.payload, next_attempt), next_attempt, False)
+                )
             elif failure == "hang" or not self.sequential_fallback:
                 # Never rerun a hung task in-process (the parent cannot
                 # SIGTERM itself, so an in-process hang would be
@@ -409,13 +611,21 @@ class SupervisedPool:
                     ),
                 )
 
-        def handle_memory_failure(rec: _Running, reason: str) -> None:
+        def handle_memory_failure(rec: _Running, reason: str, reused: bool) -> None:
+            if reused:
+                # The worker had run other tasks, whose leftovers may be
+                # what pushed it over: the same attempt reruns in a
+                # fresh worker, where a task always ran before workers
+                # were reused, so it is no retry and no verdict yet.
+                obs.count("runtime.supervisor.memory_reruns")
+                queue.append((rec.key, rec.payload, rec.attempt, True))
+                return
             # Terminal by design: the allocation pattern is deterministic
             # (a retry fails identically) and an in-process rerun would
             # put the over-budget allocation in the *parent* — the one
             # process the budget exists to protect.
-            report.memory_kills += 1
             report.errors.append(reason)
+            report.memory_kills += 1
             obs.count("runtime.supervisor.memory_kills")
             self._finish(
                 results,
@@ -434,8 +644,7 @@ class SupervisedPool:
                 reason = abort_message if abort_message is not None else "deadline expired"
                 failure = "aborted" if abort_message is not None else "deadline"
                 for rec in running.values():
-                    rec.process.terminate()
-                    reap(rec)
+                    rec.worker.stop(signal.SIGTERM)
                     self._finish(
                         results,
                         TaskResult(
@@ -446,7 +655,7 @@ class SupervisedPool:
                         ),
                     )
                 running.clear()
-                for key, _payload, attempt in queue:
+                for key, _payload, attempt, _fresh in queue:
                     self._finish(
                         results,
                         TaskResult(
@@ -460,16 +669,9 @@ class SupervisedPool:
                 break
 
             while queue and len(running) < self.max_workers:
-                key, payload, attempt = queue.popleft()
+                key, payload, attempt, fresh = queue.popleft()
                 try:
-                    with _SPAWN_LOCK:
-                        parent_conn, child_conn = ctx.Pipe(duplex=False)
-                        process = ctx.Process(
-                            target=_child_entry,
-                            args=(child_conn, self.worker, payload, self.memory_limit_bytes),
-                        )
-                        process.start()
-                        child_conn.close()
+                    worker = self._acquire(fresh)
                 except OSError as exc:
                     # Cannot fork at all (fd/process limits): the pool is
                     # effectively broken — run this task sequentially,
@@ -494,14 +696,18 @@ class SupervisedPool:
                         ),
                     )
                     continue
-                running[parent_conn] = _Running(
-                    process=process,
-                    conn=parent_conn,
+                rec = _Running(
+                    worker=worker,
                     key=key,
                     payload=payload,
                     attempt=attempt,
                     started=time.monotonic(),
                 )
+                running[worker.conn] = rec
+                try:
+                    worker.conn.send((faults.current_plan(), payload))
+                except OSError:
+                    pass  # the worker is gone; its EOF reports the crash
 
             if not running:
                 continue
@@ -512,23 +718,24 @@ class SupervisedPool:
                     status, value = conn.recv()
                 except (EOFError, OSError):
                     status, value = None, None
-                reap(rec)
                 if status == "ok":
+                    self._release(rec.worker)
                     self._finish(
                         results,
                         TaskResult(
                             key=rec.key, value=value, ok=True, attempts=rec.attempt + 1
                         ),
                     )
-                elif status == "memory":
-                    handle_memory_failure(rec, str(value))
+                    continue
+                exitcode = rec.worker.stop()
+                if status == "memory":
+                    handle_memory_failure(rec, str(value), rec.worker.tasks_done > 0)
                 elif status == "error":
                     report.crashes += 1
                     report.errors.append(str(value))
                     obs.count("runtime.supervisor.worker_errors")
                     handle_failure(rec, str(value), "error")
                 else:
-                    exitcode = rec.process.exitcode
                     reason = f"worker died without a result (exitcode {exitcode})"
                     report.crashes += 1
                     report.errors.append(reason)
@@ -541,8 +748,7 @@ class SupervisedPool:
                     c for c, rec in running.items() if now - rec.started > self.task_timeout
                 ]:
                     rec = running.pop(conn)
-                    rec.process.terminate()
-                    reap(rec)
+                    rec.worker.stop(signal.SIGTERM)
                     reason = f"worker hung past the {self.task_timeout}s task timeout"
                     report.hangs += 1
                     report.errors.append(reason)
@@ -552,11 +758,11 @@ class SupervisedPool:
             if memory.rss_supported():
                 # Track peak RSS for the report, and — with a budget —
                 # SIGTERM workers whose *resident* set exceeds it (the
-                # parent-side backstop; RLIMIT_AS inside the child
+                # parent-side backstop; RLIMIT_AS inside the worker
                 # cannot see lazily-touched mappings grow).
                 over_budget = []
                 for conn, rec in running.items():
-                    rss = memory.rss_bytes(rec.process.pid)
+                    rss = memory.rss_bytes(rec.worker.pid)
                     if rss is None:
                         continue
                     rec.peak_rss = max(rec.peak_rss, rss)
@@ -568,14 +774,13 @@ class SupervisedPool:
                         over_budget.append(conn)
                 for conn in over_budget:
                     rec = running.pop(conn)
-                    rec.process.terminate()
-                    reap(rec)
+                    rec.worker.stop(signal.SIGTERM)
                     reason = (
                         f"worker RSS {memory.format_bytes(rec.peak_rss)} exceeded "
                         f"the {memory.format_bytes(self.memory_limit_bytes)} "
                         "memory budget"
                     )
-                    handle_memory_failure(rec, reason)
+                    handle_memory_failure(rec, reason, rec.worker.tasks_done > 0)
 
     # ------------------------------------------------------------------
 

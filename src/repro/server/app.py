@@ -17,12 +17,14 @@ Request lifecycle
    which coalesces identical in-flight requests and runs distinct ones
    on a shared :class:`~repro.runtime.SupervisedPool`, one dispatcher
    thread per pool worker, so up to ``workers`` misses execute at once.
-4. The pool executes :func:`_service_worker` in a forked child under
-   the configured per-task timeout and memory budget.  Crashes, hangs
-   and budget overruns surface as **typed error responses** (500) while
-   the daemon itself stays up — the pool is built with
-   ``sequential_fallback=False`` precisely so failing work is never
-   pulled into the serving process.
+4. The pool pickles the request over a pipe to one of its reused
+   forked workers, which runs :func:`_service_worker` under the
+   configured per-task timeout and memory budget; the daemon forks a
+   worker once per slot, and again only to replace one that failed.
+   Crashes, hangs and budget overruns surface as **typed error
+   responses** (500) while the daemon itself stays up — the pool is
+   built with ``sequential_fallback=False`` precisely so failing work
+   is never pulled into the serving process.
 5. Fault-free, non-degraded results are cached, and the body aliased
    to them; degraded (deadline-cut) results are served but *not*
    cached, since they depend on wall-clock luck rather than request
@@ -41,12 +43,16 @@ up).  The cache is probed *before* any guard, so hits bypass all three
 ``SIGTERM``/:meth:`PartitionService.stop` runs the graceful drain:
 ``/healthz`` flips to ``"draining"``, in-flight requests finish up to
 ``drain_timeout`` seconds, stragglers are cut via ``pool.abort()``, and
-only then is the listener torn down.
+only then are the listener torn down and the pool's workers closed.
 
-Thread/fork safety: the worker enters ``obs.scoped()`` first thing, so
-the forked child swaps in a fresh registry (and, crucially, a fresh
-lock — a handler thread holding the parent registry's lock at fork time
-must not deadlock the child).
+Thread/fork safety: each task enters ``obs.scoped()`` first thing, so
+the worker records into a fresh registry (and, crucially, a fresh
+lock — a handler thread holding the daemon registry's lock when the
+worker was forked must not deadlock it), and each task's snapshot
+holds that task's work alone.  A worker keeps no descriptor of the
+daemon's but its own pipe: the listening socket is released the moment
+the worker starts, so a killed daemon's socket path is free for its
+successor.
 """
 
 from __future__ import annotations
@@ -119,7 +125,7 @@ class ServiceConfig:
 
 
 # ----------------------------------------------------------------------
-# Worker side (runs in a forked pool child)
+# Worker side (runs in a forked pool worker)
 # ----------------------------------------------------------------------
 
 
@@ -180,11 +186,12 @@ def _place_body(request: ServiceRequest, deadline: Deadline | None) -> dict:
 
 
 def _service_worker(payload: dict) -> dict:
-    """Execute one validated request inside a forked pool child.
+    """Execute one validated request inside a forked pool worker.
 
     Module-level (not a closure) so the supervisor can run it in both
-    forked and sequential-fallback modes; returns a JSON-ready dict that
-    pickles cleanly through the result pipe.
+    forked and sequential-fallback modes; the request arrives pickled
+    over the worker's pipe, and the JSON-ready dict it returns pickles
+    cleanly back.
     """
     request: ServiceRequest = payload["request"]
     # Fresh registry *and* fresh lock before anything else — see the
@@ -486,8 +493,9 @@ class PartitionService:
            SIGTERMs their workers and their waiters get a typed
            ``Draining`` failure — nothing is left for client timeouts.
         4. The listener shuts down, the broker fails anything still
-           queued (typed, promptly), and the UNIX socket file — if this
-           daemon bound one — is removed exactly once.
+           queued (typed, promptly), the pool's idle workers exit, and
+           the UNIX socket file — if this daemon bound one — is removed
+           exactly once.
         """
         if self._stopped:
             return
@@ -511,6 +519,7 @@ class PartitionService:
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=30.0)
             self._serve_thread = None
+        self.pool.close()
         if self.store is not None:
             self.store.close()
         self._drain_seconds = time.monotonic() - t0

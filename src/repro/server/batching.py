@@ -6,7 +6,7 @@ them:
 
 * it runs one **dispatcher thread per pool worker**; a free dispatcher
   takes the oldest queued request and carries it through the executor
-  (fork, engine, verify, persist) on its own, so up to ``workers``
+  (worker IPC, engine, verify, persist) on its own, so up to ``workers``
   distinct requests execute at once and a miss never waits behind
   another while a worker sits idle;
 * identical in-flight requests (same cache key) are **coalesced**: the

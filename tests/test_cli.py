@@ -271,3 +271,39 @@ class TestLogErrors:
         )
         assert message.startswith("cannot start daemon: ")
         assert "cannot create state dir" in message
+
+
+#: A malformed file per input format, and the reader's complaint.
+_BAD_INPUTS = {
+    "bad.hgr": ("2 3\n1 x\n2 3\n", "line 2: edge line 1"),
+    "bad.netlist": ("net a 1 2\nnet b\n", "bad.netlist"),
+    "bad.json": ("{not json", "bad.json"),
+}
+
+
+class TestInputErrors:
+    """A malformed or missing input file exits with one line, no traceback."""
+
+    COMMANDS = ("partition", "place", "portfolio")
+
+    def _exit_message(self, argv) -> str:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert isinstance(exc.value.code, str)
+        assert "\n" not in exc.value.code
+        return exc.value.code
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("name", sorted(_BAD_INPUTS))
+    def test_malformed_file(self, command, name, tmp_path):
+        text, expected = _BAD_INPUTS[name]
+        path = tmp_path / name
+        path.write_text(text)
+        assert expected in self._exit_message([command, str(path)])
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_file(self, command, tmp_path):
+        missing = str(tmp_path / "missing.hgr")
+        message = self._exit_message([command, missing])
+        assert "No such file" in message and "missing.hgr" in message
+

@@ -69,7 +69,8 @@ class TestPrimitives:
 
 def _allocate(payload):
     if payload.get("bomb"):
-        return len(bytearray(payload["bytes"]))
+        size = len(bytearray(payload["bytes"]))
+        return os.getpid() if payload.get("pid") else size
     time.sleep(payload.get("sleep", 0))
     return 0
 
@@ -105,6 +106,45 @@ class TestAddressSpaceLimit:
         assert report.retries == 0  # terminal: never retried
         assert report.sequential_fallbacks == 0  # never rerun in-process
         assert report.degraded
+
+
+    def test_a_reused_worker_runs_tasks_that_fit_the_budget_one_at_a_time(self):
+        # Each task takes ~60% of the headroom: two at once would not
+        # fit, but a reused worker hands the first one's memory back.
+        headroom = 128 << 20
+        limit = _vm_size_bytes() + headroom
+        chunk = int(0.6 * headroom)
+        tasks = [(i, {"bomb": True, "bytes": chunk, "pid": True}) for i in range(2)]
+        with SupervisedPool(
+            _allocate, max_workers=1, max_retries=0, memory_limit_bytes=limit
+        ) as pool:
+            results, report = pool.map(tasks)
+        assert all(r.ok for r in results)
+        assert len({r.value for r in results}) == 1  # one worker ran both
+        assert report.memory_kills == 0 and not report.degraded
+
+    def test_over_budget_in_a_reused_worker_reruns_fresh_then_fails_terminally(self):
+        from repro import obs
+
+        limit = _vm_size_bytes() + (64 << 20)
+        tasks = [
+            ("ok", {"bomb": False}),
+            ("bomb", {"bomb": True, "bytes": 512 << 20}),
+        ]
+        with obs.enabled(clear=True) as reg, SupervisedPool(
+            _allocate, max_workers=1, max_retries=2, memory_limit_bytes=limit
+        ) as pool:
+            results, report = pool.map(tasks)
+        by_key = {r.key: r for r in results}
+        assert by_key["ok"].ok
+        bomb = by_key["bomb"]
+        assert bomb.failure == "memory" and bomb.attempts == 1
+        # The reused worker's failure bought one fresh worker, no retry.
+        assert reg.counter("runtime.supervisor.memory_reruns") == 1
+        assert reg.counter("runtime.supervisor.spawns") == 2
+        assert report.memory_kills == 1
+        assert report.retries == 0
+        assert report.sequential_fallbacks == 0
 
 
 # ----------------------------------------------------------------------

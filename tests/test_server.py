@@ -135,6 +135,33 @@ class TestLifecycle:
         with pytest.raises(ServiceClientError):
             ServiceClient(url="http://x:1", socket_path="/tmp/y")
 
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_misses_reuse_workers_and_stop_ends_them(self, h):
+        before = _live_children()
+        svc = PartitionService(ServiceConfig(port=0, workers=2)).start()
+        try:
+            client = ServiceClient(url=svc.url, timeout=120.0)
+            client.wait_ready(timeout=10.0)
+            for seed in range(4):
+                client.partition(h, engine="fm", settings={"seed": seed})
+            workers = _live_children() - before
+            metrics = client.metrics()
+            listener = f"socket:[{os.fstat(svc._httpd.socket.fileno()).st_ino}]"
+            # Beyond stdio, a worker holds its own pipe and nothing else.
+            held = {
+                pid: [os.readlink(f"/proc/{pid}/fd/{fd}") for fd in os.listdir(f"/proc/{pid}/fd")
+                      if int(fd) > 2]
+                for pid in workers
+            }
+        finally:
+            svc.stop()
+        assert metrics["service"]["executions"] == 4
+        assert 1 <= len(workers) <= 2
+        assert metrics["obs"]["counters"]["runtime.supervisor.spawns"] == len(workers)
+        for links in held.values():
+            assert len(links) == 1 and links[0] != listener
+        assert not (_live_children() & workers)
+
 
 class TestCacheByteIdentity:
     def test_hit_result_section_is_byte_identical(self, service, h):

@@ -10,11 +10,14 @@ and hangs must still produce a valid bipartition and a *truthful*
 from __future__ import annotations
 
 import os
+import signal
+import sys
 import threading
 import time
 
 import pytest
 
+from repro import obs
 from repro.core.algorithm1 import algorithm1
 from repro.generators import random_hypergraph
 from repro.runtime import (
@@ -23,6 +26,8 @@ from repro.runtime import (
     advance_seed,
     faults,
 )
+
+pytestmark = pytest.mark.usefixtures("no_leaked_handles")
 
 
 @pytest.fixture(autouse=True)
@@ -356,6 +361,205 @@ class TestConcurrentMaps:
                 assert not result.ok and result.failure == "crash"
             else:
                 assert result.ok and result.value == "sleep"
+
+
+# ----------------------------------------------------------------------
+# Reused workers
+
+
+def _pid(payload):
+    return os.getpid()
+
+
+def _pid_or_fail(flag):
+    if flag == "ok":
+        return os.getpid()
+    if flag == "oom":
+        raise MemoryError("over budget")
+    return _crash_if_flagged((flag, 0))
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _mark_sleep_then_pid(path):
+    open(path, "w").close()
+    time.sleep(0.5)
+    return os.getpid()
+
+
+def _inject_then_pid(payload):
+    faults.inject("test.reuse")
+    return os.getpid()
+
+
+class TestWorkerReuse:
+    def test_consecutive_tasks_and_maps_share_one_worker(self):
+        with obs.enabled(clear=True) as reg, SupervisedPool(_pid, max_workers=1) as pool:
+            first, report = pool.map([(i, i) for i in range(4)])
+            second, _report = pool.map([("again", 0)])
+        pids = {r.value for r in first} | {r.value for r in second}
+        assert len(pids) == 1 and os.getpid() not in pids
+        assert not report.degraded
+        assert reg.counter("runtime.supervisor.spawns") == 1
+        assert reg.counter("runtime.supervisor.tasks") == 5
+
+    @pytest.mark.parametrize("flag", ["crash", "raise", "hang", "oom"])
+    def test_a_failed_worker_is_replaced(self, flag):
+        with SupervisedPool(
+            _pid_or_fail,
+            max_workers=1,
+            max_retries=0,
+            task_timeout=0.5,
+            sequential_fallback=False,
+        ) as pool:
+            [before], _report = pool.map([("first", "ok")])
+            [failed], _report = pool.map([("bad", flag)])
+            [after], _report = pool.map([("next", "ok")])
+        assert not failed.ok
+        assert after.ok and after.value != before.value
+        assert not _alive(before.value)
+
+    @pytest.mark.parametrize("cut", ["deadline", "aborted"])
+    def test_a_worker_cut_mid_task_is_ended(self, cut):
+        with SupervisedPool(_pid_or_fail, max_workers=1, max_retries=0) as pool:
+            [before], _report = pool.map([("first", "ok")])
+            aborter = threading.Timer(0.5, pool.abort)
+            if cut == "deadline":
+                pool.deadline = Deadline.after(0.5)
+            else:
+                aborter.start()
+            [hung], _report = pool.map([("hung", "hang")])
+            aborter.cancel()
+            assert hung.failure == cut
+            assert not _alive(before.value)
+            if cut == "deadline":
+                # An aborted pool stays aborted; past its deadline, one
+                # given a new budget forks a fresh worker.
+                pool.deadline = None
+                [after], _report = pool.map([("next", "ok")])
+                assert after.ok and after.value != before.value
+
+    def test_a_parent_sigterm_handler_does_not_shield_a_hung_worker(self):
+        """A daemon's own SIGTERM handler (drain on SIGTERM) must not be
+        what a hung worker runs when the supervisor SIGTERMs it."""
+        previous = signal.signal(signal.SIGTERM, lambda *_: None)
+        try:
+            with SupervisedPool(
+                _pid_or_fail,
+                max_workers=1,
+                max_retries=0,
+                task_timeout=0.3,
+                sequential_fallback=False,
+            ) as pool:
+                [before], _report = pool.map([("first", "ok")])
+                started = time.monotonic()
+                [hung], _report = pool.map([("hung", "hang")])
+                elapsed = time.monotonic() - started
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert hung.failure == "hang"
+        assert elapsed < 3.0
+        assert not _alive(before.value)
+
+    def test_fault_plan_configured_later_reaches_a_running_worker(self):
+        with SupervisedPool(
+            _inject_then_pid, max_workers=1, max_retries=0, sequential_fallback=False
+        ) as pool:
+            [clean], _report = pool.map([("clean", None)])
+            faults.configure("test.reuse=error:1", seed=1)
+            [armed], _report = pool.map([("armed", None)])
+            faults.configure(None)
+            [disarmed], _report = pool.map([("disarmed", None)])
+        assert clean.ok
+        assert armed.failure == "error" and "injected fault" in armed.error
+        assert disarmed.ok
+
+    def test_no_worker_outlives_close(self):
+        with SupervisedPool(_pid, max_workers=3) as pool:
+            idle = {r.value for r in pool.map([(i, i) for i in range(6)])[0]}
+        assert 1 <= len(idle) <= 3
+        assert not any(_alive(pid) for pid in idle)
+
+    def test_a_worker_busy_at_close_ends_with_its_task(self, tmp_path):
+        started = tmp_path / "started"
+        slow = SupervisedPool(_mark_sleep_then_pid, max_workers=1)
+        box = {}
+        runner = threading.Thread(target=lambda: box.update(r=slow.map([("slow", str(started))])))
+        runner.start()
+        deadline = time.monotonic() + 30
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        slow.close()
+        runner.join(timeout=30)
+        assert not runner.is_alive()
+        [result], _report = box["r"]
+        assert result.ok and not _alive(result.value)
+
+    def test_concurrent_maps_never_share_a_busy_worker(self):
+        """More threads than cores, a short switch interval, crashes
+        mixed in: every task gets exactly one final result, and each
+        result is its own task's echo — a worker handed two tasks at
+        once would answer one of them with the other's payload."""
+        lock = threading.Lock()
+        finals = []
+        echoes = []
+
+        def on_result(result):
+            with lock:
+                finals.append(result.key)
+
+        pool = SupervisedPool(
+            _echo_or_crash,
+            max_workers=2,
+            max_retries=0,
+            sequential_fallback=False,
+            on_result=on_result,
+        )
+        stop_at = time.monotonic() + 2.0
+
+        def mapper(i):
+            n = 0
+            while time.monotonic() < stop_at:
+                tasks = [
+                    ((i, n, j), ("crash" if (i + n + j) % 7 == 0 else "ok", i, n, j))
+                    for j in range(1 + n % 3)
+                ]
+                results, _report = pool.map(tasks)
+                with lock:
+                    echoes.extend((dict(tasks)[r.key], r) for r in results)
+                n += 1
+
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 2
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=mapper, args=(i,)) for i in range(cores + 3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(finals) == len(set(finals)) == len(echoes)
+        for payload, result in echoes:
+            if payload[0] == "crash":
+                assert not result.ok and result.failure == "crash"
+            else:
+                assert result.ok and result.value[0] == payload
+
+
+def _echo_or_crash(payload):
+    if payload[0] == "crash":
+        os._exit(70)
+    return payload, os.getpid()
 
 
 # ----------------------------------------------------------------------
