@@ -297,8 +297,7 @@ def run_single_start(
             # has no neighbours at all, so no boundary can arise — fall back
             # to an arbitrary one-vs-rest graph cut with empty boundary sets.
             assert g.degree(u) == 0, "u == v fallback requires an isolated seed"
-            side = np.full(g.slot_capacity(), -1, dtype=np.int8)
-            side[g.csr().order] = 1
+            side = np.ones(g.num_nodes, dtype=np.int8)
             side[g.index_of(u)] = 0
             cut = GraphCut.from_sides(g, side, u, u)
         else:

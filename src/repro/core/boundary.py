@@ -68,11 +68,11 @@ class BoundaryGraph(LazyLabels):
         """
         if self._arrays is None:
             g = self._graph
-            side = np.full(g.slot_capacity(), -1, dtype=np.int8)
+            side = np.full(g.num_nodes, -1, dtype=np.int8)
             for s, nodes in enumerate(self._sets):
                 side[slots_of(g, nodes)] = s
             csr = g.csr()
-            owner = np.repeat(np.arange(g.slot_capacity()), csr.degrees())
+            owner = np.repeat(np.arange(g.num_nodes), csr.degrees())
             cross = (side[csr.indices] >= 0) & (side[owner] >= 0)
             self._arrays = (g, side, np.flatnonzero(side >= 0), cross)
         return self._arrays
@@ -96,15 +96,16 @@ class BoundaryGraph(LazyLabels):
             base, side, slots, _ = self.arrays()
             labels = base.labels_view()
             weights = base.weights_view()
-            g = Graph()
-            for s in (0, 1):
-                for i in slots[side[slots] == s].tolist():
-                    g.add_vertex(labels[i], weight=weights[i])
+            nodes = {
+                labels[i]: weights[i] for s in (0, 1) for i in slots[side[slots] == s].tolist()
+            }
             owners, nbrs = self.cross_entries()
-            for a, b in zip(owners.tolist(), nbrs.tolist()):
-                if side[a] == 0:
-                    g.add_edge(labels[a], labels[b])
-            self._graph = g
+            from_left = side[owners] == 0
+            edges = [
+                (labels[a], labels[b])
+                for a, b in zip(owners[from_left].tolist(), nbrs[from_left].tolist())
+            ]
+            self._graph = Graph(nodes, edges)
         return self._graph
 
     @property

@@ -144,7 +144,7 @@ class _LocalBoundary:
         b = len(slots)
         by_rank = np.argsort(base.repr_ranks()[slots])
         slots = slots[by_rank]
-        local = np.full(base.slot_capacity(), -1, dtype=np.int64)
+        local = np.full(base.num_nodes, -1, dtype=np.int64)
         local[slots] = np.arange(b, dtype=np.int64)
         owners, nbrs = boundary.cross_entries()
         owners = local[owners]

@@ -1,32 +1,28 @@
-"""Frozen CSR adjacency snapshots — the flat-array core for 100k-scale graphs.
+"""The CSR arrays of a frozen graph — the flat-array core for 100k-scale graphs.
 
-A :class:`CSRAdjacency` is an immutable compressed-sparse-row view of a
-:class:`repro.core.graph.Graph` at one version: ``indptr`` (int64, one
-entry per allocated slot plus one) and ``indices`` (int32 neighbor
-slots), with parallel per-slot ``weights`` and the alive slots in
-insertion order in ``order``.  Mutable graphs stay exactly what they
-were — ``list[set[int]]`` — and hand out snapshots lazily through
-:meth:`Graph.csr`; every mutator bumps a version counter that
-invalidates the cache (snapshot → mutate → resnapshot lifecycle, see
-DESIGN.md).
+A :class:`CSRAdjacency` holds the adjacency of a
+:class:`repro.core.graph.Graph` as two flat arrays: ``indptr`` (int64,
+one entry per slot plus one) and ``indices`` (int32 neighbor slots).  A
+graph never changes once built, so :meth:`Graph.csr` builds its CSR
+once, on first use, and every traversal of the graph runs :meth:`bfs`.
 
 Determinism contract
 --------------------
-The traversal results must be **element-for-element identical** to the
-legacy pure-python walks, because cut results, tie-breaks, and the
-``parallel=k`` seed streams are pinned to them.  Two properties deliver
-that:
+Traversal results follow the iteration order of the graph's neighbor
+sets, because cut results, tie-breaks, and the ``parallel=k`` seed
+streams are pinned to it.  Two properties deliver that:
 
 * ``from_graph`` freezes the *exact* iteration order of each internal
   neighbor set (``np.fromiter`` over the chained sets) — no sorting, no
-  canonicalization.  A legacy ``for u in adj[v]`` loop and a CSR row
+  canonicalization.  A python ``for u in adj[v]`` loop and a CSR row
   slice see the same neighbors in the same sequence.
 * :meth:`bfs` is level-synchronous: per level it gathers the
   concatenated adjacency of the frontier *in frontier order*, drops
   already-seen slots with a stamped visited array, and dedupes repeats
   keeping the **first occurrence**.  That is precisely the order in
   which a sequential FIFO BFS first reaches each node, so the
-  concatenated levels equal the sequential visit order exactly.
+  concatenated levels equal the sequential visit order exactly
+  (``tests/test_csr_differential.py`` checks it against such a walk).
 
 Scratch reuse: the stamped ``seen`` buffer lives on the snapshot and is
 reused across calls (no per-call clears); ``order``/``dist`` outputs are
@@ -60,21 +56,13 @@ def gather_rows(
 
 
 class CSRAdjacency:
-    """Immutable CSR snapshot of a :class:`Graph` (see module docstring)."""
+    """The CSR arrays of a :class:`Graph` (see module docstring)."""
 
-    __slots__ = ("indptr", "indices", "weights", "order", "n_slots", "_seen", "_stamp")
+    __slots__ = ("indptr", "indices", "n_slots", "_seen", "_stamp")
 
-    def __init__(
-        self,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        weights: np.ndarray,
-        order: np.ndarray,
-    ) -> None:
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
         self.indptr = indptr
         self.indices = indices
-        self.weights = weights
-        self.order = order
         self.n_slots = len(indptr) - 1
         self._seen = np.zeros(self.n_slots, dtype=np.int64)
         self._stamp = 0
@@ -82,29 +70,17 @@ class CSRAdjacency:
     @classmethod
     def from_graph(cls, g: "Graph") -> "CSRAdjacency":
         adj = g.adjacency_view()
-        cap = g.slot_capacity()
-        degs = np.fromiter(map(len, adj), count=cap, dtype=np.int64)
-        indptr = np.zeros(cap + 1, dtype=np.int64)
+        n = g.num_nodes
+        degs = np.fromiter(map(len, adj), count=n, dtype=np.int64)
+        indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degs, out=indptr[1:])
-        nnz = int(indptr[cap])
-        # chain.from_iterable walks the very same set objects the legacy
-        # loops iterate — identical order by construction (freed slots
-        # hold empty sets and contribute nothing).
-        indices = np.fromiter(chain.from_iterable(adj), count=nnz, dtype=np.int32)
-        weights = np.asarray(g.weights_view(), dtype=np.float64)
-        order = np.fromiter(g.node_indices(), count=g.num_nodes, dtype=np.int32)
-        return cls(indptr, indices, weights, order)
-
-    # ------------------------------------------------------------------
-    # row access
-    # ------------------------------------------------------------------
-
-    def row(self, slot: int) -> np.ndarray:
-        """Neighbors of ``slot`` in frozen set-iteration order (a view)."""
-        return self.indices[self.indptr[slot] : self.indptr[slot + 1]]
+        # chain.from_iterable walks the very same set objects a python
+        # loop over the rows iterates — identical order by construction.
+        indices = np.fromiter(chain.from_iterable(adj), count=int(indptr[n]), dtype=np.int32)
+        return cls(indptr, indices)
 
     def degrees(self) -> np.ndarray:
-        """Per-slot degree (freed slots report 0)."""
+        """Per-slot degree."""
         return np.diff(self.indptr)
 
     # ------------------------------------------------------------------
@@ -124,7 +100,7 @@ class CSRAdjacency:
         stamp = self._stamp
         seen = self._seen
         dist = np.empty(self.n_slots, dtype=np.int64)
-        out = np.empty(len(self.order), dtype=np.int32)
+        out = np.empty(self.n_slots, dtype=np.int32)
         frontier = np.array([source], dtype=np.int32)
         seen[source] = stamp
         dist[source] = 0

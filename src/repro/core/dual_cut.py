@@ -109,7 +109,7 @@ class GraphCut(LazyLabels):
 
     @classmethod
     def from_sides(cls, graph: Graph, side: np.ndarray, seed_u: Node, seed_v: Node) -> "GraphCut":
-        """The cut giving each slot of ``graph`` the side in ``side`` (-1: freed slot)."""
+        """The cut giving each slot of ``graph`` the side in ``side``."""
         csr = graph.csr()
         cross = side[csr.indices] != np.repeat(side, csr.degrees())
         # A node is boundary iff any CSR entry of its row crosses; per-row
@@ -124,20 +124,20 @@ class GraphCut(LazyLabels):
     def arrays(self, graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(side, on_boundary, cross)`` over ``graph``'s slots and CSR entries.
 
-        ``side`` is 0/1 per node (-1 for freed slots), ``on_boundary``
+        ``side`` is 0/1 per node, ``on_boundary``
         marks the boundary slots, and ``cross`` marks the CSR entries
         joining a left boundary node to a right one: the edges of ``G'``.
         """
         if self._graph is graph:
             return self._arrays
         left, right, boundary_left, boundary_right = self._label_sets()
-        side = np.full(graph.slot_capacity(), -1, dtype=np.int8)
+        side = np.full(graph.num_nodes, -1, dtype=np.int8)
         side[slots_of(graph, left)] = 0
         side[slots_of(graph, right)] = 1
-        on_boundary = np.zeros(graph.slot_capacity(), dtype=bool)
+        on_boundary = np.zeros(graph.num_nodes, dtype=bool)
         on_boundary[slots_of(graph, boundary_left | boundary_right)] = True
         csr = graph.csr()
-        owner = np.repeat(np.arange(graph.slot_capacity()), csr.degrees())
+        owner = np.repeat(np.arange(graph.num_nodes), csr.degrees())
         nbr = csr.indices
         cross = (side[nbr] != side[owner]) & on_boundary[nbr] & on_boundary[owner]
         return side, on_boundary, cross
@@ -304,7 +304,7 @@ def double_bfs_cut(
     # The whole growth race runs in index space on the graph's internal
     # adjacency — no neighbor-set copies anywhere in the loop.
     adj = graph.adjacency_view()
-    side = [-1] * graph.slot_capacity()
+    side = [-1] * graph.num_nodes
     side[iu] = 0
     side[iv] = 1
     counts = [1, 1]

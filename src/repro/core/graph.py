@@ -1,13 +1,17 @@
 """Plain undirected graphs and the BFS machinery Algorithm I is built on.
 
 The dual intersection graph ``G`` and the bipartite boundary graph ``G'``
-are both instances of :class:`Graph`.  The public API is label-based
-(nodes are arbitrary hashables), but internally every label is *interned*
-to a contiguous integer slot on first insertion; adjacency is stored as
-``list[set[int]]`` indexed by slot.  The traversal hot paths (BFS levels,
-pseudo-diameter search, double-BFS cuts, boundary extraction) run
-entirely in index space over reusable scratch buffers — no per-call
-``frozenset`` copies, no label hashing inside the inner loops.
+are both instances of :class:`Graph`.  A graph is frozen once built: its
+constructor and :meth:`Graph.from_rows` are the only builders, and
+nothing adds or removes a node or an edge afterwards.  The public API is
+label-based (nodes are arbitrary hashables), but internally every label
+is *interned* to a contiguous integer slot, ``0 .. num_nodes - 1`` in
+insertion order; adjacency is stored as ``list[set[int]]`` indexed by
+slot.  Every traversal (BFS levels, pseudo-diameter search, components)
+runs in index space on one BFS, the level-synchronous walk over the
+graph's CSR arrays (:mod:`repro.core.csr`), which are built once, on
+first use — no per-call ``frozenset`` copies, no label hashing inside
+the inner loops.
 EXPERIMENTS.md reads the runtime ratio Algorithm I : SA : KL as
 1 : 1.48 : 2.76 from ``BENCH_pr18.json``'s traced engines-1k pair; the
 paper reports 1 : 110 : 120.  A side benefit of the integer core:
@@ -30,14 +34,16 @@ Index-path API (for the core pipeline; everything else should stick to
 the label API):
 
 * :meth:`Graph.index_of` / :meth:`Graph.label_of` — label <-> slot.
-* :meth:`Graph.node_indices` — alive slots in insertion order.
-* :meth:`Graph.adjacency_view` / :meth:`Graph.labels_view` — zero-copy
-  handles on the internal arrays.  Callers must treat them as read-only
-  and must not hold them across mutations.
+* :meth:`Graph.node_indices` — the slots, ``0 .. num_nodes - 1``.
+* :meth:`Graph.adjacency_view` / :meth:`Graph.labels_view` /
+  :meth:`Graph.weights_view` — zero-copy handles on the internal arrays.
+  Callers must treat them as read-only.
 * :meth:`Graph.neighbors_view` — lazy neighbor-label iteration without
   building a set.
-* :meth:`Graph.bfs_order_from` — BFS in index space with reusable
-  distance/visited buffers.
+* :meth:`Graph.bfs_order_from` — BFS in index space: the visit order and
+  the distances.
+* :meth:`Graph.csr` / :meth:`Graph.repr_ranks` — the CSR arrays and the
+  per-slot ``repr`` ranks, each built once, on first use.
 """
 
 from __future__ import annotations
@@ -46,17 +52,12 @@ import random
 from collections.abc import Hashable, Iterable, Mapping
 from typing import Iterator
 
+import numpy as np
+
 from repro import obs
+from repro.core.csr import CSRAdjacency
 
 Node = Hashable
-
-#: Edge count at which traversals switch from the pure-python set walk to
-#: the vectorized CSR path (:mod:`repro.core.csr`).  Below it the numpy
-#: per-level fixed costs exceed the win; above it the flat-array frontier
-#: expansion dominates.  Both paths are element-for-element identical
-#: (the CSR snapshot freezes the exact set iteration order), so the
-#: threshold is a pure performance knob — tests pin the equivalence.
-CSR_MIN_EDGES = 2048
 
 
 class GraphError(ValueError):
@@ -64,10 +65,14 @@ class GraphError(ValueError):
 
 
 class Graph:
-    """Simple undirected graph with optional node weights.
+    """Simple undirected graph with optional node weights, frozen once built.
 
-    Self-loops are rejected (they are meaningless for cuts) and parallel
-    edges collapse.
+    ``nodes`` lists the nodes, or maps each to its weight (1.0 when not
+    given; non-positive weights are rejected, matching
+    ``Hypergraph.add_vertex``).  ``edges`` then joins each pair: an
+    endpoint not listed yet is added with weight 1.0, a listed one keeps
+    its weight.  Self-loops are rejected (they are meaningless for cuts)
+    and parallel edges collapse.
     """
 
     def __init__(
@@ -76,34 +81,40 @@ class Graph:
         edges: Iterable[tuple[Node, Node]] | None = None,
     ) -> None:
         self._index: dict[Node, int] = {}  # label -> slot, insertion-ordered
-        self._labels: list[Node] = []  # slot -> label (stale for freed slots)
+        self._labels: list[Node] = []  # slot -> label
         self._weights: list[float] = []  # slot -> weight
         self._adj: list[set[int]] = []  # slot -> adjacent slots
-        self._free: list[int] = []  # freed slots available for reuse
-        self._edge_count = 0
-        # Reusable BFS scratch (stamped visited array avoids per-call clears).
-        self._bfs_dist: list[int] = []
-        self._bfs_seen: list[int] = []
-        self._bfs_stamp = 0
-        # Frozen CSR snapshot cache: rebuilt lazily whenever a mutation
-        # bumps the version.  ``_active_dist`` is whichever distance
-        # buffer the last BFS populated (python list or numpy array).
-        self._version = 0
-        self._csr = None
-        self._csr_version = -1
-        self._ranks = None
-        self._ranks_version = -1
-        self._active_dist = self._bfs_dist
-        if nodes is not None:
-            if isinstance(nodes, Mapping):
-                for v, w in nodes.items():
-                    self.add_vertex(v, w)
-            else:
-                for v in nodes:
-                    self.add_vertex(v)
-        if edges is not None:
-            for u, v in edges:
-                self.add_edge(u, v)
+        self._csr: CSRAdjacency | None = None  # built on first use
+        self._ranks: np.ndarray | None = None  # built on first use
+        if isinstance(nodes, Mapping):
+            for v, w in nodes.items():
+                if w <= 0:
+                    raise GraphError(f"node weight must be positive, got {w!r}")
+                self._slot(v, float(w))
+        elif nodes is not None:
+            for v in nodes:
+                self._slot(v)
+        count = 0
+        adj = self._adj
+        for u, v in edges if edges is not None else ():
+            if u == v:
+                raise GraphError(f"self-loop at {u!r} not allowed")
+            iu, iv = self._slot(u), self._slot(v)
+            if iv not in adj[iu]:
+                adj[iu].add(iv)
+                adj[iv].add(iu)
+                count += 1
+        self._edge_count = count
+
+    def _slot(self, v: Node, weight: float = 1.0) -> int:
+        """The slot of ``v``; a new node takes the next slot and ``weight``."""
+        i = self._index.get(v)
+        if i is None:
+            i = self._index[v] = len(self._labels)
+            self._labels.append(v)
+            self._weights.append(weight)
+            self._adj.append(set())
+        return i
 
     @classmethod
     def from_rows(
@@ -123,156 +134,61 @@ class Graph:
         g._weights = weights
         g._adj = adj
         g._edge_count = sum(map(len, adj)) // 2
-        g._version = 1
         return g
 
     # ------------------------------------------------------------------
-    # construction
+    # per-graph tables, built once
     # ------------------------------------------------------------------
 
-    def add_vertex(self, v: Node, weight: float | None = None) -> Node:
-        """Add ``v`` (idempotent).
+    def csr(self) -> CSRAdjacency:
+        """The graph's :class:`repro.core.csr.CSRAdjacency`, built on first use.
 
-        Re-adding an existing vertex *without* an explicit weight
-        preserves the stored weight (it used to silently reset it to the
-        default 1.0); an explicit weight always updates.  Non-positive
-        weights are rejected, matching ``Hypergraph.add_vertex``.
+        The CSR freezes the *exact* neighbor iteration order of the
+        internal sets, so its rows list each node's neighbors in the order
+        a loop over :meth:`adjacency_view` would.  Each call after the
+        first counts a ``graph.csr.reuses``; the graph's own traversals
+        read it without counting.
         """
-        if weight is not None and weight <= 0:
-            raise GraphError(f"node weight must be positive, got {weight!r}")
-        i = self._index.get(v)
-        if i is None:
-            w = 1.0 if weight is None else float(weight)
-            if self._free:
-                i = self._free.pop()
-                self._labels[i] = v
-                self._weights[i] = w
-                self._adj[i] = set()
-            else:
-                i = len(self._labels)
-                self._labels.append(v)
-                self._weights.append(w)
-                self._adj.append(set())
-            self._index[v] = i
-            self._version += 1
-        elif weight is not None:
-            self._weights[i] = float(weight)
-            self._version += 1
-        return v
-
-    def add_edge(self, u: Node, v: Node) -> None:
-        if u == v:
-            raise GraphError(f"self-loop at {u!r} not allowed")
-        iu = self._index.get(u)
-        if iu is None:
-            self.add_vertex(u)
-            iu = self._index[u]
-        iv = self._index.get(v)
-        if iv is None:
-            self.add_vertex(v)
-            iv = self._index[v]
-        if iv not in self._adj[iu]:
-            self._adj[iu].add(iv)
-            self._adj[iv].add(iu)
-            self._edge_count += 1
-            self._version += 1
-
-    def remove_edge(self, u: Node, v: Node) -> None:
-        iu = self._index.get(u)
-        iv = self._index.get(v)
-        if iu is None or iv is None or iv not in self._adj[iu]:
-            raise GraphError(f"no edge {u!r} -- {v!r}")
-        self._adj[iu].discard(iv)
-        self._adj[iv].discard(iu)
-        self._edge_count -= 1
-        self._version += 1
-
-    def remove_vertex(self, v: Node) -> None:
-        i = self._index.pop(v, None)
-        if i is None:
-            raise GraphError(f"no such node {v!r}")
-        nbrs = self._adj[i]
-        for j in nbrs:
-            self._adj[j].discard(i)
-        self._edge_count -= len(nbrs)
-        self._adj[i] = set()
-        self._weights[i] = 0.0
-        self._free.append(i)
-        self._version += 1
-
-    def copy(self) -> "Graph":
-        g = Graph()
-        g._index = dict(self._index)
-        g._labels = list(self._labels)
-        g._weights = list(self._weights)
-        g._adj = [set(s) for s in self._adj]
-        g._free = list(self._free)
-        g._edge_count = self._edge_count
-        return g
-
-    # ------------------------------------------------------------------
-    # CSR snapshot
-    # ------------------------------------------------------------------
-
-    def csr(self):
-        """The frozen :class:`repro.core.csr.CSRAdjacency` snapshot.
-
-        Built lazily and cached until the next mutation (every mutator
-        bumps an internal version counter).  The snapshot freezes the
-        *exact* neighbor iteration order of the internal sets, so the
-        vectorized traversals it powers are element-for-element identical
-        to the legacy ``list[set[int]]`` walks.
-        """
-        if self._csr is None or self._csr_version != self._version:
-            from repro.core.csr import CSRAdjacency
-
-            self._csr = CSRAdjacency.from_graph(self)
-            self._csr_version = self._version
-            obs.count("graph.csr.builds")
-        else:
+        if self._csr is not None:
             obs.count("graph.csr.reuses")
+        return self._snapshot()
+
+    def _snapshot(self) -> CSRAdjacency:
+        if self._csr is None:
+            self._csr = CSRAdjacency.from_graph(self)
+            obs.count("graph.csr.builds")
         return self._csr
 
-    def repr_ranks(self):
+    def repr_ranks(self) -> np.ndarray:
         """Per-slot rank of each node in ``repr`` order (ties by slot), int64.
 
         Complete-Cut's tie-break as one integer per node, so its heap
-        keys need no string comparisons.  Freed slots hold -1.  Cached
-        like :meth:`csr` until the next mutation.
+        keys need no string comparisons.  Built on first use.
         """
-        if self._ranks is None or self._ranks_version != self._version:
-            import numpy as np
-
-            labels = self._labels
-            slots = np.fromiter(self._index.values(), np.int64, len(self._index))
-            reprs = np.array([repr(labels[i]) for i in slots.tolist()], dtype=str)
-            ranks = np.full(len(labels), -1, dtype=np.int64)
-            ranks[slots[np.lexsort((slots, reprs))]] = np.arange(len(slots), dtype=np.int64)
+        if self._ranks is None:
+            reprs = np.array([repr(v) for v in self._labels], dtype=str)
+            ranks = np.empty(len(reprs), dtype=np.int64)
+            ranks[np.argsort(reprs, kind="stable")] = np.arange(len(reprs), dtype=np.int64)
             self._ranks = ranks
-            self._ranks_version = self._version
         return self._ranks
-
-    def _use_csr(self) -> bool:
-        """True when traversals should take the vectorized CSR path."""
-        return self._edge_count >= CSR_MIN_EDGES
 
     # ------------------------------------------------------------------
     # index-path API (zero-copy access for the core pipeline)
     # ------------------------------------------------------------------
 
     def index_of(self, v: Node) -> int:
-        """The interned slot of ``v`` (stable until ``v`` is removed)."""
+        """The interned slot of ``v``."""
         try:
             return self._index[v]
         except KeyError:
             raise GraphError(f"no such node {v!r}") from None
 
     def label_of(self, i: int) -> Node:
-        """The label stored at slot ``i`` (must be an alive slot)."""
+        """The label stored at slot ``i``."""
         return self._labels[i]
 
     def node_indices(self) -> Iterable[int]:
-        """Alive slots in node insertion order."""
+        """Every slot, ``0 .. num_nodes - 1``: the label index's own int objects."""
         return self._index.values()
 
     def adjacency_view(self) -> list[set[int]]:
@@ -287,21 +203,10 @@ class Graph:
         """The internal slot -> weight array — read-only, zero-copy."""
         return self._weights
 
-    def slot_capacity(self) -> int:
-        """Number of allocated slots (>= num_nodes; sizes side buffers)."""
-        return len(self._labels)
-
     def neighbors_view(self, v: Node) -> Iterator[Node]:
-        """Lazily iterate the neighbor labels of ``v`` without copying.
-
-        Do not mutate the graph while iterating.
-        """
-        try:
-            i = self._index[v]
-        except KeyError:
-            raise GraphError(f"no such node {v!r}") from None
+        """Lazily iterate the neighbor labels of ``v`` without copying."""
         labels = self._labels
-        return (labels[j] for j in self._adj[i])
+        return (labels[j] for j in self._adj[self.index_of(v)])
 
     # ------------------------------------------------------------------
     # queries
@@ -309,11 +214,11 @@ class Graph:
 
     @property
     def nodes(self) -> list[Node]:
-        return list(self._index)
+        return list(self._labels)
 
     @property
     def num_nodes(self) -> int:
-        return len(self._index)
+        return len(self._labels)
 
     @property
     def num_edges(self) -> int:
@@ -323,18 +228,13 @@ class Graph:
         return v in self._index
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._labels)
 
     def __iter__(self) -> Iterator[Node]:
-        return iter(self._index)
+        return iter(self._labels)
 
     def neighbors(self, v: Node) -> frozenset[Node]:
-        try:
-            i = self._index[v]
-        except KeyError:
-            raise GraphError(f"no such node {v!r}") from None
-        labels = self._labels
-        return frozenset(labels[j] for j in self._adj[i])
+        return frozenset(self.neighbors_view(v))
 
     def has_edge(self, u: Node, v: Node) -> bool:
         iu = self._index.get(u)
@@ -342,125 +242,44 @@ class Graph:
         return iu is not None and iv is not None and iv in self._adj[iu]
 
     def degree(self, v: Node) -> int:
-        try:
-            return len(self._adj[self._index[v]])
-        except KeyError:
-            raise GraphError(f"no such node {v!r}") from None
+        return len(self._adj[self.index_of(v)])
 
     def node_weight(self, v: Node) -> float:
-        try:
-            return self._weights[self._index[v]]
-        except KeyError:
-            raise GraphError(f"no such node {v!r}") from None
+        return self._weights[self.index_of(v)]
 
     def max_degree(self) -> int:
-        if not self._index:
-            return 0
-        return max(len(self._adj[i]) for i in self._index.values())
+        return max(map(len, self._adj), default=0)
 
     def edges(self) -> Iterator[tuple[Node, Node]]:
         """Each undirected edge yielded exactly once."""
         labels = self._labels
-        for i in self._index.values():
+        for i, row in enumerate(self._adj):
             li = labels[i]
-            for j in self._adj[i]:
+            for j in row:
                 if i < j:
                     yield (li, labels[j])
-
-    def induced(self, subset: Iterable[Node]) -> "Graph":
-        """Subgraph induced by ``subset`` (weights preserved)."""
-        keep = set(subset)
-        unknown = keep - set(self._index)
-        if unknown:
-            raise GraphError(f"nodes not in graph: {sorted(map(repr, unknown))}")
-        g = Graph()
-        remap: dict[int, int] = {}
-        for v, i in self._index.items():  # insertion order for determinism
-            if v in keep:
-                g.add_vertex(v, self._weights[i])
-                remap[i] = g._index[v]
-        added = 0
-        for old_i, new_i in remap.items():
-            new_adj = {remap[j] for j in self._adj[old_i] if j in remap}
-            g._adj[new_i] = new_adj
-            added += len(new_adj)
-        g._edge_count = added // 2
-        return g
 
     # ------------------------------------------------------------------
     # traversal
     # ------------------------------------------------------------------
 
-    def _ensure_scratch(self) -> None:
-        need = len(self._labels) - len(self._bfs_dist)
-        if need > 0:
-            self._bfs_dist.extend([0] * need)
-            self._bfs_seen.extend([0] * need)
-            obs.count("graph.scratch.grows")
-            obs.count("graph.scratch.grown_slots", need)
-        else:
-            obs.count("graph.scratch.reuses")
+    def bfs_order_from(self, source: int) -> tuple[np.ndarray, np.ndarray]:
+        """BFS from slot ``source``: ``(order, dist)``.
 
-    def bfs_order_from(self, source: int):
-        """BFS from slot ``source``; returns slots in visit order.
-
-        Returns a ``list[int]`` on the legacy path or a numpy array on
-        the CSR path — both in the *identical* visit order.  Distances
-        are left in the reusable buffer returned by
-        :meth:`bfs_dist_view`, valid only for the slots in the returned
-        order and only until the next BFS call.
+        ``order`` holds the reached slots in visit order and ``dist`` each
+        slot's hop distance from ``source``, valid only at the slots in
+        ``order``.  Both are fresh arrays, so results of consecutive calls
+        may be held side by side.
         """
-        if self._use_csr():
-            order, dist = self.csr().bfs(source)
-            self._active_dist = dist
-            obs.count("graph.bfs.calls")
-            obs.count("graph.bfs.nodes_visited", len(order))
-            return order
-        self._ensure_scratch()
-        self._active_dist = self._bfs_dist
-        self._bfs_stamp += 1
-        stamp = self._bfs_stamp
-        seen = self._bfs_seen
-        dist = self._bfs_dist
-        adj = self._adj
-        order = [source]
-        seen[source] = stamp
-        dist[source] = 0
-        head = 0
-        while head < len(order):
-            v = order[head]
-            head += 1
-            dv1 = dist[v] + 1
-            for u in adj[v]:
-                if seen[u] != stamp:
-                    seen[u] = stamp
-                    dist[u] = dv1
-                    order.append(u)
+        order, dist = self._snapshot().bfs(source)
         obs.count("graph.bfs.calls")
         obs.count("graph.bfs.nodes_visited", len(order))
-        return order
-
-    def bfs_dist_view(self):
-        """The reusable BFS distance buffer (see :meth:`bfs_order_from`).
-
-        A python list after a legacy BFS, a numpy array after a CSR BFS —
-        integer-indexable either way.
-        """
-        return self._active_dist
+        return order, dist
 
     def bfs_levels(self, source: Node) -> dict[Node, int]:
         """Distance (in hops) from ``source`` to every reachable node."""
-        try:
-            s = self._index[source]
-        except KeyError:
-            raise GraphError(f"no such node {source!r}") from None
-        order = self.bfs_order_from(s)
-        labels = self._labels
-        dist = self._active_dist
-        if not isinstance(order, list):
-            order = order.tolist()
-            return {labels[i]: int(dist[i]) for i in order}
-        return {labels[i]: dist[i] for i in order}
+        order, dist = self.bfs_order_from(self.index_of(source))
+        return dict(zip(map(self._labels.__getitem__, order.tolist()), dist[order].tolist()))
 
     def bfs_farthest(self, source: Node, rng: random.Random | None = None) -> tuple[Node, int]:
         """A node at maximum BFS distance from ``source`` and that distance.
@@ -470,25 +289,12 @@ class Graph:
         and we extend the randomness to the far endpoint so that repeated
         multi-start runs explore distinct diameters).
         """
-        try:
-            s = self._index[source]
-        except KeyError:
-            raise GraphError(f"no such node {source!r}") from None
-        order = self.bfs_order_from(s)
-        dist = self._active_dist
-        depth = int(dist[order[-1]])
+        order, dist = self.bfs_order_from(self.index_of(source))
         # BFS visit order is non-decreasing in distance: the deepest nodes
-        # are exactly the tail block of the order.
-        if isinstance(order, list):
-            lo = len(order) - 1
-            while lo > 0 and dist[order[lo - 1]] == depth:
-                lo -= 1
-        else:
-            import numpy as np
-
-            # Same tail block, found by binary search on the sorted
-            # distance-over-order array instead of a backwards scan.
-            lo = int(np.searchsorted(dist[order], depth, side="left"))
+        # are exactly the tail block of the order, found by binary search.
+        dist = dist[order]
+        depth = int(dist[-1])
+        lo = int(np.searchsorted(dist, depth, side="left"))
         if rng is None:
             far = order[lo]
         else:
@@ -497,48 +303,40 @@ class Graph:
 
     def eccentricity(self, v: Node) -> int:
         """Max BFS distance from ``v`` within its component."""
-        try:
-            s = self._index[v]
-        except KeyError:
-            raise GraphError(f"no such node {v!r}") from None
-        order = self.bfs_order_from(s)
-        return int(self._active_dist[order[-1]])
+        order, dist = self.bfs_order_from(self.index_of(v))
+        return int(dist[order[-1]])
 
     def diameter(self) -> int:
         """Exact diameter by all-pairs BFS. O(V * (V + E)) — small graphs only.
 
         Raises :class:`GraphError` on a disconnected or empty graph.
         """
-        if not self._index:
+        n = len(self._labels)
+        if not n:
             raise GraphError("diameter of empty graph is undefined")
         best = 0
-        n = len(self._index)
-        for i in self._index.values():
-            order = self.bfs_order_from(i)
+        for i in range(n):
+            order, dist = self.bfs_order_from(i)
             if len(order) != n:
                 raise GraphError("diameter of disconnected graph is undefined")
-            d = int(self._active_dist[order[-1]])
-            if d > best:
-                best = d
+            best = max(best, int(dist[order[-1]]))
         return best
 
-    def component_slots(self) -> list:
+    def component_slots(self) -> list[np.ndarray]:
         """The slots of each connected component, as int64 arrays in BFS order.
 
         Components come in the insertion order of their first node, each
         found by one BFS from that node.
         """
-        import numpy as np
-
         seen = np.zeros(len(self._labels), dtype=bool)
-        left = len(self._index)
+        left = len(self._labels)
         out = []
-        for i in self._index.values():
+        for i in range(len(self._labels)):
             if not left:
                 break
             if seen[i]:
                 continue
-            order = np.asarray(self.bfs_order_from(i), dtype=np.int64)
+            order = self.bfs_order_from(i)[0].astype(np.int64)
             seen[order] = True
             left -= len(order)
             out.append(order)
@@ -549,10 +347,8 @@ class Graph:
         return [set(map(labels.__getitem__, c.tolist())) for c in self.component_slots()]
 
     def is_connected(self) -> bool:
-        if not self._index:
-            return True
-        first = next(iter(self._index.values()))
-        return len(self.bfs_order_from(first)) == len(self._index)
+        n = len(self._labels)
+        return not n or len(self.bfs_order_from(0)[0]) == n
 
     def is_bipartite(self) -> tuple[bool, dict[Node, int]]:
         """2-colorability check.
@@ -563,7 +359,7 @@ class Graph:
         labels = self._labels
         adj = self._adj
         color: dict[int, int] = {}
-        for start in self._index.values():
+        for start in range(len(labels)):
             if start in color:
                 continue
             color[start] = 0
@@ -583,47 +379,15 @@ class Graph:
         return True, {labels[i]: c for i, c in color.items()}
 
     def min_degree_node(self, candidates: Iterable[Node] | None = None) -> Node:
-        """A node of minimum degree (deterministic: first in iteration order).
+        """A node of minimum degree (deterministic: ties by ``repr``).
 
-        Unknown (or removed) candidates raise :class:`GraphError` like
-        every other query path — not a raw ``KeyError``.
+        Unknown candidates raise :class:`GraphError` like every other
+        query path — not a raw ``KeyError``.
         """
-        pool = self._index if candidates is None else list(candidates)
+        pool = self._labels if candidates is None else list(candidates)
         if not pool:
             raise GraphError("no candidates")
-
-        def degree_key(v: Node) -> tuple[int, str]:
-            try:
-                return (len(self._adj[self._index[v]]), repr(v))
-            except KeyError:
-                raise GraphError(f"no such node {v!r}") from None
-
-        return min(pool, key=degree_key)
-
-    def to_networkx(self):
-        """Interop: export to a :mod:`networkx` graph (weights as attrs)."""
-        import networkx as nx
-
-        g = nx.Graph()
-        for v, i in self._index.items():
-            g.add_node(v, weight=self._weights[i])
-        g.add_edges_from(self.edges())
-        return g
-
-    def __getstate__(self):
-        # BFS scratch is process-local; drop it so pickles stay compact
-        # (the parallel multi-start path ships graphs to worker processes).
-        state = self.__dict__.copy()
-        state["_bfs_dist"] = []
-        state["_bfs_seen"] = []
-        state["_bfs_stamp"] = 0
-        state["_active_dist"] = state["_bfs_dist"]
-        # The CSR snapshot is a derived cache — cheap to rebuild, big to ship.
-        state["_csr"] = None
-        state["_csr_version"] = -1
-        state["_ranks"] = None
-        state["_ranks_version"] = -1
-        return state
+        return min(pool, key=lambda v: (self.degree(v), repr(v)))
 
     def __repr__(self) -> str:
         return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"

@@ -77,7 +77,8 @@ class Hypergraph:
     edges:
         Optional mapping ``name -> iterable of vertices`` or iterable of
         vertex-iterables (auto-named ``e0, e1, ...``).  Vertices appearing
-        in edges are created implicitly with weight 1.
+        in edges are created implicitly with weight 1, as
+        :meth:`add_edge` creates them.
 
     Examples
     --------
@@ -153,11 +154,14 @@ class Hypergraph:
     ) -> EdgeName:
         """Add a hyperedge over ``members`` and return its name.
 
-        Unknown member vertices are created with weight 1.  Duplicate
-        members collapse (an edge is a set).  An empty member list and a
-        duplicate edge name are both errors.
+        Unknown member vertices are created with weight 1, in the order
+        the pins are given (first occurrence first), so vertex order never
+        depends on set iteration order.  Duplicate members collapse (an
+        edge is a set).  An empty member list and a duplicate edge name
+        are both errors.
         """
-        member_set = frozenset(members)
+        pins = list(members)  # may be an iterator: read it once
+        member_set = frozenset(pins)
         if not member_set:
             raise HypergraphError("hyperedge must contain at least one vertex")
         weight = checked_weight("edge", weight)
@@ -167,7 +171,7 @@ class Hypergraph:
             )
         elif name in self._edge_members:
             raise HypergraphError(f"duplicate edge name {name!r}")
-        for v in member_set:
+        for v in pins:
             if v not in self._vertex_weights:
                 self.add_vertex(v)
         if self._incidence is not None:
@@ -447,38 +451,6 @@ class Hypergraph:
         if not self._vertex_weights:
             return True
         return len(self.connected_components()) == 1
-
-    def clique_expansion(self):
-        """Plain graph with a clique over every hyperedge's pins.
-
-        Used by the spectral baseline and for interop; edge multiplicities
-        collapse (the result is a simple graph).
-        """
-        from repro.core.graph import Graph
-
-        g = Graph(self._vertex_weights)
-        for members in self._edge_members.values():
-            pins = sorted(members, key=repr)
-            for i, u in enumerate(pins):
-                for w in pins[i + 1 :]:
-                    g.add_edge(u, w)
-        return g
-
-    def star_expansion(self):
-        """Bipartite star expansion: one extra node per hyperedge.
-
-        Hyperedge nodes are ``("edge", name)`` tuples so they cannot clash
-        with module labels.
-        """
-        from repro.core.graph import Graph
-
-        g = Graph(self._vertex_weights)
-        for name, members in self._edge_members.items():
-            enode = ("edge", name)
-            g.add_vertex(enode)
-            for v in members:
-                g.add_edge(enode, v)
-        return g
 
     # ------------------------------------------------------------------
     # statistics / diagnostics

@@ -215,10 +215,7 @@ def random_regular_graph(
             seen.add(key)
         if not simple:
             continue
-        g = Graph(nodes=range(num_vertices))
-        for a, b in pairs:
-            g.add_edge(a, b)
-        return g
+        return Graph(nodes=range(num_vertices), edges=pairs)
     raise RuntimeError(
         f"failed to sample a simple {degree}-regular graph on {num_vertices} "
         f"vertices in {max_attempts} attempts"

@@ -129,11 +129,11 @@ def hypergraph_from_payload(payload) -> Hypergraph:
         try:
             try:
                 # Hashable pins are plain labels: they decode to themselves.
-                pins = frozenset(pins)
+                members = frozenset(pins)
             except TypeError:
-                pins = [_decode_label(p) for p in pins]
+                members = pins = [_decode_label(p) for p in pins]
             name = _decode_label(name)
-            members = frozenset(pins)
+            members = frozenset(members)
             weight = checked_weight("edge", weight)
             if name is None:
                 name, auto_counter = auto_edge_name(edge_members, auto_counter)
@@ -141,7 +141,7 @@ def hypergraph_from_payload(payload) -> Hypergraph:
                 raise HypergraphError(f"duplicate edge name {name!r}")
         except (ValueError, TypeError) as exc:
             raise JsonFormatError(f"edge entry {i}: {exc}") from None
-        for v in members:  # implicit vertices, in member order
+        for v in pins:  # implicit vertices, in pin order
             if v not in vertex_weights:
                 vertex_weights[v] = 1.0
         edge_members[name] = members

@@ -8,7 +8,9 @@ entries one at a time.  The code below is that code verbatim:
 * :class:`EagerHypergraph` carries the old ``add_vertex``,
   ``add_edge``, ``remove_edge``, ``remove_vertex``,
   ``set_vertex_weight`` and ``restricted_to_edges``, which keep the
-  index up to date on every call;
+  index up to date on every call.  One rule changed since: ``add_edge``
+  creates unknown members in the order the pins are given, not in
+  frozenset order, as ``src`` does;
 * :func:`reference_hypergraph_from_payload` is the old
   ``hypergraph_from_payload``, except that it builds an
   :class:`EagerHypergraph`;
@@ -51,7 +53,8 @@ class EagerHypergraph(Hypergraph):
         name: EdgeName | None = None,
         weight: float = 1.0,
     ) -> EdgeName:
-        member_set = frozenset(members)
+        pins = list(members)
+        member_set = frozenset(pins)
         if not member_set:
             raise HypergraphError("hyperedge must contain at least one vertex")
         if weight <= 0:
@@ -63,9 +66,10 @@ class EagerHypergraph(Hypergraph):
             self._auto_edge_counter += 1
         elif name in self._edge_members:
             raise HypergraphError(f"duplicate edge name {name!r}")
-        for v in member_set:
+        for v in pins:
             if v not in self._vertex_weights:
                 self.add_vertex(v)
+        for v in member_set:
             self._incidence[v].add(name)
         self._edge_members[name] = member_set
         self._edge_weights[name] = float(weight)

@@ -8,15 +8,20 @@ path verbatim (its two ``_use_csr()`` twins included: the boundary
 extraction in :func:`double_bfs_cut` and :func:`boundary_graph`'s
 per-node loop), except that ``boundary_graph`` gathers CSR rows with
 :func:`repro.core.csr.gather_rows` now that ``CSRAdjacency.gather`` is
-gone; plus :func:`reference_algorithm1`, the multi-start driver around
-it.  ``tests/test_start_differential.py`` checks the index
-path against it.
+gone, and builds ``G'`` through the ``Graph`` constructor, in the same
+node and edge order, now that ``Graph`` is frozen once built; plus
+:func:`reference_algorithm1`, the multi-start driver around it.
+``tests/test_start_differential.py`` checks the index path against it.
+The twins are chosen by this module's own :data:`USE_CSR` switch, which
+the tests flip to run both; ``Graph`` once chose them by edge count.
 
 The per-run setup is kept the same way, as it ran before it moved onto
 the hypergraph index: :func:`filter_large_edges` with its per-pin
 ``restricted_to_edges`` loop, :func:`intersection_graph` with one
-``Graph.add_clique`` per module (inlined), and the label-set
-:func:`connected_components`.  ``reference_algorithm1`` runs on them,
+``Graph.add_clique`` per module (inlined, into sets handed to
+``Graph.from_rows``), and the label-set :func:`connected_components`
+(on :func:`set_walk_bfs`, the set walk ``Graph`` ran below 2048 edges,
+when :data:`USE_CSR` is off).  ``reference_algorithm1`` runs on them,
 and ``tests/test_setup_differential.py`` compares each with ``src``.
 """
 
@@ -42,6 +47,37 @@ from repro.core.partition import Bipartition
 Node = Hashable
 Vertex = Hashable
 EdgeName = Hashable
+
+#: Which twin runs: the CSR one (True) or the one that walks the python
+#: sets (False).
+USE_CSR = True
+
+
+def set_walk_bfs(graph: Graph, source: int) -> tuple[list[int], list[int]]:
+    """``(order, dist)``: BFS from slot ``source`` over the graph's slot sets.
+
+    ``Graph.bfs_order_from`` as it ran on graphs below 2048 edges: a
+    sequential FIFO walk with a stamped visited array.  ``dist`` is valid
+    only for the slots in ``order``.
+    """
+    seen = [0] * graph.num_nodes
+    dist = [0] * graph.num_nodes
+    stamp = 1
+    adj = graph.adjacency_view()
+    order = [source]
+    seen[source] = stamp
+    dist[source] = 0
+    head = 0
+    while head < len(order):
+        v = order[head]
+        head += 1
+        dv1 = dist[v] + 1
+        for u in adj[v]:
+            if seen[u] != stamp:
+                seen[u] = stamp
+                dist[u] = dv1
+                order.append(u)
+    return order, dist
 
 
 def restricted_to_edges(hypergraph: Hypergraph, edge_subset) -> Hypergraph:
@@ -77,37 +113,30 @@ def filter_large_edges(
 
 def intersection_graph(hypergraph: Hypergraph) -> IntersectionGraph:
     """Build the intersection graph ``G`` dual to ``hypergraph``, one clique per module."""
-    g = Graph()
-    for name in hypergraph.edge_names:
-        g.add_vertex(name, weight=hypergraph.edge_weight(name))
+    labels = hypergraph.edge_names
+    slots = list(range(len(labels)))
+    index = dict(zip(labels, slots))
+    adj: list[set[int]] = [set() for _ in slots]
     for v in hypergraph.vertices:
         incident = hypergraph.incident_edges_view(v)
         if len(incident) > 1:
             # Graph.add_clique(incident):
-            index = g._index
             seen_ids = set()
             ids = []
             for u in incident:
-                i = index.get(u)
-                if i is None:
-                    g.add_vertex(u)
-                    i = index[u]
+                i = index[u]
                 if i not in seen_ids:
                     seen_ids.add(i)
                     ids.append(i)
             ids.sort()
-            adj = g._adj
-            added = 0
             for k, a in enumerate(ids):
                 sa = adj[a]
                 for b in ids[k + 1 :]:
                     if b not in sa:
                         sa.add(b)
                         adj[b].add(a)
-                        added += 1
-            g._edge_count += added
-            if added:
-                g._version += 1
+    weights = [float(hypergraph.edge_weight(name)) for name in labels]
+    g = Graph.from_rows(labels, weights, adj, slots)
     g.csr()
     g.repr_ranks()
     return IntersectionGraph(hypergraph, g, HypergraphIndex(hypergraph))
@@ -121,9 +150,7 @@ def connected_components(graph: Graph) -> list[set[Node]]:
     for i in graph._index.values():
         if i in seen:
             continue
-        order = graph.bfs_order_from(i)
-        if not isinstance(order, list):
-            order = order.tolist()
+        order = graph.bfs_order_from(i)[0].tolist() if USE_CSR else set_walk_bfs(graph, i)[0]
         seen.update(order)
         out.append({labels[j] for j in order})
     return out
@@ -229,7 +256,7 @@ def double_bfs_cut(
     # The whole growth race runs in index space on the graph's internal
     # adjacency — no neighbor-set copies anywhere in the loop.
     adj = graph.adjacency_view()
-    side = [-1] * graph.slot_capacity()
+    side = [-1] * graph.num_nodes
     side[iu] = 0
     side[iv] = 1
     counts = [1, 1]
@@ -288,7 +315,7 @@ def double_bfs_cut(
     right: list[Node] = []
     boundary_left: list[Node] = []
     boundary_right: list[Node] = []
-    if graph._use_csr():
+    if USE_CSR:
         import numpy as np
 
         # Vectorized boundary extraction: a node is boundary iff any CSR
@@ -390,13 +417,14 @@ def boundary_graph(graph: Graph, cut: GraphCut) -> BoundaryGraph:
     two boundary nodes on the same side does not force a winner/loser
     relation and is deleted, exactly as in the paper.
     """
-    g = Graph()
+    nodes: dict[Node, float] = {}
     for node in cut.boundary_left:
-        g.add_vertex(node, weight=graph.node_weight(node))
+        nodes[node] = graph.node_weight(node)
     for node in cut.boundary_right:
-        g.add_vertex(node, weight=graph.node_weight(node))
+        nodes[node] = graph.node_weight(node)
+    edges: list[tuple[Node, Node]] = []
     labels = graph.labels_view()
-    if graph._use_csr():
+    if USE_CSR:
         import numpy as np
 
         # Vectorized cross-pair discovery over the CSR snapshot: gather
@@ -409,23 +437,25 @@ def boundary_graph(graph: Graph, cut: GraphCut) -> BoundaryGraph:
             count=len(cut.boundary_left),
             dtype=np.int64,
         )
-        right_mask = np.zeros(graph.slot_capacity(), dtype=bool)
+        right_mask = np.zeros(graph.num_nodes, dtype=bool)
         for n in cut.boundary_right:
             right_mask[graph.index_of(n)] = True
         lens, nbrs = gather_rows(csr.indptr, csr.indices, li)
         owners = np.repeat(li, lens)
         hit = right_mask[nbrs]
         for a, b in zip(owners[hit].tolist(), nbrs[hit].tolist()):
-            g.add_edge(labels[a], labels[b])
+            edges.append((labels[a], labels[b]))
     else:
         adj = graph.adjacency_view()
         right_ids = {graph.index_of(n) for n in cut.boundary_right}
         for node in cut.boundary_left:
             for j in adj[graph.index_of(node)]:
                 if j in right_ids:
-                    g.add_edge(node, labels[j])
+                    edges.append((node, labels[j]))
     return BoundaryGraph(
-        graph=g, left=frozenset(cut.boundary_left), right=frozenset(cut.boundary_right)
+        graph=Graph(nodes, edges),
+        left=frozenset(cut.boundary_left),
+        right=frozenset(cut.boundary_right),
     )
 
 
@@ -488,7 +518,7 @@ class _WinnerSelector:
         self.adj = graph.adjacency_view()
         self.labels = graph.labels_view()
         self.ids = list(graph.node_indices())
-        cap = graph.slot_capacity()
+        cap = graph.num_nodes
         self.alive = bytearray(cap)
         self.pool_of = pool_of
         self.count = [0] * num_pools
@@ -582,7 +612,7 @@ def complete_cut(
     lose).  Runs in ``O((V + E) log E)`` via lazy-heap winner selection.
     """
     g = boundary.graph
-    sel = _WinnerSelector(g, variant, rng, pool_of=[0] * g.slot_capacity(), num_pools=1)
+    sel = _WinnerSelector(g, variant, rng, pool_of=[0] * g.num_nodes, num_pools=1)
     left_ids = {g.index_of(n) for n in boundary.left}
     labels = sel.labels
     winners_left: set[Node] = set()
@@ -637,7 +667,7 @@ def complete_cut_weighted(
         hyperedges only add the weight of their not-yet-assigned pins.
     """
     g = boundary.graph
-    pool_of = [1] * g.slot_capacity()
+    pool_of = [1] * g.num_nodes
     for n in boundary.left:
         pool_of[g.index_of(n)] = 0
     sel = _WinnerSelector(g, variant, rng, pool_of=pool_of, num_pools=2)

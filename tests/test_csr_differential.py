@@ -1,16 +1,18 @@
-"""Differential suite: CSR traversal paths vs the legacy set walks.
+"""Differential suite: the CSR BFS vs the set walk it replaced.
 
-The CSR refactor's whole contract is that the vectorized paths are
-element-for-element identical to the pure-python ``list[set[int]]``
-walks — same BFS visit order, same farthest-node tie-breaks, same
-components.  These tests pin that equivalence on hypothesis-generated
-graphs by running both paths on the same instance:
-the CSR path is forced on (the threshold is a performance knob, not a
-semantics knob), the legacy path is forced off.  The boundary extraction
-and ``G'`` construction have no twins left; their old pair is checked
-against the index path in ``tests/test_start_differential.py``.  The
-``CutState`` numpy twin went with the label-space ``CutState``;
-``tests/test_baseline_differential.py`` checks the engines against that.
+Every traversal of a :class:`Graph` runs the level-synchronous CSR BFS,
+whose contract is that it is element-for-element identical to a
+sequential FIFO walk of the ``list[set[int]]`` adjacency — same BFS
+visit order, same distances, same farthest-node tie-breaks, same
+components.  ``Graph`` ran that walk itself on graphs below 2048 edges;
+it is kept as :func:`tests.reference_start.set_walk_bfs`, and these
+tests pin the equivalence against it on hypothesis-generated graphs,
+with the graph's label-level traversals rebuilt on the walk the way
+``Graph`` built them.  The boundary extraction and ``G'`` construction
+have no twins left; their old pair is checked against the index path in
+``tests/test_start_differential.py``.  The ``CutState`` numpy twin went
+with the label-space ``CutState``; ``tests/test_baseline_differential.py``
+checks the engines against that.
 """
 
 from __future__ import annotations
@@ -22,32 +24,42 @@ from hypothesis import strategies as st
 
 from repro.core.csr import CSRAdjacency
 from repro.core.graph import Graph
+from tests.reference_start import set_walk_bfs
 
 
 @st.composite
-def graphs(draw, min_nodes: int = 2, max_nodes: int = 24, removals: bool = True):
-    """Random graphs, optionally with removed vertices (freed slots)."""
+def graphs(draw, min_nodes: int = 2, max_nodes: int = 24):
+    """Random graphs with nodes ``0 .. n - 1`` and up to ``3n`` edge draws."""
     n = draw(st.integers(min_nodes, max_nodes))
-    g = Graph(nodes=range(n))
     m = draw(st.integers(0, 3 * n))
+    edges = []
     for _ in range(m):
         pair = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-        g.add_edge(pair[0], pair[1])
-    if removals:
-        for v in draw(st.lists(st.integers(0, n - 1), max_size=n // 3, unique=True)):
-            if v in g and g.num_nodes > 2:
-                g.remove_vertex(v)
-    return g
+        edges.append((pair[0], pair[1]))
+    return Graph(nodes=range(n), edges=edges)
 
 
-def _force_csr(g: Graph) -> Graph:
-    g._use_csr = lambda: True  # instance attribute shadows the method
-    return g
+def walk_farthest(g: Graph, source, rng: random.Random | None = None):
+    """``Graph.bfs_farthest`` on the set walk: a backwards scan of the tail."""
+    order, dist = set_walk_bfs(g, g.index_of(source))
+    depth = dist[order[-1]]
+    lo = len(order) - 1
+    while lo > 0 and dist[order[lo - 1]] == depth:
+        lo -= 1
+    far = order[lo] if rng is None else order[lo + rng.randrange(len(order) - lo)]
+    return g.label_of(far), depth
 
 
-def _force_legacy(g: Graph) -> Graph:
-    g._use_csr = lambda: False
-    return g
+def walk_components(g: Graph) -> list[set]:
+    """``Graph.connected_components`` on the set walk."""
+    seen: set[int] = set()
+    out = []
+    for i in g.node_indices():
+        if i not in seen:
+            order, _ = set_walk_bfs(g, i)
+            seen.update(order)
+            out.append({g.label_of(j) for j in order})
+    return out
 
 
 class TestTraversalEquivalence:
@@ -55,39 +67,35 @@ class TestTraversalEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_bfs_order_and_distances_identical(self, g):
         csr = CSRAdjacency.from_graph(g)
-        legacy = _force_legacy(g)
         for s in list(g.node_indices()):
-            order = legacy.bfs_order_from(s)
-            dist = legacy.bfs_dist_view()
+            order, dist = set_walk_bfs(g, s)
             legacy_dist = [dist[i] for i in order]
-            c_order, c_dist = csr.bfs(s)
-            assert c_order.tolist() == order
-            assert [int(c_dist[i]) for i in order] == legacy_dist
+            for c_order, c_dist in (csr.bfs(s), g.bfs_order_from(s)):
+                assert c_order.tolist() == order
+                assert [int(c_dist[i]) for i in order] == legacy_dist
 
     @given(graphs(), st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_bfs_farthest_tiebreak_identical(self, g, seed):
-        # Both paths over the SAME graph object: a copy() would rebuild
-        # the adjacency sets with a different table-growth history and
-        # therefore a different (still deterministic) iteration order.
         for v in list(g.nodes):
-            _force_legacy(g)
-            got_legacy = g.bfs_farthest(v, random.Random(seed))
-            _force_csr(g)
+            got_legacy = walk_farthest(g, v, random.Random(seed))
             got_csr = g.bfs_farthest(v, random.Random(seed))
             assert got_legacy == got_csr
+            assert walk_farthest(g, v) == g.bfs_farthest(v)
 
     @given(graphs())
     @settings(max_examples=60, deadline=None)
     def test_components_and_levels_identical(self, g):
-        _force_legacy(g)
-        legacy_components = g.connected_components()
-        legacy_connected = g.is_connected()
-        legacy_levels = {v: g.bfs_levels(v) for v in g.nodes}
-        legacy_ecc = {v: g.eccentricity(v) for v in g.nodes}
-        _force_csr(g)
+        legacy_components = walk_components(g)
+        legacy_connected = len(set_walk_bfs(g, 0)[0]) == g.num_nodes
+        legacy_levels = {}
+        legacy_ecc = {}
+        for v in g.nodes:
+            order, dist = set_walk_bfs(g, g.index_of(v))
+            legacy_levels[v] = {g.label_of(i): dist[i] for i in order}
+            legacy_ecc[v] = dist[order[-1]]
         assert g.connected_components() == legacy_components
         assert g.is_connected() == legacy_connected
         for v in list(g.nodes):
-            assert g.bfs_levels(v) == legacy_levels[v]
+            assert list(g.bfs_levels(v).items()) == list(legacy_levels[v].items())
             assert g.eccentricity(v) == legacy_ecc[v]

@@ -104,7 +104,8 @@ class TestCompleteCutKonigBound:
         for seed, bg in self.boundaries():
             g = bg.graph
             start = next(iter(bg.nodes))
-            reachable = {g.label_of(i) for i in g.bfs_order_from(g.index_of(start))}
+            order, _ = g.bfs_order_from(g.index_of(start))
+            reachable = {g.label_of(i) for i in order.tolist()}
             if reachable != set(bg.nodes):
                 continue
             completion = complete_cut(bg, rng=random.Random(seed))

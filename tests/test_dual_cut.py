@@ -37,11 +37,8 @@ class TestRandomLongestBfsPath:
     def test_double_sweep_at_least_as_deep(self):
         rng = random.Random(1)
         for seed in range(10):
-            g = Graph()
             r = random.Random(seed)
-            nodes = list(range(20))
-            for i in range(1, 20):
-                g.add_edge(i, r.randrange(i))  # random tree
+            g = Graph(edges=[(i, r.randrange(i)) for i in range(1, 20)])  # random tree
             u1, v1, d1 = random_longest_bfs_path(g, rng=rng, start=0)
             u2, v2, d2 = random_longest_bfs_path(g, rng=rng, start=0, double_sweep=True)
             assert d2 >= d1
@@ -85,21 +82,17 @@ class TestDoubleBfsCut:
         rng = random.Random(5)
         for seed in range(15):
             r = random.Random(seed)
-            g = Graph(nodes=range(15))
-            for i in range(1, 15):
-                g.add_edge(i, r.randrange(i))
-            for _ in range(5):
-                a, b = r.sample(range(15), 2)
-                if not g.has_edge(a, b):
-                    g.add_edge(a, b)
+            edges = [(i, r.randrange(i)) for i in range(1, 15)]
+            edges += [tuple(r.sample(range(15), 2)) for _ in range(5)]
+            g = Graph(nodes=range(15), edges=edges)
             cut = double_bfs_cut(g, 0, 14, rng=rng)
             assert bool(cut.boundary_left) == bool(cut.boundary_right)
             check_graph_cut(g, cut)
 
     def test_other_components_attached_without_boundary(self):
-        g = path_graph(6)
-        g.add_edge(10, 11)  # separate component
-        g.add_vertex(20)  # isolated node
+        # A separate component 10-11, then the isolated node 20.
+        edges = [(i, i + 1) for i in range(5)] + [(10, 11)]
+        g = Graph(nodes=[*range(6), 10, 11, 20], edges=edges)
         cut = double_bfs_cut(g, 0, 5)
         assert cut.left | cut.right == set(g.nodes)
         # component nodes never become boundary
@@ -114,20 +107,19 @@ class TestDoubleBfsCut:
 
     def test_unreached_component_attaches_to_smaller_left_side(self):
         """After a lopsided race, stray components land on the light side."""
-        g = path_graph(2)  # seeds only: counts tie at 1-1
-        # a 3-node component: tie resolves to the left (counts[0] <= counts[1])
-        g.add_edge("c1", "c2")
-        g.add_edge("c2", "c3")
+        # The path 0-1 holds the seeds only: counts tie at 1-1, and a
+        # 3-node component's tie resolves to the left (counts[0] <= counts[1]).
+        g = Graph(edges=[(0, 1), ("c1", "c2"), ("c2", "c3")])
         cut = double_bfs_cut(g, 0, 1)
         assert {"c1", "c2", "c3"} <= cut.left
         assert not {"c1", "c2", "c3"} & cut.boundary
         check_graph_cut(g, cut)
 
     def test_unreached_component_attaches_to_smaller_right_side(self):
-        g = path_graph(2)
-        g.add_edge("c1", "c2")
-        g.add_edge("c2", "c3")  # attaches left, making left the heavy side
-        g.add_vertex("z")  # next component must go right
+        # c1-c2-c3 attaches left, making left the heavy side, so the next
+        # component, z, must go right.
+        edges = [(0, 1), ("c1", "c2"), ("c2", "c3")]
+        g = Graph(nodes=[0, 1, "c1", "c2", "c3", "z"], edges=edges)
         cut = double_bfs_cut(g, 0, 1)
         assert {"c1", "c2", "c3"} <= cut.left
         assert "z" in cut.right
@@ -136,9 +128,8 @@ class TestDoubleBfsCut:
 
     def test_components_never_contribute_boundary(self):
         """The paper's c = 0 case: unconnectedness means empty boundary."""
-        g = path_graph(5)
-        for k in range(4):
-            g.add_edge(("x", k), ("y", k))
+        edges = [(i, i + 1) for i in range(4)] + [(("x", k), ("y", k)) for k in range(4)]
+        g = Graph(nodes=range(5), edges=edges)
         cut = double_bfs_cut(g, 0, 4)
         extra = {("x", k) for k in range(4)} | {("y", k) for k in range(4)}
         assert not extra & cut.boundary

@@ -215,19 +215,6 @@ class TestDerived:
     def test_empty_is_connected(self):
         assert Hypergraph().is_connected()
 
-    def test_clique_expansion(self):
-        h = Hypergraph(edges={"A": [1, 2, 3]})
-        g = h.clique_expansion()
-        assert g.num_nodes == 3
-        assert g.num_edges == 3  # triangle
-
-    def test_star_expansion(self):
-        h = Hypergraph(edges={"A": [1, 2, 3]})
-        g = h.star_expansion()
-        assert g.num_nodes == 4
-        assert g.num_edges == 3
-        assert ("edge", "A") in g
-
     def test_is_graph(self):
         assert Hypergraph(edges=[[1, 2], [2, 3]]).is_graph()
         assert not Hypergraph(edges=[[1, 2, 3]]).is_graph()

@@ -2,6 +2,7 @@
 
 from hypothesis import given
 
+from repro.core.graph import Graph
 from repro.core.hypergraph import Hypergraph
 from repro.core.intersection import intersection_graph
 from tests.conftest import hypergraphs
@@ -39,7 +40,11 @@ class TestFigure4:
         g = ig.graph
         # Removing c and h separates the left cluster {a,b,d,e,f}
         # from the right cluster {g,i,j,k,l}.
-        sub = g.induced(set(g.nodes) - {"c", "h"})
+        keep = set(g.nodes) - {"c", "h"}
+        sub = Graph(
+            nodes=[v for v in g.nodes if v in keep],
+            edges=[(u, v) for u, v in g.edges() if u in keep and v in keep],
+        )
         comps = sorted(sub.connected_components(), key=len)
         assert {frozenset(c) for c in comps} == {
             frozenset({"a", "b", "d", "e", "f"}),

@@ -21,10 +21,19 @@ documents the split under ``--parallel``.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.algorithm1 import algorithm1
+from repro.engines import ALL_ENGINES
 from repro.generators import random_hypergraph
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 STARTS = 8
 SEED = 123
@@ -146,3 +155,81 @@ class TestBenchWorkerCountInvariance:
             # Generous runtime tolerance: this asserts cut/coverage
             # identity, not machine timing.
             assert compare_bench(sequential, payload, runtime_tolerance=100.0) == []
+
+
+# ----------------------------------------------------------------------
+# Implicit vertices: a module first seen as a pin becomes a vertex in pin
+# order, so neither the vertex order nor any engine's answer follows the
+# hash seed's iteration order of a set of str labels.
+
+
+SIGNALS = {  # the netlist of examples/quickstart.py
+    "clk": ["ff1", "ff2", "ff3", "ff4"],
+    "d1": ["ff1", "alu"],
+    "d2": ["ff2", "alu"],
+    "q1": ["alu", "mux"],
+    "q2": ["mux", "ff3"],
+    "sel": ["ctrl", "mux"],
+    "en": ["ctrl", "ff4"],
+    "a0": ["alu", "reg0"],
+    "a1": ["alu", "reg1"],
+    "r": ["reg0", "reg1"],
+}
+BUILDS = ("edges", "netlist", "payload")
+
+IMPLICIT_VERTEX_RUN = """
+import json, sys
+from repro import Hypergraph
+from repro.engines import ALL_ENGINES, run_engine
+from repro.io.json_io import hypergraph_from_payload
+from repro.io.netlist import parse_netlist
+
+signals = json.loads(sys.argv[1])
+builds = {
+    "edges": Hypergraph(edges=signals),
+    "netlist": parse_netlist("".join(f"{n}: {' '.join(p)}\\n" for n, p in signals.items())),
+    "payload": hypergraph_from_payload(
+        {"vertices": [], "edges": [[n, p, 1] for n, p in signals.items()]}
+    ),
+}
+out = {}
+for kind, h in builds.items():
+    sides = {}
+    for engine in ALL_ENGINES:
+        bp, _ = run_engine(engine, h, seed=0, starts=4)
+        sides[engine] = [sorted(bp.left), sorted(bp.right)]
+    out[kind] = {"vertices": h.vertices, "sides": sides}
+print(json.dumps(out))
+"""
+
+
+class TestImplicitVertexOrder:
+    @pytest.fixture(scope="class")
+    def runs(self) -> dict:
+        """Each build's vertices and every engine's sides, per hash seed."""
+        out = {}
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+            env["PYTHONHASHSEED"] = hash_seed
+            proc = subprocess.run(
+                [sys.executable, "-c", IMPLICIT_VERTEX_RUN, json.dumps(SIGNALS)],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            out[hash_seed] = json.loads(proc.stdout.splitlines()[-1])
+        return out
+
+    @pytest.mark.parametrize("kind", BUILDS)
+    def test_vertices_follow_pin_order(self, runs, kind):
+        first_seen = list(dict.fromkeys(pin for pins in SIGNALS.values() for pin in pins))
+        for run in runs.values():
+            assert run[kind]["vertices"] == first_seen
+
+    @pytest.mark.parametrize("kind", BUILDS)
+    def test_every_engine_gives_the_same_sides(self, runs, kind):
+        assert sorted(runs["1"][kind]["sides"]) == sorted(ALL_ENGINES)
+        assert runs["1"][kind]["sides"] == runs["2"][kind]["sides"]

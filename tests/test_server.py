@@ -41,7 +41,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.runtime import faults
 from repro.core.hypergraph import Hypergraph
-from repro.engines import run_engine
+from repro.engines import ALL_ENGINES, run_engine
 from repro.io.json_io import hypergraph_to_payload
 from repro.placement import mincut_place
 from repro.server import (
@@ -78,6 +78,14 @@ def _graph(seed_edges) -> Hypergraph:
 EDGESETS = [
     [(0, 1, 2), (2, 3), (3, 4, 5), (5, 6), (6, 7, 8), (8, 9), (9, 10, 11), (11, 0)],
     [(0, 3), (1, 4), (2, 5), (0, 1, 2), (3, 4, 5), (6, 7, 8, 9), (9, 10, 11), (5, 6)],
+]
+
+# Int labels 8 apart share a bucket of a small set's hash table, so every
+# member frozenset below iterates in another order after a pickle round
+# trip (``list(frozenset([3, 11]))`` is ``[11, 3]``, pickled ``[3, 11]``),
+# as a request does on its way to a daemon worker.
+PICKLE_REORDERED = [
+    (3, 11), (11, 19, 3), (19, 27), (27, 35, 43), (43, 51), (51, 59, 3), (59, 67), (67, 75, 11)
 ]
 
 
@@ -380,15 +388,23 @@ class TestRepeatAlias:
 
 
 class TestEngineParity:
-    @pytest.mark.parametrize("engine", ["algorithm1", "fm", "kl", "sa", "random", "spectral"])
-    def test_served_cut_equals_local_run(self, service, h, engine):
-        _, client = service
+    @staticmethod
+    def assert_served_equals_local(client, h, engine):
         response = client.partition(h, engine=engine, settings={"starts": 4, "seed": 3})
         local_bp, _ = run_engine(engine, h, seed=3, starts=4)
         assert response["result"]["cutsize"] == local_bp.cutsize
         assert response["result"]["weighted_cutsize"] == local_bp.weighted_cutsize
         left = frozenset(response["result"]["left"])
         assert left in (local_bp.left, local_bp.right)
+
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    def test_served_cut_equals_local_run(self, service, h, engine):
+        self.assert_served_equals_local(service[1], h, engine)
+
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    def test_served_cut_equals_local_run_when_pickling_reorders_pins(self, service, engine):
+        h = Hypergraph(edges={f"n{i}": list(pins) for i, pins in enumerate(PICKLE_REORDERED)})
+        self.assert_served_equals_local(service[1], h, engine)
 
     def test_place_matches_local_run(self, service, h):
         _, client = service

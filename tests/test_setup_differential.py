@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from repro.core.algorithm1 import _pack_components
 from repro.core.filtering import filter_large_edges
-from repro.core.graph import Graph
 from repro.core.hypergraph import Hypergraph, HypergraphError
 from repro.core.intersection import intersection_graph
 from tests import reference_start as ref
@@ -71,8 +70,9 @@ def test_dual_matches_reference(h, threshold):
     assert new.repr_ranks().tolist() == old.repr_ranks().tolist()
     labels = new.labels_view()
     for use_csr in (False, True):
-        # Both BFS paths: python lists below CSR_MIN_EDGES, arrays above.
-        with mock.patch.object(Graph, "_use_csr", lambda self: use_csr):
+        # The reference's component walk on both its BFS twins: the set
+        # walk and the CSR one.
+        with mock.patch.object(ref, "USE_CSR", use_csr):
             components = [{labels[i] for i in c.tolist()} for c in new.component_slots()]
             assert components == ref.connected_components(old)
             assert new.connected_components() == components

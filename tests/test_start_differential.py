@@ -9,8 +9,8 @@ compared, for int, str and tuple labels, both deterministic Complete-Cut
 variants with and without the engineer's rule, both double-BFS modes,
 double sweep, size thresholds, disconnected duals (attached components
 and packing), isolated seeds, and sequential and parallel runs.  The
-reference runs both of its ``_use_csr()`` twins, on its own filter, dual
-build and component check.
+reference runs both of its ``_use_csr()`` twins (its own ``USE_CSR``
+switch), on its own filter, dual build and component check.
 
 ``random_min_degree`` is left out of the comparison: the earlier path
 drew its candidates in frozenset order, which for str labels followed
@@ -36,7 +36,6 @@ from repro.core.algorithm1 import algorithm1, run_single_start
 from repro.core.boundary import boundary_graph
 from repro.core.dual_cut import double_bfs_cut, random_longest_bfs_path
 from repro.core.filtering import filter_large_edges
-from repro.core.graph import Graph
 from repro.core.hypergraph import Hypergraph
 from repro.core.intersection import intersection_graph
 from tests import reference_start as ref
@@ -63,8 +62,8 @@ options = st.fixed_dictionaries(
 
 
 def csr_twin(use_csr: bool):
-    """Pick one of the reference's two twins (and the BFS path) for every graph."""
-    return mock.patch.object(Graph, "_use_csr", lambda self: use_csr)
+    """Pick one of the reference's two twins (and its component walk)."""
+    return mock.patch.object(ref, "USE_CSR", use_csr)
 
 
 def assert_same_run(h: Hypergraph, opts: dict, parallel: int | None) -> None:
