@@ -618,29 +618,29 @@ def run_bench(
     supervision: dict | None = None
     try:
         if server is not None:
-            client = _server_client(server)
-            for case_name, engine in pending:
-                if total_deadline is not None and total_deadline.expired():
-                    checkpoint(
-                        (case_name, engine),
-                        _failed_entry(
-                            case_name, engine, "deadline expired before execution"
-                        ),
-                        False,
+            with _server_client(server) as client:
+                for case_name, engine in pending:
+                    if total_deadline is not None and total_deadline.expired():
+                        checkpoint(
+                            (case_name, engine),
+                            _failed_entry(
+                                case_name, engine, "deadline expired before execution"
+                            ),
+                            False,
+                        )
+                        continue
+                    entry, ok = _server_entry(
+                        client,
+                        case_name,
+                        engine,
+                        materialized[case_name],
+                        seed,
+                        starts,
+                        deadline_seconds,
+                        refine,
+                        verify=verify,
                     )
-                    continue
-                entry, ok = _server_entry(
-                    client,
-                    case_name,
-                    engine,
-                    materialized[case_name],
-                    seed,
-                    starts,
-                    deadline_seconds,
-                    refine,
-                    verify=verify,
-                )
-                checkpoint((case_name, engine), entry, ok)
+                    checkpoint((case_name, engine), entry, ok)
         elif parallel is not None:
             tasks = [
                 (

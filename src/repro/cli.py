@@ -315,6 +315,17 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from repro.bench import BenchError
+
+    try:
+        return _run_bench_command(args)
+    except (BenchError, JournalError) as exc:
+        # A bad option, bench file or journal is the user's to fix: one
+        # line, no traceback.
+        raise SystemExit(str(exc))
+
+
+def _run_bench_command(args: argparse.Namespace) -> int:
     from repro.bench import (
         SUITES,
         bench_path,
@@ -363,31 +374,28 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     engines = tuple(args.engines.split(",")) if args.engines else ALL_ENGINES
     scale = "quick" if args.quick else args.scale
     resume_notes: list[str] = []
-    try:
-        payload = run_bench(
-            args.label,
-            cases=SUITES[scale],
-            engines=engines,
-            seed=args.seed,
-            starts=args.starts,
-            repeats=args.repeats,
-            deadline_seconds=args.deadline,
-            parallel=args.parallel,
-            task_timeout=args.task_timeout,
-            max_retries=args.max_retries,
-            total_deadline_seconds=args.total_deadline,
-            journal_path=args.journal,
-            resume_path=args.resume,
-            memory_limit_mb=args.memory_limit,
-            on_resume=lambda replayed, pending: resume_notes.append(
-                f"resume: {replayed} pair(s) replayed, {pending} remaining"
-            ),
-            server=args.server,
-            refine=args.refine,
-            verify=args.verify,
-        )
-    except JournalError as exc:
-        raise SystemExit(str(exc))
+    payload = run_bench(
+        args.label,
+        cases=SUITES[scale],
+        engines=engines,
+        seed=args.seed,
+        starts=args.starts,
+        repeats=args.repeats,
+        deadline_seconds=args.deadline,
+        parallel=args.parallel,
+        task_timeout=args.task_timeout,
+        max_retries=args.max_retries,
+        total_deadline_seconds=args.total_deadline,
+        journal_path=args.journal,
+        resume_path=args.resume,
+        memory_limit_mb=args.memory_limit,
+        on_resume=lambda replayed, pending: resume_notes.append(
+            f"resume: {replayed} pair(s) replayed, {pending} remaining"
+        ),
+        server=args.server,
+        refine=args.refine,
+        verify=args.verify,
+    )
     # Resume progress goes to stderr: --json promises the payload is the
     # entire stdout, and the payload itself must stay resume-agnostic.
     for note in resume_notes:
@@ -695,6 +703,8 @@ def _cmd_client(args: argparse.Namespace) -> int:
         return 1
     except ServiceClientError as exc:
         raise SystemExit(f"request failed: {exc}")
+    finally:
+        client.close()
     print(json.dumps(response, indent=2, sort_keys=True))
     return 0
 

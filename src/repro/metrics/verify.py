@@ -25,12 +25,13 @@ it to an explicit failed entry.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from repro.core.hypergraph import Hypergraph
 from repro.io.json_io import _decode_label
 from repro.metrics.balance import weight_imbalance_fraction
-from repro.metrics.cut import cutsize, weighted_cutsize
+from repro.metrics.cut import crossing_edges
 
 __all__ = ["IntegrityError", "verify_partition_body", "verify_place_body"]
 
@@ -116,13 +117,15 @@ def verify_partition_body(
         f"({len(left_set | right_set)} assigned vs {len(vertices)} vertices)",
     )
 
-    recomputed_cut = cutsize(hypergraph, left_set)
+    # One walk gives both cut figures, as repro.metrics.cut derives them.
+    crossing = crossing_edges(hypergraph, left_set)
+    recomputed_cut = len(crossing)
     _require(
         body.get("cutsize") == recomputed_cut,
         f"claimed cutsize {body.get('cutsize')!r} != recomputed "
         f"{recomputed_cut}",
     )
-    recomputed_weighted = weighted_cutsize(hypergraph, left_set)
+    recomputed_weighted = math.fsum(hypergraph.edge_weight(name) for name in crossing)
     _require(
         body.get("weighted_cutsize") == recomputed_weighted,
         f"claimed weighted_cutsize {body.get('weighted_cutsize')!r} != "

@@ -41,9 +41,17 @@ up).  The cache is probed *before* any guard, so hits bypass all three
 — they cost no pool capacity, and answering them cannot delay a drain
 (the drain barrier waits only on admitted requests).
 ``SIGTERM``/:meth:`PartitionService.stop` runs the graceful drain:
-``/healthz`` flips to ``"draining"``, in-flight requests finish up to
+``/healthz`` flips to ``"draining"`` and every response carries
+``Connection: close``, in-flight requests finish up to
 ``drain_timeout`` seconds, stragglers are cut via ``pool.abort()``, and
-only then are the listener torn down and the pool's workers closed.
+only then are the listener torn down, the kept connections ended and
+the pool's workers closed.
+
+Transport: HTTP/1.1 over TCP or ``AF_UNIX``, one handler thread per
+connection, connections kept open between requests (an idle one closes
+after :attr:`_Handler.timeout` seconds).  Each response leaves in one
+write, and one sent before its request body was read closes the
+connection.
 
 Thread/fork safety: each task enters ``obs.scoped()`` first thing, so
 the worker records into a fresh registry (and, crucially, a fresh
@@ -256,6 +264,42 @@ class _ServiceHTTPServer(ThreadingHTTPServer):
     request_queue_size = 128
     service: "PartitionService" = None  # attached by PartitionService.start
 
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._open = set()  # accepted sockets whose handler has not closed them
+        self._open_changed = threading.Condition()
+
+    def process_request(self, request, client_address):
+        # TCP and AF_UNIX accepts both land here: requests per
+        # connection show whether clients keep their connections.
+        obs.count("server.connections")
+        with self._open_changed:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        with self._open_changed:
+            self._open.discard(request)
+            self._open_changed.notify_all()
+
+    def end_connections(self, timeout: float) -> None:
+        """End every accepted connection and wait up to ``timeout`` s.
+
+        ``SHUT_RD`` wakes a handler waiting on a kept connection with
+        EOF, so it closes the connection and exits; a response still
+        being written is not cut.  Call it once the listener is closed.
+        """
+        with self._open_changed:
+            still_open = list(self._open)
+        for request in still_open:
+            try:
+                request.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # its handler closed it meanwhile
+        with self._open_changed:
+            self._open_changed.wait_for(lambda: not self._open, timeout)
+
 
 class _UnixServiceHTTPServer(_ServiceHTTPServer):
     """HTTP over an ``AF_UNIX`` stream socket (local-only deployments)."""
@@ -277,7 +321,7 @@ class _UnixServiceHTTPServer(_ServiceHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
-    # A stalled keep-alive connection releases its handler thread.
+    # A kept connection idle this long releases its handler thread.
     timeout = 30
 
     _POST_OPS = {"/partition": "partition", "/place": "place", "/": None}
@@ -290,18 +334,35 @@ class _Handler(BaseHTTPRequestHandler):
         pass  # the daemon's observability lives in /metrics, not stderr
 
     def _send(
-        self, status: int, body: bytes, headers: dict[str, str] | None = None
+        self,
+        status: int,
+        body: bytes,
+        headers: dict[str, str] | None = None,
+        close: bool = False,
     ) -> None:
+        """Write the whole response in one write.
+
+        Headers and body in two writes stall a kept TCP connection:
+        Nagle holds the body until the client's delayed ACK of the
+        headers, about 40 ms.  ``TCP_NODELAY`` is no way out, since
+        ``AF_UNIX`` sockets reject it.  ``close`` (or a draining daemon)
+        adds ``Connection: close``, which also ends this handler's loop.
+        """
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        if close or self.service._draining.is_set():
+            self.send_header("Connection", "close")
+        # end_headers(), with the body joined to the buffered headers.
+        self._headers_buffer += [b"\r\n", body]
+        self.flush_headers()
 
-    def _send_error_payload(self, status: int, exc: Exception, **kwargs) -> None:
-        self._send(status, canonical_bytes(error_payload(exc, **kwargs)))
+    def _send_error_payload(
+        self, status: int, exc: Exception, close: bool = False, **kwargs
+    ) -> None:
+        self._send(status, canonical_bytes(error_payload(exc, **kwargs)), close=close)
 
     def do_GET(self):
         try:
@@ -319,9 +380,11 @@ class _Handler(BaseHTTPRequestHandler):
                     error_type="NotFound",
                 )
         except Exception as exc:  # never leak a traceback to the client
-            self._send_error_payload(500, exc, error_type="InternalError")
+            self._send_error_payload(500, exc, close=True, error_type="InternalError")
 
     def do_POST(self):
+        # Every answer sent before the body is read closes the
+        # connection: the unread body would be parsed as the next request.
         try:
             if self.path not in self._POST_OPS:
                 self._send_error_payload(
@@ -330,6 +393,7 @@ class _Handler(BaseHTTPRequestHandler):
                         f"no such endpoint {self.path!r}; POST serves "
                         "/partition, /place and /"
                     ),
+                    close=True,
                     error_type="NotFound",
                 )
                 return
@@ -340,6 +404,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_error_payload(
                     411,
                     RequestError("a Content-Length header is required"),
+                    close=True,
                     error_type="LengthRequired",
                 )
                 return
@@ -350,6 +415,7 @@ class _Handler(BaseHTTPRequestHandler):
                         f"Content-Length {length} is outside "
                         f"[0, {MAX_REQUEST_BYTES}]"
                     ),
+                    close=True,
                     error_type="PayloadTooLarge",
                 )
                 return
@@ -360,9 +426,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(status, body, headers)
         except Exception as exc:  # never leak a traceback to the client
             try:
-                self._send_error_payload(500, exc, error_type="InternalError")
+                self._send_error_payload(
+                    500, exc, close=True, error_type="InternalError"
+                )
             except Exception:
-                pass  # client already gone
+                self.close_connection = True  # client already gone
 
 
 # ----------------------------------------------------------------------
@@ -492,10 +560,11 @@ class PartitionService:
         3. Stragglers past the window are cut: ``pool.abort()``
            SIGTERMs their workers and their waiters get a typed
            ``Draining`` failure — nothing is left for client timeouts.
-        4. The listener shuts down, the broker fails anything still
-           queued (typed, promptly), the pool's idle workers exit, and
-           the UNIX socket file — if this daemon bound one — is removed
-           exactly once.
+        4. The broker fails anything still queued (typed, promptly),
+           the listener shuts down, every kept connection is ended
+           (``SHUT_RD``, so a response still being written is not cut),
+           the pool's idle workers exit, and the UNIX socket file — if
+           this daemon bound one — is removed exactly once.
         """
         if self._stopped:
             return
@@ -516,6 +585,9 @@ class PartitionService:
         if httpd is not None:
             httpd.shutdown()
             httpd.server_close()
+            # Admitted requests have answered; a kept connection must
+            # not let this daemon answer anything after stop() returns.
+            httpd.end_connections(timeout=5.0)
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=30.0)
             self._serve_thread = None

@@ -1,11 +1,16 @@
 """A small blocking client for the partition daemon (or a fleet of them).
 
 Speaks the :mod:`repro.server.protocol` JSON over TCP or an ``AF_UNIX``
-socket (one connection per request, ``Connection: close`` — the daemon
-is thread-per-connection, so connection reuse buys nothing and keeps
-handler threads pinned).  Error responses raise
-:class:`ServiceResponseError` carrying the structured error body, so
-callers branch on ``exc.error_type`` instead of parsing messages.
+socket.  The client keeps one HTTP/1.1 connection per endpoint open
+across requests and lends it to one request at a time (a concurrent
+request opens its own), so a request pays no connect and the daemon
+starts no handler thread for it.  :meth:`ServiceClient.close` (or a
+``with`` block) releases it.  A kept connection the daemon has closed
+while it sat idle is replaced by a fresh connect before any byte is
+sent, so a dead or restarted daemon still reads as connection refused.
+Error responses raise :class:`ServiceResponseError` carrying the
+structured error body, so callers branch on ``exc.error_type`` instead
+of parsing messages.
 
 Retry policy (``max_retries``, default 2): a retry happens **only** for
 outcomes where the request provably never executed —
@@ -15,11 +20,12 @@ outcomes where the request provably never executed —
 * a typed ``503 Draining``/``ServiceUnavailable`` shed.
 
 Typed 4xx request errors are deterministic and never retried; mid-flight
-transport failures (reset after the bytes left) and 500-family execution
-failures are never retried either — the daemon may have done (or be
-doing) the work, and hammering a failing request is exactly what the
-server's quarantine breaker exists to punish.  ``Quarantined`` is
-therefore also not retried: its cooldown is long by design.
+transport failures (reset after the bytes left, on a kept connection as
+on a new one) and 500-family execution failures are never retried
+either — the daemon may have done (or be doing) the work, and hammering
+a failing request is exactly what the server's quarantine breaker
+exists to punish.  ``Quarantined`` is therefore also not retried: its
+cooldown is long by design.
 
 Backoff between retries is decorrelated jitter
 (``delay = uniform(base, prev * 3)``, capped), and a ``Retry-After``
@@ -45,7 +51,9 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import select
 import socket
+import threading
 import time
 from urllib.parse import urlsplit
 
@@ -111,6 +119,18 @@ def _parse_retry_after(value: str | None) -> float | None:
     return seconds if seconds >= 0 else None
 
 
+def _closed_by_peer(sock: socket.socket) -> bool:
+    """Is an idle kept connection readable?
+
+    Between responses the daemon sends nothing, so a readable idle
+    connection holds EOF or a reset: the daemon closed it (idle timeout,
+    drain, restart, death) and it must carry no further request.
+    """
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
 class _UnixHTTPConnection(http.client.HTTPConnection):
     """``http.client`` over an ``AF_UNIX`` stream socket."""
 
@@ -120,8 +140,12 @@ class _UnixHTTPConnection(http.client.HTTPConnection):
 
     def connect(self) -> None:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(self.timeout)
-        sock.connect(self._path)
+        try:
+            sock.settimeout(self.timeout)
+            sock.connect(self._path)
+        except BaseException:
+            sock.close()  # a refused connect must not leak the socket
+            raise
         self.sock = sock
 
 
@@ -137,6 +161,8 @@ class _Endpoint:
         self.socket_path = socket_path
         self.host = host
         self.port = port
+        # The kept connection while no request holds it.
+        self.idle: http.client.HTTPConnection | None = None
 
     @classmethod
     def parse(cls, spec: str) -> "_Endpoint":
@@ -153,8 +179,13 @@ class _Endpoint:
 
     def connection(self, timeout: float) -> http.client.HTTPConnection:
         if self.socket_path is not None:
-            return _UnixHTTPConnection(self.socket_path, timeout)
-        return http.client.HTTPConnection(self.host, self.port, timeout=timeout)
+            conn = _UnixHTTPConnection(self.socket_path, timeout)
+        else:
+            conn = http.client.HTTPConnection(self.host, self.port, timeout=timeout)
+        # Connect only through ServiceClient._checkout, which tells a
+        # refused daemon from a mid-flight failure; never silently.
+        conn.auto_open = 0
+        return conn
 
     def __str__(self) -> str:
         if self.socket_path is not None:
@@ -172,6 +203,10 @@ class ServiceClient:
     * ``endpoints=["http://a:9000", "unix:/run/b.sock", ...]`` — a
       failover set; the first entry is preferred, rotation is by the
       policy in the module docstring.
+
+    The client holds a kept connection per endpoint: use it in a
+    ``with`` block or call :meth:`close` when done.  Threads may share
+    one client.
     """
 
     def __init__(
@@ -212,6 +247,8 @@ class ServiceClient:
             self._endpoints = [_Endpoint.parse(url)]
         self._active = 0
         self.failovers = 0  # completed health-checked rotations
+        self._lock = threading.Lock()  # guards each endpoint's idle slot
+        self._closed = False
 
     # -- endpoint bookkeeping ------------------------------------------
 
@@ -240,6 +277,65 @@ class ServiceClient:
 
     # -- transport -----------------------------------------------------
 
+    def _checkout(
+        self, endpoint: _Endpoint, timeout: float
+    ) -> http.client.HTTPConnection:
+        """Lend ``endpoint``'s kept connection, or connect a new one.
+
+        The kept connection is checked before any byte leaves: one the
+        daemon has closed is dropped here, and the connect that replaces
+        it raises ``OSError`` exactly as a first connect would.
+        """
+        with self._lock:
+            if self._closed:
+                raise ServiceClientError("the client is closed")
+            conn, endpoint.idle = endpoint.idle, None
+        if conn is not None:
+            if not _closed_by_peer(conn.sock):
+                conn.sock.settimeout(timeout)
+                return conn
+            conn.close()
+        conn = endpoint.connection(timeout)
+        try:
+            conn.connect()
+        except BaseException:
+            conn.close()
+            raise
+        return conn
+
+    def _checkin(
+        self, endpoint: _Endpoint, conn: http.client.HTTPConnection, reusable: bool
+    ) -> None:
+        """Keep ``conn`` for ``endpoint``'s next request, or close it.
+
+        Only a connection whose response was read in full and which the
+        daemon left open (no ``Connection: close``) is kept, and only
+        one per endpoint.
+        """
+        if reusable and conn.sock is not None:
+            with self._lock:
+                if not self._closed and endpoint.idle is None:
+                    endpoint.idle = conn
+                    return
+        conn.close()
+
+    def close(self) -> None:
+        """Close the kept connections; the client takes no more requests."""
+        with self._lock:
+            self._closed = True
+            kept = [endpoint.idle for endpoint in self._endpoints]
+            for endpoint in self._endpoints:
+                endpoint.idle = None
+        for conn in kept:
+            if conn is not None:
+                conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     def _request_once(
         self,
         method: str,
@@ -251,34 +347,32 @@ class ServiceClient:
         """One HTTP round trip: ``(status, body_bytes, retry_after)``."""
         if endpoint is None:
             endpoint = self._endpoints[self._active]
-        conn = endpoint.connection(self.timeout if timeout is None else timeout)
-        connected = False
         try:
-            conn.connect()
-            connected = True
-            headers = {"Connection": "close"}
-            if body is not None:
-                headers["Content-Type"] = "application/json"
+            conn = self._checkout(endpoint, self.timeout if timeout is None else timeout)
+        except OSError as exc:
+            # Nobody listening: the request never left this process.
+            refused = isinstance(exc, (ConnectionRefusedError, FileNotFoundError))
+            raise ServiceConnectionError(
+                f"{method} {path} @ {endpoint}: cannot connect: {exc}",
+                refused=refused,
+            ) from exc
+        done = False
+        try:
+            headers = {"Content-Type": "application/json"} if body is not None else {}
             conn.request(method, path, body=body, headers=headers)
             response = conn.getresponse()
             raw = response.read()
-            retry_after = _parse_retry_after(response.getheader("Retry-After"))
-            return response.status, raw, retry_after
+            done = True
         except (OSError, http.client.HTTPException) as exc:
-            if not connected:
-                # Nobody listening: the request never left this process.
-                refused = isinstance(exc, (ConnectionRefusedError, FileNotFoundError))
-                raise ServiceConnectionError(
-                    f"{method} {path} @ {endpoint}: cannot connect: {exc}",
-                    refused=refused,
-                ) from exc
             # Mid-flight failure — the daemon may have executed the
             # request; the caller must not blindly retry.
             raise ServiceClientError(
                 f"{method} {path} @ {endpoint} failed: {exc}"
             ) from exc
         finally:
-            conn.close()
+            self._checkin(endpoint, conn, reusable=done)
+        retry_after = _parse_retry_after(response.getheader("Retry-After"))
+        return response.status, raw, retry_after
 
     def request_raw(
         self, method: str, path: str, body: bytes | None = None
@@ -413,7 +507,7 @@ class ServiceClient:
         if no daemon is up within ``timeout`` seconds.
         """
         t0 = time.monotonic()
-        last_error: Exception | None = None
+        last_error: str | None = None
         poll = max(0.001, interval)
         total = len(self._endpoints)
         while time.monotonic() - t0 < timeout:
@@ -426,7 +520,10 @@ class ServiceClient:
                 except ServiceConnectionError as exc:
                     if not exc.refused:
                         raise
-                    last_error = exc
+                    # The text, not the exception: its traceback holds
+                    # this frame, and so this client and its kept
+                    # connection, until the garbage collector runs.
+                    last_error = str(exc)
                     continue
                 try:
                     payload = json.loads(raw.decode("utf-8"))

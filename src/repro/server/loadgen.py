@@ -185,78 +185,79 @@ def run_load(
 
     def client_loop(index: int) -> None:
         # Default max_retries=0: observe sheds, do not paper over them.
-        client = make_client(request_timeout)
-        i = index
-        while not stop.is_set() and time.monotonic() < deadline:
-            body = bodies[i % len(bodies)]
-            i += 1
-            t0 = time.monotonic()
-            paused = 0.0
-            try:
-                client.request("POST", "/partition", body)
-            except ServiceResponseError as exc:
-                bucket(_SHED_BUCKETS.get(exc.error_type, "error"))
-                # A shed answers in O(1); re-firing instantly would turn
-                # the run into a pure connection stampede.  Pause a
-                # beat — far less than the daemon's Retry-After hint, so
-                # the overload pressure stays sustained.
-                paused = shed_pause
-            except ServiceClientError:
-                bucket("transport_error")
-                paused = shed_pause
-            else:
-                bucket("ok")
-            with lock:
-                request_latencies.append(time.monotonic() - t0)
-            if paused:
-                stop.wait(paused)
+        with make_client(request_timeout) as client:
+            i = index
+            while not stop.is_set() and time.monotonic() < deadline:
+                body = bodies[i % len(bodies)]
+                i += 1
+                t0 = time.monotonic()
+                paused = 0.0
+                try:
+                    client.request("POST", "/partition", body)
+                except ServiceResponseError as exc:
+                    bucket(_SHED_BUCKETS.get(exc.error_type, "error"))
+                    # A shed answers in O(1); re-firing instantly would
+                    # turn the run into a pure shed loop on the kept
+                    # connection.  Pause a beat — far less than the
+                    # daemon's Retry-After hint, so the overload
+                    # pressure stays sustained.
+                    paused = shed_pause
+                except ServiceClientError:
+                    bucket("transport_error")
+                    paused = shed_pause
+                else:
+                    bucket("ok")
+                with lock:
+                    request_latencies.append(time.monotonic() - t0)
+                if paused:
+                    stop.wait(paused)
 
     def prober_loop() -> None:
         nonlocal healthz_failures, rss_peak
-        client = make_client(max(healthz_budget * 2, 2.0), retries=0)
-        while not stop.is_set() and time.monotonic() < deadline:
-            t0 = time.monotonic()
-            try:
-                client.request("GET", "/healthz", max_retries=0)
-            except ServiceClientError:
-                with lock:
-                    healthz_failures += 1
-            else:
-                elapsed = time.monotonic() - t0
-                with lock:
-                    healthz_latencies.append(elapsed)
-                    if elapsed > healthz_budget:
-                        healthz_failures += 1
-            if server_pid is not None:
-                rss = memory.rss_bytes(server_pid)
-                if rss is not None:
+        with make_client(max(healthz_budget * 2, 2.0), retries=0) as client:
+            while not stop.is_set() and time.monotonic() < deadline:
+                t0 = time.monotonic()
+                try:
+                    client.request("GET", "/healthz", max_retries=0)
+                except ServiceClientError:
                     with lock:
-                        rss_peak = rss if rss_peak is None else max(rss_peak, rss)
-            stop.wait(healthz_interval)
+                        healthz_failures += 1
+                else:
+                    elapsed = time.monotonic() - t0
+                    with lock:
+                        healthz_latencies.append(elapsed)
+                        if elapsed > healthz_budget:
+                            healthz_failures += 1
+                if server_pid is not None:
+                    rss = memory.rss_bytes(server_pid)
+                    if rss is not None:
+                        with lock:
+                            rss_peak = rss if rss_peak is None else max(rss_peak, rss)
+                stop.wait(healthz_interval)
 
-    probe_client = make_client(10.0, retries=0)
     report = LoadReport(clients=clients)
-    try:
-        report.metrics_before = probe_client.metrics()
-    except ServiceClientError:
-        report.metrics_before = None
+    with make_client(10.0, retries=0) as probe_client:
+        try:
+            report.metrics_before = probe_client.metrics()
+        except ServiceClientError:
+            report.metrics_before = None
 
-    t_start = time.monotonic()
-    threads = [
-        threading.Thread(target=client_loop, args=(i,), daemon=True)
-        for i in range(clients)
-    ]
-    threads.append(threading.Thread(target=prober_loop, daemon=True))
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=duration + request_timeout + 10.0)
-    report.duration_seconds = time.monotonic() - t_start
+        t_start = time.monotonic()
+        threads = [
+            threading.Thread(target=client_loop, args=(i,), daemon=True)
+            for i in range(clients)
+        ]
+        threads.append(threading.Thread(target=prober_loop, daemon=True))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=duration + request_timeout + 10.0)
+        report.duration_seconds = time.monotonic() - t_start
 
-    try:
-        report.metrics_after = probe_client.metrics()
-    except ServiceClientError:
-        report.metrics_after = None
+        try:
+            report.metrics_after = probe_client.metrics()
+        except ServiceClientError:
+            report.metrics_after = None
     with lock:
         report.outcomes = dict(outcomes)
         report.request_latency = _percentiles(request_latencies)

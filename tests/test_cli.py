@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -271,6 +275,39 @@ class TestLogErrors:
         )
         assert message.startswith("cannot start daemon: ")
         assert "cannot create state dir" in message
+
+
+class TestBenchErrors:
+    """A bad bench option or bench file exits 1 with one line on stderr."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def _run(self, tmp_path, *argv) -> subprocess.CompletedProcess:
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"))
+        return subprocess.run(
+            [sys.executable, "-m", "repro.cli", "bench", *argv],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    def _assert_one_line(self, proc, expected: str) -> None:
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert expected in lines[0]
+
+    def test_memory_limit_without_parallel(self, tmp_path):
+        proc = self._run(tmp_path, "--quick", "--memory-limit", "64")
+        self._assert_one_line(proc, "memory limits require parallel workers")
+
+    def test_compare_with_a_missing_file(self, tmp_path):
+        baseline = str(self.ROOT / "BENCH_pr9.json")
+        proc = self._run(tmp_path, "--compare", baseline, "MISSING.json")
+        self._assert_one_line(proc, "cannot read bench file MISSING.json")
 
 
 #: A malformed file per input format, and the reader's complaint.

@@ -100,6 +100,7 @@ def service():
     client = ServiceClient(url=svc.url, timeout=120.0)
     client.wait_ready(timeout=10.0)
     yield svc, client
+    client.close()
     svc.stop()
 
 

@@ -45,6 +45,7 @@ from repro.server import (
     PartitionService,
     ServiceClient,
     ServiceConfig,
+    ServiceConnectionError,
     ServiceResponseError,
 )
 
@@ -317,6 +318,45 @@ class TestClientFailover:
             assert metrics_b["service"]["executions"] == 4
             assert metrics_b["service"]["misses"] == 4
         finally:
+            _stop(proc_a)
+            _stop(proc_b)
+
+    def test_kill_behind_a_kept_connection_reads_as_refused(self, tmp_path, h):
+        """A SIGKILL while the client holds an idle kept connection to
+        the daemon: the next call finds the connection closed, replaces
+        it through a connect that is refused, and fails over — never a
+        mid-flight error, since the request never left."""
+        path_a = str(tmp_path / "a.sock")
+        path_b = str(tmp_path / "b.sock")
+        proc_a = _spawn(path_a)
+        proc_b = _spawn(path_b)
+        endpoints = [f"unix:{path_a}", f"unix:{path_b}"]
+        single = ServiceClient(socket_path=path_a, timeout=60.0, max_retries=0)
+        failover = ServiceClient(endpoints=endpoints, timeout=60.0, max_retries=1)
+        try:
+            failover.wait_ready(timeout=15.0)
+            for client in (single, failover):
+                client.partition(h, engine="fm", settings={"seed": 0})
+                # One connection served both calls: it is kept.
+                opened = client.metrics()["obs"]["counters"]["server.connections"]
+                client.healthz()
+                assert client.metrics()["obs"]["counters"]["server.connections"] == opened
+
+            proc_a.kill()
+            proc_a.wait(timeout=15)
+
+            with pytest.raises(ServiceConnectionError) as excinfo:
+                single.partition(h, engine="fm", settings={"seed": 1})
+            assert excinfo.value.refused
+            response = failover.partition(h, engine="fm", settings={"seed": 1})
+            assert response["served"]["cache"] == "miss"
+            assert failover.failovers == 1
+            assert failover.active_endpoint == f"unix:{path_b}"
+            service_b = failover.metrics()["service"]
+            assert service_b["executions"] == 1
+        finally:
+            single.close()
+            failover.close()
             _stop(proc_a)
             _stop(proc_b)
 
