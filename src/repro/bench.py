@@ -147,7 +147,7 @@ QUICK_SUITE: tuple[BenchCase, ...] = (
 #: Gated behind ``bench --scale large`` so tier-1 CI stays fast; the
 #: engine restrictions keep each case in CI-minutes territory.  Each
 #: exclusion note gives one run's seconds, measured sequentially on one
-#: core of a 2-core Intel Xeon VM (BENCH_pr18_large.json holds the
+#: core of a 2-core Intel Xeon VM (BENCH_pr25_large.json holds the
 #: included pairs' times).
 LARGE_SUITE: tuple[BenchCase, ...] = PINNED_SUITE + (
     BenchCase(

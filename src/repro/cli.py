@@ -24,6 +24,7 @@ import sys
 from pathlib import Path
 
 from repro.core.algorithm1 import algorithm1
+from repro.core.filtering import DEFAULT_EDGE_SIZE_THRESHOLD
 from repro.core.hypergraph import Hypergraph
 from repro.engines import ALL_ENGINES, PLACERS, REFINERS, apply_refine, run_engine, run_placer
 from repro.placement.mincut_placement import PARTITIONERS
@@ -89,10 +90,28 @@ def _positive_number(text: str) -> float:
     return value
 
 
+#: ``partition`` options that only the algorithm1 bisection path reads;
+#: any other engine, and ``--k > 2``, would ignore them.
+_ALGORITHM1_ONLY = (
+    ("threshold", "--threshold"),
+    ("weighted_balance", "--weighted-balance"),
+    ("parallel", "--parallel"),
+    ("task_timeout", "--task-timeout"),
+    ("max_retries", "--max-retries"),
+    ("timings", "--timings"),
+)
+
+
 def _cmd_partition(args: argparse.Namespace) -> int:
     h = _load_hypergraph(args.file, args.format)
-    if (args.journal or args.resume) and (args.k > 2 or args.algorithm != "algorithm1"):
-        raise SystemExit("--journal/--resume support algorithm1 bisection only")
+    if args.k > 2 or args.algorithm != "algorithm1":
+        if args.journal or args.resume:
+            raise SystemExit("--journal/--resume support algorithm1 bisection only")
+        for name, flag in _ALGORITHM1_ONLY:
+            value = getattr(args, name)
+            # Unset is None, or False for a switch; 0 is a given value.
+            if value is not None and value is not False:
+                raise SystemExit(f"{flag} supports algorithm1 bisection only")
     if args.refine and args.k > 2:
         raise SystemExit("--refine applies to bipartitions only (k = 2)")
     if args.k > 2:
@@ -134,13 +153,13 @@ def _cmd_partition(args: argparse.Namespace) -> int:
                 h,
                 num_starts=args.starts,
                 seed=args.seed,
-                edge_size_threshold=args.threshold,
+                edge_size_threshold=args.threshold or DEFAULT_EDGE_SIZE_THRESHOLD,
                 weighted_balance=args.weighted_balance,
                 balance_tolerance=args.balance_tolerance,
                 parallel=parallel,
                 deadline=args.deadline,
                 task_timeout=args.task_timeout,
-                max_retries=args.max_retries,
+                max_retries=2 if args.max_retries is None else args.max_retries,
                 journal_path=args.journal,
                 resume_path=args.resume,
             )
@@ -780,10 +799,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threshold",
         type=_edge_size_threshold,
-        default=10,
-        help="large-edge ignore threshold (>= 2)",
+        default=None,
+        help="large-edge ignore threshold (>= 2, default 10; algorithm1 bisection only)",
     )
-    p.add_argument("--weighted-balance", action="store_true", help="engineer's rule")
+    p.add_argument(
+        "--weighted-balance",
+        action="store_true",
+        help="engineer's rule (algorithm1 bisection only)",
+    )
     p.add_argument(
         "--balance-tolerance",
         type=float,
@@ -795,8 +818,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--parallel",
         type=int,
         default=None,
-        help="fan independent starts across this many worker processes. "
-        "Default (unset) runs sequentially on the caller's rng stream — "
+        help="fan independent starts across this many worker processes "
+        "(algorithm1 bisection only). Default (unset) runs sequentially "
+        "on the caller's rng stream — "
         "bit-for-bit the historical behaviour; any --parallel K draws "
         "per-start child seeds up front, so the cut for a fixed seed is "
         "identical for every K but intentionally differs from the "
@@ -830,14 +854,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="per-start timeout for parallel workers; a start exceeding it "
-        "is killed and retried with an advanced seed",
+        "is killed and retried with an advanced seed (algorithm1 bisection only)",
     )
     p.add_argument(
         "--max-retries",
         type=int,
-        default=2,
+        default=None,
         help="retries per crashed/hung/failed parallel start before "
-        "sequential fallback (default 2)",
+        "sequential fallback (default 2; algorithm1 bisection only)",
     )
     p.add_argument(
         "--on-error",
@@ -849,7 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--timings",
         action="store_true",
-        help="print per-phase wall-clock timings (algorithm1 only)",
+        help="print per-phase wall-clock timings (algorithm1 bisection only)",
     )
     p.add_argument("--assignment", help="write vertex->side JSON here")
     p.add_argument("--parts", help="write an hMETIS-style .part file here")

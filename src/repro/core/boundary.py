@@ -37,8 +37,8 @@ class BoundaryGraph(LazyLabels):
         The two color classes ``B_L`` and ``B_R``.
 
     Made by :func:`boundary_graph`, it is index-backed: ``G'`` is the
-    boundary slots of ``G`` plus the cross-side entries of ``G``'s CSR
-    snapshot, and the three attributes above are built on first read.
+    boundary slots of ``G`` plus the cross-side entries of ``G``'s CSR,
+    and the three attributes above are built on first read.
     It can also be built from a :class:`Graph` and its two color classes.
     """
 

@@ -301,9 +301,9 @@ def double_bfs_cut(
     except GraphError:
         raise GraphError(f"seed not in graph: {u!r} / {v!r}") from None
 
-    # The whole growth race runs in index space on the graph's internal
-    # adjacency — no neighbor-set copies anywhere in the loop.
-    adj = graph.adjacency_view()
+    # The whole growth race runs in index space on the graph's row lists,
+    # each node's neighbors in ascending slot order.
+    adj = graph.row_lists()
     side = [-1] * graph.num_nodes
     side[iu] = 0
     side[iv] = 1
@@ -342,7 +342,7 @@ def double_bfs_cut(
     # Other components: attach each whole component to the smaller side.
     # Component nodes are unreachable from both seeds, so they can never
     # be adjacent to the other side — they never become boundary.
-    for start in graph.node_indices():
+    for start in range(graph.num_nodes):
         if side[start] >= 0:
             continue
         stack = [start]

@@ -6,18 +6,13 @@ constructor and :meth:`Graph.from_rows` are the only builders, and
 nothing adds or removes a node or an edge afterwards.  The public API is
 label-based (nodes are arbitrary hashables), but internally every label
 is *interned* to a contiguous integer slot, ``0 .. num_nodes - 1`` in
-insertion order; adjacency is stored as ``list[set[int]]`` indexed by
-slot.  Every traversal (BFS levels, pseudo-diameter search, components)
-runs in index space on one BFS, the level-synchronous walk over the
-graph's CSR arrays (:mod:`repro.core.csr`), which are built once, on
-first use — no per-call ``frozenset`` copies, no label hashing inside
-the inner loops.
-EXPERIMENTS.md reads the runtime ratio Algorithm I : SA : KL as
-1 : 1.48 : 2.76 from ``BENCH_pr18.json``'s traced engines-1k pair; the
-paper reports 1 : 110 : 120.  A side benefit of the integer core:
-small-int hashing is not randomized, so BFS visit orders (and therefore
-tie-breaks) are reproducible across processes even for string-labelled
-graphs.
+insertion order, and the adjacency is one CSR (:mod:`repro.core.csr`)
+whose rows list each node's neighbors in ascending slot order, built
+once, at construction.  That order is the definition every traversal
+follows: BFS levels, pseudo-diameter search, components and the
+double-BFS race depend on the slot numbering and the edge set alone,
+never on the order the edges were listed in.  No traversal hashes a
+label or copies a neighbor set inside its inner loop.
 
 Exposed traversals are exactly what the paper needs:
 
@@ -34,16 +29,16 @@ Index-path API (for the core pipeline; everything else should stick to
 the label API):
 
 * :meth:`Graph.index_of` / :meth:`Graph.label_of` — label <-> slot.
-* :meth:`Graph.node_indices` — the slots, ``0 .. num_nodes - 1``.
-* :meth:`Graph.adjacency_view` / :meth:`Graph.labels_view` /
-  :meth:`Graph.weights_view` — zero-copy handles on the internal arrays.
-  Callers must treat them as read-only.
+* :meth:`Graph.labels_view` / :meth:`Graph.weights_view` — zero-copy
+  handles on the internal arrays.  Callers must treat them as read-only.
 * :meth:`Graph.neighbors_view` — lazy neighbor-label iteration without
   building a set.
 * :meth:`Graph.bfs_order_from` — BFS in index space: the visit order and
   the distances.
-* :meth:`Graph.csr` / :meth:`Graph.repr_ranks` — the CSR arrays and the
-  per-slot ``repr`` ranks, each built once, on first use.
+* :meth:`Graph.csr` — the CSR arrays; :meth:`Graph.row_lists` — the same
+  rows as python lists, for the sequential walks; :meth:`Graph.repr_ranks`
+  — the per-slot ``repr`` ranks.  The last two are built once, on first
+  use.
 """
 
 from __future__ import annotations
@@ -53,6 +48,7 @@ from collections.abc import Hashable, Iterable, Mapping
 from typing import Iterator
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro import obs
 from repro.core.csr import CSRAdjacency
@@ -83,9 +79,6 @@ class Graph:
         self._index: dict[Node, int] = {}  # label -> slot, insertion-ordered
         self._labels: list[Node] = []  # slot -> label
         self._weights: list[float] = []  # slot -> weight
-        self._adj: list[set[int]] = []  # slot -> adjacent slots
-        self._csr: CSRAdjacency | None = None  # built on first use
-        self._ranks: np.ndarray | None = None  # built on first use
         if isinstance(nodes, Mapping):
             for v, w in nodes.items():
                 if w <= 0:
@@ -94,17 +87,14 @@ class Graph:
         elif nodes is not None:
             for v in nodes:
                 self._slot(v)
-        count = 0
-        adj = self._adj
+        us: list[int] = []
+        vs: list[int] = []
         for u, v in edges if edges is not None else ():
             if u == v:
                 raise GraphError(f"self-loop at {u!r} not allowed")
-            iu, iv = self._slot(u), self._slot(v)
-            if iv not in adj[iu]:
-                adj[iu].add(iv)
-                adj[iv].add(iu)
-                count += 1
-        self._edge_count = count
+            us.append(self._slot(u))
+            vs.append(self._slot(v))
+        self._freeze(us + vs, vs + us)
 
     def _slot(self, v: Node, weight: float = 1.0) -> int:
         """The slot of ``v``; a new node takes the next slot and ``weight``."""
@@ -113,51 +103,59 @@ class Graph:
             i = self._index[v] = len(self._labels)
             self._labels.append(v)
             self._weights.append(weight)
-            self._adj.append(set())
         return i
 
     @classmethod
     def from_rows(
-        cls, labels: list[Node], weights: list[float], adj: list[set[int]], slots: list[int]
+        cls, labels: list[Node], weights: list[float], rows: ArrayLike, cols: ArrayLike
     ) -> "Graph":
-        """The graph whose slot ``i`` holds ``labels[i]``, ``weights[i]`` and ``adj[i]``.
+        """The graph whose slot ``i`` holds ``labels[i]`` and ``weights[i]``.
 
-        ``slots`` is ``list(range(len(labels)))``; its int objects become
-        the label index's values, which ``adj``'s sets should hold too so
-        each slot number is stored once.  The caller guarantees distinct
-        labels, positive weights and a symmetric, loop-free ``adj``; the
-        lists are taken, not copied.
+        Slot ``rows[k]`` is adjacent to slot ``cols[k]``; the caller lists
+        each edge both ways (repeats collapse) and guarantees distinct
+        labels, positive weights and no loop.  ``labels`` and ``weights``
+        are taken, not copied.
         """
-        g = cls()
-        g._index = dict(zip(labels, slots))
+        g = cls.__new__(cls)
+        g._index = dict(zip(labels, range(len(labels))))
         g._labels = labels
         g._weights = weights
-        g._adj = adj
-        g._edge_count = sum(map(len, adj)) // 2
+        g._freeze(rows, cols)
         return g
 
+    def _freeze(self, rows: ArrayLike, cols: ArrayLike) -> None:
+        self._csr = CSRAdjacency.from_pairs(len(self._labels), rows, cols)
+        self._rows: list[list[int]] | None = None  # built on first use
+        self._ranks: np.ndarray | None = None  # built on first use
+        obs.count("graph.csr.builds")
+
     # ------------------------------------------------------------------
-    # per-graph tables, built once
+    # per-graph tables
     # ------------------------------------------------------------------
 
     def csr(self) -> CSRAdjacency:
-        """The graph's :class:`repro.core.csr.CSRAdjacency`, built on first use.
+        """The graph's :class:`repro.core.csr.CSRAdjacency`.
 
-        The CSR freezes the *exact* neighbor iteration order of the
-        internal sets, so its rows list each node's neighbors in the order
-        a loop over :meth:`adjacency_view` would.  Each call after the
-        first counts a ``graph.csr.reuses``; the graph's own traversals
-        read it without counting.
+        Each call counts a ``graph.csr.reuses``; the graph's own
+        traversals read the CSR without counting.
         """
-        if self._csr is not None:
-            obs.count("graph.csr.reuses")
-        return self._snapshot()
-
-    def _snapshot(self) -> CSRAdjacency:
-        if self._csr is None:
-            self._csr = CSRAdjacency.from_graph(self)
-            obs.count("graph.csr.builds")
+        obs.count("graph.csr.reuses")
         return self._csr
+
+    def row_lists(self) -> list[list[int]]:
+        """Each slot's CSR row as a python list of slots, built on first use.
+
+        The view for the sequential walks (the double-BFS race,
+        components, the 2-coloring), which would otherwise pay a numpy
+        scalar read per neighbor.  One list per row, not slices of one
+        flat list: the race then reads a row without copying it, about
+        a sixth faster per start on 10k-module duals.  Read-only.
+        """
+        if self._rows is None:
+            flat = self._csr.indices.tolist()
+            bounds = self._csr.indptr.tolist()
+            self._rows = [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        return self._rows
 
     def repr_ranks(self) -> np.ndarray:
         """Per-slot rank of each node in ``repr`` order (ties by slot), int64.
@@ -187,14 +185,6 @@ class Graph:
         """The label stored at slot ``i``."""
         return self._labels[i]
 
-    def node_indices(self) -> Iterable[int]:
-        """Every slot, ``0 .. num_nodes - 1``: the label index's own int objects."""
-        return self._index.values()
-
-    def adjacency_view(self) -> list[set[int]]:
-        """The internal slot-indexed adjacency — read-only, zero-copy."""
-        return self._adj
-
     def labels_view(self) -> list[Node]:
         """The internal slot -> label array — read-only, zero-copy."""
         return self._labels
@@ -204,9 +194,13 @@ class Graph:
         return self._weights
 
     def neighbors_view(self, v: Node) -> Iterator[Node]:
-        """Lazily iterate the neighbor labels of ``v`` without copying."""
-        labels = self._labels
-        return (labels[j] for j in self._adj[self.index_of(v)])
+        """Lazily iterate the neighbor labels of ``v``, in slot order, without a set."""
+        return map(self._labels.__getitem__, self._row(self.index_of(v)).tolist())
+
+    def _row(self, i: int) -> np.ndarray:
+        """Slot ``i``'s CSR row: its neighbors' slots, ascending."""
+        indptr = self._csr.indptr
+        return self._csr.indices[indptr[i] : indptr[i + 1]]
 
     # ------------------------------------------------------------------
     # queries
@@ -222,7 +216,7 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return self._edge_count
+        return len(self._csr.indices) // 2
 
     def __contains__(self, v: Node) -> bool:
         return v in self._index
@@ -239,25 +233,28 @@ class Graph:
     def has_edge(self, u: Node, v: Node) -> bool:
         iu = self._index.get(u)
         iv = self._index.get(v)
-        return iu is not None and iv is not None and iv in self._adj[iu]
+        if iu is None or iv is None:
+            return False
+        row = self._row(iu)
+        k = int(np.searchsorted(row, iv))
+        return k < len(row) and int(row[k]) == iv
 
     def degree(self, v: Node) -> int:
-        return len(self._adj[self.index_of(v)])
+        return len(self._row(self.index_of(v)))
 
     def node_weight(self, v: Node) -> float:
         return self._weights[self.index_of(v)]
 
     def max_degree(self) -> int:
-        return max(map(len, self._adj), default=0)
+        return int(self._csr.degrees().max(initial=0))
 
     def edges(self) -> Iterator[tuple[Node, Node]]:
-        """Each undirected edge yielded exactly once."""
-        labels = self._labels
-        for i, row in enumerate(self._adj):
-            li = labels[i]
-            for j in row:
-                if i < j:
-                    yield (li, labels[j])
+        """Each undirected edge yielded exactly once, by lower slot, then upper."""
+        csr = self._csr
+        owners = np.repeat(np.arange(len(self._labels)), csr.degrees())
+        upper = owners < csr.indices
+        label = self._labels.__getitem__
+        return zip(map(label, owners[upper].tolist()), map(label, csr.indices[upper].tolist()))
 
     # ------------------------------------------------------------------
     # traversal
@@ -271,7 +268,7 @@ class Graph:
         ``order``.  Both are fresh arrays, so results of consecutive calls
         may be held side by side.
         """
-        order, dist = self._snapshot().bfs(source)
+        order, dist = self._csr.bfs(source)
         obs.count("graph.bfs.calls")
         obs.count("graph.bfs.nodes_visited", len(order))
         return order, dist
@@ -326,21 +323,29 @@ class Graph:
         """The slots of each connected component, as int64 arrays in BFS order.
 
         Components come in the insertion order of their first node, each
-        found by one BFS from that node.
+        listed in BFS order from that node.  One FIFO walk over
+        :meth:`row_lists` finds them all: each component's walk starts at
+        the first slot no earlier one reached.
         """
-        seen = np.zeros(len(self._labels), dtype=bool)
-        left = len(self._labels)
-        out = []
-        for i in range(len(self._labels)):
-            if not left:
-                break
-            if seen[i]:
+        rows = self.row_lists()
+        seen = [False] * len(rows)
+        order: list[int] = []
+        bounds = [0]
+        for root in range(len(rows)):
+            if seen[root]:
                 continue
-            order = self.bfs_order_from(i)[0].astype(np.int64)
-            seen[order] = True
-            left -= len(order)
-            out.append(order)
-        return out
+            seen[root] = True
+            order.append(root)
+            head = bounds[-1]
+            while head < len(order):
+                for u in rows[order[head]]:
+                    if not seen[u]:
+                        seen[u] = True
+                        order.append(u)
+                head += 1
+            bounds.append(len(order))
+        flat = np.array(order, dtype=np.int64)
+        return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def connected_components(self) -> list[set[Node]]:
         labels = self._labels
@@ -357,7 +362,7 @@ class Graph:
         ``(False, partial_coloring)`` when an odd cycle exists.
         """
         labels = self._labels
-        adj = self._adj
+        adj = self.row_lists()
         color: dict[int, int] = {}
         for start in range(len(labels)):
             if start in color:
@@ -377,17 +382,6 @@ class Graph:
                     elif cu == cv:
                         return False, {labels[i]: c for i, c in color.items()}
         return True, {labels[i]: c for i, c in color.items()}
-
-    def min_degree_node(self, candidates: Iterable[Node] | None = None) -> Node:
-        """A node of minimum degree (deterministic: ties by ``repr``).
-
-        Unknown candidates raise :class:`GraphError` like every other
-        query path — not a raw ``KeyError``.
-        """
-        pool = self._labels if candidates is None else list(candidates)
-        if not pool:
-            raise GraphError("no candidates")
-        return min(pool, key=lambda v: (self.degree(v), repr(v)))
 
     def __repr__(self) -> str:
         return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"

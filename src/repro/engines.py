@@ -65,8 +65,8 @@ __all__ = [
 #: (quantize + sign fix + vertex-index tie-break, see
 #: ``repro.baselines.spectral``), so its cut is safe for the exact gate.
 #: ``flow`` is Algorithm I's best start refined by the exact corridor
-#: solver (``repro.flow``).  On the pinned suite (BENCH_pr9.json) it
-#: never improved its Algorithm I seed, and on random200 it cut 88
+#: solver (``repro.flow``).  On the pinned suite (BENCH_pr25_pinned.json)
+#: it never improved its Algorithm I seed, and on random200 it cut 86
 #: where ``fm`` cut 75 and ``kl`` cut 73.
 ALL_ENGINES = ("algorithm1", "fm", "kl", "sa", "random", "spectral", "flow")
 

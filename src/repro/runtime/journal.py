@@ -65,9 +65,12 @@ __all__ = [
     "settings_fingerprint",
 ]
 
-#: Bumped when the on-disk record shapes change incompatibly; resume
-#: refuses a journal written by a different journal schema.
-JOURNAL_SCHEMA_VERSION = 1
+#: Bumped when the on-disk record shapes change incompatibly, or when the
+#: recorded results would no longer equal a fresh run's; resume refuses a
+#: journal written by a different journal schema.  Schema 2: Algorithm
+#: I's cuts follow the dual's ascending slot order, so a schema-1 journal
+#: holds cuts a fresh run no longer gives.
+JOURNAL_SCHEMA_VERSION = 2
 
 
 class JournalError(RecordLogError):

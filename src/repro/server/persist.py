@@ -63,9 +63,12 @@ from repro.runtime.recordlog import (
 
 __all__ = ["StateStore", "StateStoreError", "STATE_SCHEMA_VERSION"]
 
-#: Bumped when the on-disk record shapes change incompatibly; a store
-#: written by a different schema is refused (not silently reinterpreted).
-STATE_SCHEMA_VERSION = 1
+#: Bumped when the on-disk record shapes change incompatibly, or when the
+#: cached answers would no longer equal a fresh run's; a store written by
+#: a different schema is refused (not silently reinterpreted).  Schema 2:
+#: Algorithm I's cuts follow the dual's ascending slot order, so a
+#: schema-1 store holds cuts a local run no longer gives.
+STATE_SCHEMA_VERSION = 2
 
 #: The chaos site whose ``error``-mode rules flip a byte in records on
 #: their way to disk (and in result bytes at the service boundary) —

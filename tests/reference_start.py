@@ -18,11 +18,17 @@ the tests flip to run both; ``Graph`` once chose them by edge count.
 The per-run setup is kept the same way, as it ran before it moved onto
 the hypergraph index: :func:`filter_large_edges` with its per-pin
 ``restricted_to_edges`` loop, :func:`intersection_graph` with one
-``Graph.add_clique`` per module (inlined, into sets handed to
-``Graph.from_rows``), and the label-set :func:`connected_components`
-(on :func:`set_walk_bfs`, the set walk ``Graph`` ran below 2048 edges,
-when :data:`USE_CSR` is off).  ``reference_algorithm1`` runs on them,
-and ``tests/test_setup_differential.py`` compares each with ``src``.
+``Graph.add_clique`` per module (inlined into :func:`clique_adjacency`,
+whose sets are handed to ``Graph.from_rows`` as pairs), and the
+label-set :func:`connected_components` (on :func:`set_walk_bfs`, the
+sequential walk ``Graph`` ran below 2048 edges, when :data:`USE_CSR` is
+off).  ``reference_algorithm1`` runs on them, and
+``tests/test_setup_differential.py`` compares each with ``src``.
+
+Neighbour order: the walks here once iterated the dual's python sets,
+in their hash-table order.  Every graph now lists each node's
+neighbours in ascending slot order (``Graph.row_lists``), and so does
+every walk below; nothing else changed.
 """
 
 from __future__ import annotations
@@ -53,17 +59,16 @@ EdgeName = Hashable
 USE_CSR = True
 
 
-def set_walk_bfs(graph: Graph, source: int) -> tuple[list[int], list[int]]:
-    """``(order, dist)``: BFS from slot ``source`` over the graph's slot sets.
+def set_walk_bfs(adj: list[list[int]], source: int) -> tuple[list[int], list[int]]:
+    """``(order, dist)``: BFS from slot ``source`` over the slot rows ``adj``.
 
     ``Graph.bfs_order_from`` as it ran on graphs below 2048 edges: a
     sequential FIFO walk with a stamped visited array.  ``dist`` is valid
     only for the slots in ``order``.
     """
-    seen = [0] * graph.num_nodes
-    dist = [0] * graph.num_nodes
+    seen = [0] * len(adj)
+    dist = [0] * len(adj)
     stamp = 1
-    adj = graph.adjacency_view()
     order = [source]
     seen[source] = stamp
     dist[source] = 0
@@ -111,8 +116,8 @@ def filter_large_edges(
     return restricted_to_edges(hypergraph, kept), ignored
 
 
-def intersection_graph(hypergraph: Hypergraph) -> IntersectionGraph:
-    """Build the intersection graph ``G`` dual to ``hypergraph``, one clique per module."""
+def clique_adjacency(hypergraph: Hypergraph) -> list[set[int]]:
+    """Each edge row's neighbour rows in the dual, one clique per module."""
     labels = hypergraph.edge_names
     slots = list(range(len(labels)))
     index = dict(zip(labels, slots))
@@ -135,9 +140,16 @@ def intersection_graph(hypergraph: Hypergraph) -> IntersectionGraph:
                     if b not in sa:
                         sa.add(b)
                         adj[b].add(a)
+    return adj
+
+
+def intersection_graph(hypergraph: Hypergraph) -> IntersectionGraph:
+    """Build the intersection graph ``G`` dual to ``hypergraph``, one clique per module."""
+    labels = hypergraph.edge_names
+    pairs = [(a, b) for a, row in enumerate(clique_adjacency(hypergraph)) for b in row]
     weights = [float(hypergraph.edge_weight(name)) for name in labels]
-    g = Graph.from_rows(labels, weights, adj, slots)
-    g.csr()
+    g = Graph.from_rows(labels, weights, [a for a, _ in pairs], [b for _, b in pairs])
+    g.row_lists()
     g.repr_ranks()
     return IntersectionGraph(hypergraph, g, HypergraphIndex(hypergraph))
 
@@ -145,12 +157,15 @@ def intersection_graph(hypergraph: Hypergraph) -> IntersectionGraph:
 def connected_components(graph: Graph) -> list[set[Node]]:
     """``Graph.connected_components``: label sets, one BFS per component."""
     seen: set[int] = set()
-    labels = graph._labels
+    labels = graph.labels_view()
     out: list[set[Node]] = []
-    for i in graph._index.values():
+    for i in range(graph.num_nodes):
         if i in seen:
             continue
-        order = graph.bfs_order_from(i)[0].tolist() if USE_CSR else set_walk_bfs(graph, i)[0]
+        if USE_CSR:
+            order = graph.bfs_order_from(i)[0].tolist()
+        else:
+            order = set_walk_bfs(graph.row_lists(), i)[0]
         seen.update(order)
         out.append({labels[j] for j in order})
     return out
@@ -255,7 +270,7 @@ def double_bfs_cut(
 
     # The whole growth race runs in index space on the graph's internal
     # adjacency — no neighbor-set copies anywhere in the loop.
-    adj = graph.adjacency_view()
+    adj = graph.row_lists()
     side = [-1] * graph.num_nodes
     side[iu] = 0
     side[iv] = 1
@@ -294,7 +309,7 @@ def double_bfs_cut(
     # Other components: attach each whole component to the smaller side.
     # Component nodes are unreachable from both seeds, so they can never
     # be adjacent to the other side — they never become boundary.
-    for start in graph.node_indices():
+    for start in range(graph.num_nodes):
         if side[start] >= 0:
             continue
         stack = [start]
@@ -326,13 +341,13 @@ def double_bfs_cut(
         cross = side_np[csr.indices] != np.repeat(side_np, csr.degrees())
         cs = np.concatenate(([0], np.cumsum(cross, dtype=np.int64)))
         has_cross = cs[csr.indptr[1:]] > cs[csr.indptr[:-1]]
-        for i in graph.node_indices():
+        for i in range(graph.num_nodes):
             s = side[i]
             (left if s == 0 else right).append(labels[i])
             if has_cross[i]:
                 (boundary_left if s == 0 else boundary_right).append(labels[i])
     else:
-        for i in graph.node_indices():
+        for i in range(graph.num_nodes):
             s = side[i]
             (left if s == 0 else right).append(labels[i])
             other = 1 - s
@@ -446,7 +461,7 @@ def boundary_graph(graph: Graph, cut: GraphCut) -> BoundaryGraph:
         for a, b in zip(owners[hit].tolist(), nbrs[hit].tolist()):
             edges.append((labels[a], labels[b]))
     else:
-        adj = graph.adjacency_view()
+        adj = graph.row_lists()
         right_ids = {graph.index_of(n) for n in cut.boundary_right}
         for node in cut.boundary_left:
             for j in adj[graph.index_of(node)]:
@@ -515,9 +530,9 @@ class _WinnerSelector:
             )
         self.variant = variant
         self.rng = rng
-        self.adj = graph.adjacency_view()
+        self.adj = graph.row_lists()
         self.labels = graph.labels_view()
-        self.ids = list(graph.node_indices())
+        self.ids = list(range(graph.num_nodes))
         cap = graph.num_nodes
         self.alive = bytearray(cap)
         self.pool_of = pool_of

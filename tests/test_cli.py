@@ -231,6 +231,47 @@ class TestPortfolioCommand:
             main(["portfolio", hgr_file, "--methods", "quantum"])
 
 
+#: Each algorithm1-only ``partition`` option with a value to give it.
+ALGORITHM1_ONLY = [
+    ["--threshold", "3"],
+    ["--weighted-balance"],
+    ["--parallel", "2"],
+    ["--task-timeout", "5"],
+    ["--max-retries", "0"],
+    ["--timings"],
+]
+
+
+class TestAlgorithm1OnlyFlags:
+    """An option no other engine reads exits 1 with one line, never ignored."""
+
+    @pytest.mark.parametrize("flag", ALGORITHM1_ONLY, ids=lambda f: f[0])
+    @pytest.mark.parametrize("route", [["--algorithm", "fm"], ["--algorithm", "flow"], ["--k", "4"]])
+    def test_rejected_outside_algorithm1_bisection(self, hgr_file, flag, route):
+        with pytest.raises(SystemExit) as exc:
+            main(["partition", hgr_file, "--starts", "2", *route, *flag])
+        assert exc.value.code == f"{flag[0]} supports algorithm1 bisection only"
+
+    def test_accepted_by_algorithm1(self, hgr_file, capsys):
+        argv = ["partition", hgr_file, "--starts", "2"]
+        for flag in ALGORITHM1_ONLY:
+            argv += flag
+        assert main(argv) == 0
+        assert "time dualize" in capsys.readouterr().out
+
+    def test_rejection_exits_1_with_one_line(self, hgr_file):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "partition", hgr_file,
+             "--algorithm", "fm", "--threshold", "3"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.strip().splitlines() == [
+            "--threshold supports algorithm1 bisection only"
+        ]
+
+
 class TestLogErrors:
     """Journal and state-log failures exit with one line, no traceback."""
 

@@ -3,8 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.graph import Graph, GraphError
+from repro.core.intersection import intersection_graph
+from tests.conftest import block_hypergraphs
 
 
 def path_graph(n: int) -> Graph:
@@ -60,10 +64,6 @@ class TestErrors:
         with pytest.raises(GraphError):
             Graph().diameter()
 
-    def test_min_degree_no_candidates(self):
-        with pytest.raises(GraphError):
-            Graph().min_degree_node()
-
 
 class TestTraversal:
     def test_bfs_levels_path(self):
@@ -117,19 +117,13 @@ class TestTraversal:
 
 class TestFromRows:
     def test_slots_labels_weights_and_edges(self):
-        adj = [{1, 2}, {0}, {0}]
-        g = Graph.from_rows(["x", "y", "z"], [1.0, 2.0, 0.5], adj, [0, 1, 2])
+        # Each edge both ways, one of them twice: repeats collapse.
+        g = Graph.from_rows(["x", "y", "z"], [1.0, 2.0, 0.5], [2, 0, 1, 0, 0], [0, 2, 0, 1, 1])
         assert [g.index_of(v) for v in "xyz"] == [0, 1, 2]
         assert g.node_weight("y") == 2.0
         assert g.num_edges == 2
-        assert g.adjacency_view() is adj
-        assert sorted(g.edges()) == [("x", "y"), ("x", "z")]
-
-    def test_label_index_shares_the_slot_ints(self):
-        # Past 256, every int is its own object unless shared.
-        slots = list(range(300))
-        g = Graph.from_rows([f"n{k}" for k in slots], [1.0] * 300, [set() for _ in slots], slots)
-        assert all(g.index_of(f"n{k}") is slots[k] for k in slots)
+        assert g.row_lists() == [[1, 2], [0], [0]]
+        assert list(g.edges()) == [("x", "y"), ("x", "z")]
 
 
 class TestBipartite:
@@ -156,14 +150,6 @@ class TestBipartite:
 
 
 class TestMisc:
-    def test_min_degree_node(self):
-        g = Graph(edges=[(0, 1), (0, 2), (1, 2), (2, 3)])
-        assert g.min_degree_node() == 3
-
-    def test_min_degree_node_candidates(self):
-        g = Graph(edges=[(0, 1), (0, 2), (1, 2), (2, 3)])
-        assert g.min_degree_node(candidates=[0, 1]) in (0, 1)
-
     def test_edges_iterator_unique(self):
         g = cycle_graph(5)
         edges = list(g.edges())
@@ -199,12 +185,16 @@ class TestIndexedCore:
             assert set(g.neighbors_view(node)) == set(g.neighbors(node))
 
     def test_adjacency_view_in_index_space(self):
-        g = path_graph(4)
-        adj = g.adjacency_view()
+        g = Graph(nodes="abcd", edges=[("d", "a"), ("b", "c"), ("a", "b"), ("c", "a")])
+        rows = g.row_lists()
         labels = g.labels_view()
         for node in g.nodes:
             i = g.index_of(node)
-            assert {labels[j] for j in adj[i]} == set(g.neighbors(node))
+            assert rows[i] == sorted(rows[i])
+            assert [labels[j] for j in rows[i]] == list(g.neighbors_view(node))
+            assert {labels[j] for j in rows[i]} == set(g.neighbors(node))
+            assert len(rows[i]) == g.degree(node)
+        assert g.row_lists() is rows
 
     def test_bfs_order_from_is_distance_sorted(self):
         g = cycle_graph(8)
@@ -230,7 +220,52 @@ class TestMutationBugfixes:
         g = Graph(nodes={"a": 1.5})
         assert g.node_weight("a") == 1.5
 
-    def test_min_degree_node_unknown_candidate(self):
-        g = path_graph(3)
-        with pytest.raises(GraphError):
-            g.min_degree_node(candidates=[0, "missing"])
+
+@st.composite
+def listed_twice(draw):
+    """``(n, edges, reordered)``: one edge set listed two ways.
+
+    ``reordered`` shuffles the edges, flips some of them and repeats
+    some; the node list fixes every slot.
+    """
+    n = draw(st.integers(2, 20))
+    pairs = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    edges = [tuple(p) for p in draw(st.lists(pairs, max_size=3 * n))]
+    extra = draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+    flipped = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges + extra]
+    return n, edges, draw(st.permutations(flipped))
+
+
+class TestCanonicalOrder:
+    """Traversals follow slot order alone, never the order edges were listed in."""
+
+    def test_row_order_ignores_listing_order(self):
+        g = Graph(range(10), [(0, 1), (0, 9)])
+        h = Graph(range(10), [(0, 9), (0, 1)])
+        assert g.bfs_order_from(0)[0].tolist() == h.bfs_order_from(0)[0].tolist() == [0, 1, 9]
+        assert g.row_lists()[0] == h.row_lists()[0] == [1, 9]
+
+    @given(listed_twice())
+    @settings(max_examples=200, deadline=None)
+    def test_reordered_edges_give_identical_traversals(self, case):
+        n, edges, reordered = case
+        g = Graph(range(n), edges)
+        h = Graph(range(n), reordered)
+        assert g.csr().indptr.tolist() == h.csr().indptr.tolist()
+        assert g.csr().indices.tolist() == h.csr().indices.tolist()
+        for s in range(n):
+            (g_order, g_dist), (h_order, h_dist) = g.bfs_order_from(s), h.bfs_order_from(s)
+            assert g_order.tolist() == h_order.tolist()
+            assert g_dist[g_order].tolist() == h_dist[h_order].tolist()
+        assert [c.tolist() for c in g.component_slots()] == [
+            c.tolist() for c in h.component_slots()
+        ]
+        assert g.row_lists() == h.row_lists()
+
+    @given(block_hypergraphs())
+    @settings(max_examples=100, deadline=None)
+    def test_dual_rows_strictly_ascend(self, hypergraph):
+        csr = intersection_graph(hypergraph).graph.csr()
+        for lo, hi in zip(csr.indptr[:-1].tolist(), csr.indptr[1:].tolist()):
+            row = csr.indices[lo:hi].tolist()
+            assert all(a < b for a, b in zip(row, row[1:]))

@@ -122,6 +122,17 @@ class TestRunJournal:
         with pytest.raises(JournalFingerprintError, match="seed: 7 -> 8"):
             RunJournal.resume(path, "bench", changed)
 
+    def test_schema_1_journal_is_refused(self, tmp_path):
+        # Same task and settings, written by schema 1: its cuts followed
+        # the old neighbour order of the dual, so resume must not mix them in.
+        path = tmp_path / "run.jsonl"
+        with RunJournal.create(path, "bench", SETTINGS) as journal:
+            journal.record("k", {"cutsize": 3})
+        header, record = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(header.replace(b'"journal":2', b'"journal":1') + record)
+        with pytest.raises(JournalFormatError, match="journal schema 1 is not 2"):
+            RunJournal.resume(path, "bench", SETTINGS)
+
     def test_task_mismatch_is_rejected(self, tmp_path):
         path = tmp_path / "run.jsonl"
         RunJournal.create(path, "partition", SETTINGS).close()
@@ -157,7 +168,7 @@ class TestRunJournal:
             journal.record(["b", "fm"], {"ok": False, "error": "boom"})
         assert path.read_text().splitlines(keepends=True) == [
             '{"fingerprint":"c23642730a3533141b6d4fe388d794021ec69eac2fbb5174'
-            '5222231aa91bf05a","journal":1,"settings":{"cases":["a","b"],'
+            '5222231aa91bf05a","journal":2,"settings":{"cases":["a","b"],'
             '"seed":7},"task":"bench"}\n',
             '{"key":["a","fm"],"value":{"cutsize":3,"ok":true}}\n',
             '{"key":["b","fm"],"value":{"error":"boom","ok":false}}\n',

@@ -126,6 +126,13 @@ class TestStateStoreRoundTrip:
 
 #: The state log written by :func:`_write_pinned_log`, line by line.
 PINNED_HEADER = (
+    '{"fingerprint":"968b0f7acbfe3cc0a998b4b051133e4b7f03e87d56bdebc9a66a1066eab6f0b7",'
+    '"settings":{"schema":2,"store":"partition-server"},"statelog":2,'
+    '"store":"partition-server"}\n'
+)
+#: The header a schema-1 daemon wrote; its cached cuts followed the old
+#: neighbour order of the dual.
+SCHEMA1_HEADER = (
     '{"fingerprint":"44646ca751164086f63e28c660fcd13b20ab6d46db6175ffaa375ce0b6f582b8",'
     '"settings":{"schema":1,"store":"partition-server"},"statelog":1,'
     '"store":"partition-server"}\n'
@@ -265,6 +272,13 @@ class TestStateStoreCorruption:
         path.write_bytes(encode_line({"journal": 1, "task": "bench"}))
         with pytest.raises(StateStoreError, match="refusing to reinterpret"):
             StateStore.open(tmp_path)
+
+    def test_schema_1_state_dir_is_refused(self, tmp_path):
+        path = tmp_path / "state.jsonl"
+        path.write_text(SCHEMA1_HEADER + PINNED_D1_V3)
+        with pytest.raises(StateStoreError, match="schema 1/'partition-server' is not"):
+            StateStore.open(tmp_path)
+        assert path.read_text() == SCHEMA1_HEADER + PINNED_D1_V3
 
     def test_empty_file_restarts_cold(self, tmp_path):
         path = tmp_path / "state.jsonl"
