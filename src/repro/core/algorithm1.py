@@ -65,7 +65,7 @@ from repro.core.dual_cut import (
     random_longest_bfs_path,
 )
 from repro.core.filtering import DEFAULT_EDGE_SIZE_THRESHOLD, filter_large_edges
-from repro.core.csr import gather_rows
+from repro.core.csr import first_positions, gather_rows
 from repro.core.hypergraph import Hypergraph
 from repro.core.index import HypergraphIndex
 from repro.core.intersection import IntersectionGraph, intersection_graph
@@ -237,9 +237,9 @@ def _commit_winner_pins(
     pin_sides = np.repeat(winner_sides, counts)
     open_ = sides[pins] < 0
     pins, pin_sides = pins[open_], pin_sides[open_]
-    # First claim wins: np.unique reports each pin's first position.
-    claimed, first = np.unique(pins, return_index=True)
-    sides[claimed] = pin_sides[first]
+    # First claim wins: each pin takes the side of its first position.
+    first = first_positions(pins)
+    sides[pins[first]] = pin_sides[first]
 
 
 def _score(

@@ -53,6 +53,27 @@ def gather_rows(
     return lens, values[gather_idx]
 
 
+def first_positions(values: np.ndarray) -> np.ndarray:
+    """The ascending positions at which each distinct value of ``values`` first occurs.
+
+    One sort of the distinct keys ``value * len + position`` and a
+    neighbour comparison, as :meth:`CSRAdjacency.from_pairs` drops
+    repeats: ``np.unique(values, return_index=True)`` finds the same
+    positions at about four times the cost (numpy 2.4).
+    """
+    n = len(values)
+    keys = values.astype(np.int64) * n
+    keys += np.arange(n)
+    keys.sort()
+    ordered = keys // n
+    first = np.ones(n, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    positions = keys[first]
+    positions %= n
+    positions.sort()
+    return positions
+
+
 class CSRAdjacency:
     """The CSR arrays of a :class:`Graph` (see module docstring)."""
 
@@ -118,10 +139,9 @@ class CSRAdjacency:
             cand = cand[seen[cand] != stamp]
             if cand.size == 0:
                 break
-            # First-occurrence dedupe: np.unique sorts, so recover the
-            # original candidate order through the sorted first indices.
-            uniq, first = np.unique(cand, return_index=True)
-            frontier = cand[np.sort(first)] if uniq.size != cand.size else cand
+            # First-occurrence dedupe keeps the candidates' frontier order.
+            first = first_positions(cand)
+            frontier = cand[first] if first.size != cand.size else cand
             seen[frontier] = stamp
             dist[frontier] = level
             out[count : count + frontier.size] = frontier

@@ -323,15 +323,25 @@ class Graph:
         """The slots of each connected component, as int64 arrays in BFS order.
 
         Components come in the insertion order of their first node, each
-        listed in BFS order from that node.  One FIFO walk over
-        :meth:`row_lists` finds them all: each component's walk starts at
-        the first slot no earlier one reached.
+        listed in BFS order from that node.  One CSR BFS from slot 0 finds
+        the first component, all of a connected graph; one FIFO walk over
+        :meth:`row_lists` finds the rest, each component's walk starting
+        at the first slot no earlier one reached.  The BFS is the
+        adjacency's own, so it moves no ``graph.bfs.*`` counter.
         """
+        n = len(self._labels)
+        if not n:
+            return []
+        first = self._csr.bfs(0)[0].astype(np.int64)
+        if len(first) == n:
+            return [first]
         rows = self.row_lists()
-        seen = [False] * len(rows)
+        reached = np.zeros(n, dtype=bool)
+        reached[first] = True
+        seen = reached.tolist()
         order: list[int] = []
         bounds = [0]
-        for root in range(len(rows)):
+        for root in range(n):
             if seen[root]:
                 continue
             seen[root] = True
@@ -345,7 +355,7 @@ class Graph:
                 head += 1
             bounds.append(len(order))
         flat = np.array(order, dtype=np.int64)
-        return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        return [first, *(flat[lo:hi] for lo, hi in zip(bounds, bounds[1:]))]
 
     def connected_components(self) -> list[set[Node]]:
         labels = self._labels

@@ -7,8 +7,10 @@ Request lifecycle
    result is still cached (same endpoint) is answered from the cache's
    alias table at once: no decode, no ``Hypergraph``, no digest.
    Any other body is parsed
-   (:func:`repro.server.protocol.parse_request`); malformed requests
-   stop here with a structured 400.
+   (:func:`repro.server.protocol.parse_request`), decoded once member
+   by member; malformed requests stop here with a structured 400.  A
+   ``"hypergraph"`` member whose text the cache's hypergraph table
+   knows is unpickled with its digest, not built and digested again.
 2. The content-addressed cache is probed (``digest:fingerprint``); a
    hit splices the stored canonical bytes into the response — the
    result section is byte-identical to the cold run that produced it —
@@ -670,7 +672,7 @@ class PartitionService:
             self._tally("hits")
             return 200, self._envelope(cached, "hit", t0, attempts=0), {}
         try:
-            request = parse_request(raw, expected_op=expected_op)
+            request = parse_request(raw, expected_op=expected_op, hypergraphs=self.cache)
         except RequestError as exc:
             self._tally("malformed")
             obs.count("server.requests.malformed")

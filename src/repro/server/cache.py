@@ -21,10 +21,24 @@ cached; the table holds at most ``max_entries`` aliases, dropping the
 least recently used, and an alias whose entry has been evicted is
 dropped when next looked up.
 
+Beside it sits the **hypergraph table**: the SHA-256 of a request's
+``"hypergraph"`` member text, pointing at that hypergraph's digest and a
+pickle of it (:meth:`ResultCache.get_hypergraph`).  The member text
+alone decides the hypergraph, so a request that re-sends a known one
+under new settings unpickles a private copy instead of building and
+digesting it again.  Only the parser adds to it
+(:meth:`ResultCache.put_hypergraph`), and only hypergraphs that built
+and passed its checks; the pickles are made in this process, never read
+from a client or from disk.  The table is bounded by the same two
+numbers as the result entries, counted on its own: at most
+``max_entries`` hypergraphs and ``max_bytes`` of pickles, dropping the
+least recently used.
+
 Counters flow two ways:
 
 * through :mod:`repro.obs` (``server.cache.hits`` / ``.misses`` /
-  ``.evictions`` / ``.insertions`` / ``.rejected`` / ``.alias_hits``)
+  ``.evictions`` / ``.insertions`` / ``.rejected`` / ``.alias_hits`` /
+  ``.hypergraph_hits``)
   when observability is enabled — zero-cost when disabled, like every
   other obs site;
 * into an always-on internal tally exposed by :meth:`ResultCache.stats`
@@ -67,13 +81,16 @@ class ResultCache:
         self._lock = threading.Lock()
         self._entries: OrderedDict[str, bytes] = OrderedDict()
         self._aliases: OrderedDict[bytes, str] = OrderedDict()
+        self._hypergraphs: OrderedDict[bytes, tuple[str, bytes]] = OrderedDict()
         self._bytes = 0
+        self._hypergraph_bytes = 0
         self._hits = 0
         self._misses = 0
         self._evictions = 0
         self._insertions = 0
         self._rejected = 0
         self._alias_hits = 0
+        self._hypergraph_hits = 0
 
     def get(self, key: str) -> bytes | None:
         """Return the cached bytes for ``key`` (refreshing LRU) or None."""
@@ -127,6 +144,41 @@ class ResultCache:
                 self._aliases.popitem(last=False)
         return True
 
+    def get_hypergraph(self, key: bytes) -> tuple[str, bytes] | None:
+        """``(digest, pickle)`` of the hypergraph whose member text hashes to ``key``.
+
+        A hit refreshes it in LRU order and counts a hypergraph hit;
+        None counts nothing.
+        """
+        with self._lock:
+            known = self._hypergraphs.get(key)
+            if known is None:
+                return None
+            self._hypergraphs.move_to_end(key)
+            self._hypergraph_hits += 1
+        obs.count("server.cache.hypergraph_hits")
+        return known
+
+    def put_hypergraph(self, key: bytes, digest: str, blob: bytes) -> None:
+        """Keep ``(digest, blob)`` under ``key``, dropping LRU hypergraphs to fit.
+
+        A ``blob`` that alone exceeds the byte budget is not kept.
+        """
+        if len(blob) > self.max_bytes:
+            return
+        with self._lock:
+            old = self._hypergraphs.pop(key, None)
+            if old is not None:
+                self._hypergraph_bytes -= len(old[1])
+            self._hypergraphs[key] = (digest, blob)
+            self._hypergraph_bytes += len(blob)
+            while (
+                self._hypergraph_bytes > self.max_bytes
+                or len(self._hypergraphs) > self.max_entries
+            ):
+                _, (_, stale) = self._hypergraphs.popitem(last=False)
+                self._hypergraph_bytes -= len(stale)
+
     def put(self, key: str, value: bytes) -> bool:
         """Insert ``value`` under ``key``, evicting LRU entries to fit.
 
@@ -174,7 +226,9 @@ class ResultCache:
         with self._lock:
             self._entries.clear()
             self._aliases.clear()
+            self._hypergraphs.clear()
             self._bytes = 0
+            self._hypergraph_bytes = 0
 
     def stats(self) -> dict:
         """Always-on counters for ``/metrics`` (independent of obs)."""
@@ -191,4 +245,7 @@ class ResultCache:
                 "rejected": self._rejected,
                 "aliases": len(self._aliases),
                 "alias_hits": self._alias_hits,
+                "hypergraphs": len(self._hypergraphs),
+                "hypergraph_bytes": self._hypergraph_bytes,
+                "hypergraph_hits": self._hypergraph_hits,
             }

@@ -28,12 +28,21 @@ layer) and the fingerprint is
 :func:`repro.runtime.settings_fingerprint` over ``{"op", "engine",
 "settings"}`` — the exact result-affecting request identity, nothing
 transport-level.
+
+A body is decoded once, member by member (:func:`decode_members`), so
+the parser knows the text of its ``"hypergraph"`` member; given the
+daemon's :class:`~repro.server.cache.ResultCache`, a hypergraph whose
+member text it has parsed before is unpickled from the cache's
+hypergraph table, digest and all, rather than built and digested again.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import pickle
 from dataclasses import dataclass
+from json.decoder import WHITESPACE, scanstring
 from typing import Any
 
 from repro.core.digest import hypergraph_digest
@@ -43,6 +52,7 @@ from repro.io.errors import ParseError
 from repro.io.json_io import JsonFormatError, hypergraph_from_payload
 from repro.placement.mincut_placement import PARTITIONERS
 from repro.runtime import settings_fingerprint
+from repro.server.cache import ResultCache
 
 __all__ = [
     "OPS",
@@ -54,6 +64,7 @@ __all__ = [
     "ServiceRequest",
     "ServiceUnavailable",
     "canonical_bytes",
+    "decode_members",
     "error_payload",
     "parse_request",
 ]
@@ -268,8 +279,59 @@ def _normalize_settings(op: str, raw: Any) -> dict:
 # Request parsing
 # ----------------------------------------------------------------------
 
+_DECODER = json.JSONDecoder()
 
-def parse_request(raw: bytes, expected_op: str | None = None) -> ServiceRequest:
+
+def decode_members(text: str) -> tuple[dict, dict[str, tuple[int, int]]] | None:
+    """``(payload, spans)`` of a JSON object body, or None for any other text.
+
+    ``payload`` is what ``json.loads(text)`` returns, and ``spans`` maps
+    each key to the ``text[start:end]`` span of its value (the last one,
+    for a repeated key, as its value is).  The walk reads the top-level
+    members with ``json.loads``'s own whitespace, key scanner and value
+    decoder, so it takes exactly the object bodies ``json.loads`` takes;
+    for anything else (another JSON value, malformed JSON, trailing
+    data) it returns None and the caller asks ``json.loads``, whose
+    error is the one to report.
+    """
+    skip = WHITESPACE.match
+    payload: dict = {}
+    spans: dict[str, tuple[int, int]] = {}
+    pos = skip(text).end()
+    if text[pos : pos + 1] != "{":
+        return None
+    pos = skip(text, pos + 1).end()
+    try:
+        if text[pos : pos + 1] == "}":
+            pos = skip(text, pos + 1).end()
+        else:
+            while True:
+                if text[pos : pos + 1] != '"':
+                    return None
+                key, pos = scanstring(text, pos + 1)
+                pos = skip(text, pos).end()
+                if text[pos : pos + 1] != ":":
+                    return None
+                start = skip(text, pos + 1).end()
+                payload[key], pos = _DECODER.raw_decode(text, start)
+                spans[key] = (start, pos)
+                pos = skip(text, pos).end()
+                separator = text[pos : pos + 1]
+                pos = skip(text, pos + 1).end()
+                if separator == "}":
+                    break
+                if separator != ",":
+                    return None
+    except json.JSONDecodeError:
+        return None
+    if pos != len(text):
+        return None
+    return payload, spans
+
+
+def parse_request(
+    raw: bytes, expected_op: str | None = None, hypergraphs: ResultCache | None = None
+) -> ServiceRequest:
     """Validate a request body into a :class:`ServiceRequest`.
 
     ``expected_op`` pins the op for the per-op endpoints (``POST
@@ -278,6 +340,11 @@ def parse_request(raw: bytes, expected_op: str | None = None) -> ServiceRequest:
     :class:`RequestError` with request-body context — never a bare
     ``KeyError``/``ValueError`` and never a traceback-worthy internal
     error.
+
+    ``hypergraphs``, the daemon's cache, keys its hypergraph table by
+    the SHA-256 of the ``"hypergraph"`` member's text: a known one is
+    unpickled, a private copy with its digest, and one built here is
+    added once the whole request has passed.
     """
     if len(raw) > MAX_REQUEST_BYTES:
         raise RequestError(
@@ -289,12 +356,17 @@ def parse_request(raw: bytes, expected_op: str | None = None) -> ServiceRequest:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise RequestError(f"body is not valid UTF-8: {exc}", source=_SOURCE) from None
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise RequestError(
-            f"invalid JSON: {exc.msg}", source=_SOURCE, line=exc.lineno
-        ) from None
+    decoded = decode_members(text)
+    if decoded is not None:
+        payload, spans = decoded
+    else:
+        spans = {}
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise RequestError(
+                f"invalid JSON: {exc.msg}", source=_SOURCE, line=exc.lineno
+            ) from None
     if not isinstance(payload, dict):
         raise RequestError(
             f"request must be a JSON object, got {type(payload).__name__}",
@@ -350,22 +422,36 @@ def parse_request(raw: bytes, expected_op: str | None = None) -> ServiceRequest:
 
     if "hypergraph" not in payload:
         raise RequestError("request is missing the 'hypergraph' key", source=_SOURCE)
-    try:
-        hypergraph = hypergraph_from_payload(payload["hypergraph"])
-    except JsonFormatError as exc:
-        raise RequestError(
-            f"hypergraph: {exc.message}", source=_SOURCE, line=exc.line
-        ) from None
-    if hypergraph.num_vertices < 2:
-        raise RequestError(
-            f"hypergraph has {hypergraph.num_vertices} vertex(es); "
-            "partitioning needs at least 2",
-            source=_SOURCE,
-        )
+    table_key = known = None
+    if hypergraphs is not None and "hypergraph" in spans:
+        start, end = spans["hypergraph"]
+        table_key = hashlib.sha256(text[start:end].encode("utf-8")).digest()
+        known = hypergraphs.get_hypergraph(table_key)
+    if known is not None:
+        digest, blob = known
+        hypergraph = pickle.loads(blob)
+    else:
+        try:
+            hypergraph = hypergraph_from_payload(payload["hypergraph"])
+        except JsonFormatError as exc:
+            raise RequestError(
+                f"hypergraph: {exc.message}", source=_SOURCE, line=exc.line
+            ) from None
+        if hypergraph.num_vertices < 2:
+            raise RequestError(
+                f"hypergraph has {hypergraph.num_vertices} vertex(es); "
+                "partitioning needs at least 2",
+                source=_SOURCE,
+            )
 
     settings = _normalize_settings(op, payload.get("settings"))
 
-    digest = hypergraph_digest(hypergraph)
+    if known is None:
+        digest = hypergraph_digest(hypergraph)
+        if table_key is not None:
+            hypergraphs.put_hypergraph(
+                table_key, digest, pickle.dumps(hypergraph, pickle.HIGHEST_PROTOCOL)
+            )
     fingerprint = settings_fingerprint(
         {"op": op, "engine": engine, "settings": settings}
     )

@@ -6,23 +6,42 @@ be declared in ``[project] dependencies``, and every declared dependency
 must be imported somewhere, so the list neither misses a package nor
 carries a dead one.  Each dependency's distribution name is its import
 name here (numpy, scipy).
+
+scipy is declared, but only spectral and the quadratic placer import it,
+inside the functions that need it: a process that runs the other engines,
+or serves requests, never loads it.
 """
 
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")  # Python 3.11+
-
 ROOT = Path(__file__).resolve().parents[1]
+
+#: Runs every engine but spectral after importing the daemon, then lists
+#: the scipy modules the process has loaded.
+SCIPY_PROBE = """
+import sys
+import repro.server.app
+from repro.engines import run_engine
+from repro.generators import random_hypergraph
+
+h = random_hypergraph(40, 64, seed=3, connect=True)
+for engine in ("algorithm1", "flow", "fm", "kl", "sa", "random"):
+    run_engine(engine, h, seed=0, starts=2)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
 
 
 def declared_dependencies() -> set[str]:
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     with open(ROOT / "pyproject.toml", "rb") as handle:
         dependencies = tomllib.load(handle)["project"]["dependencies"]
     # "numpy>=1.24; python_version >= '3.10'" -> "numpy"
@@ -59,3 +78,16 @@ def test_every_third_party_import_is_declared():
 def test_every_declared_dependency_is_imported():
     unused = declared_dependencies() - {name.lower() for name in third_party_imports()}
     assert not unused, f"declared in pyproject.toml but never imported: {sorted(unused)}"
+
+
+def test_engines_and_daemon_load_no_scipy():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    probe = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert probe.returncode == 0, probe.stderr[-2000:]
+    assert probe.stdout.splitlines()[-1] == "[]"

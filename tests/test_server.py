@@ -229,9 +229,9 @@ def parse_spy(monkeypatch):
     calls = []
     original = app.parse_request
 
-    def spy(raw, expected_op=None):
+    def spy(raw, expected_op=None, **kwargs):
         calls.append(raw)
-        return original(raw, expected_op=expected_op)
+        return original(raw, expected_op=expected_op, **kwargs)
 
     monkeypatch.setattr(app, "parse_request", spy)
     return calls
