@@ -21,6 +21,11 @@ Pipeline (paper Section 2.3, with the Section 3/5 refinements):
 Total complexity ``O(num_starts * n^2)`` with ``n`` hyperedges, matching
 the paper's bound; the completion step is ``O(n log n)``.
 
+Steps 1–2 and the component check do not depend on the seed.  On a
+frozen hypergraph (:meth:`Hypergraph.freeze`) the first call keeps them
+per ``edge_size_threshold`` and later calls reuse them, so every run on
+it (``flow``'s Algorithm I half too) builds the dual once.
+
 Starts are independent, so step 7 parallelises trivially: pass
 ``parallel=k`` to fan the starts across ``k`` worker processes.  Child
 seeds are drawn up front from the caller's rng, so a parallel run is
@@ -115,6 +120,8 @@ class Algorithm1Result:
         :data:`TIMING_PHASES`.  ``cut`` / ``complete`` / ``balance`` are
         summed over all starts (CPU seconds across workers when
         ``parallel`` is set, so they can exceed the elapsed time).
+        ``filter`` and ``dualize`` read 0 when a frozen hypergraph's
+        kept preparation is reused.
     counters:
         Work counters: ``num_starts``, ``ignored_edges``, ``dual_nodes``,
         ``dual_edges``, ``parallel_workers``.  ``num_starts`` is the
@@ -180,6 +187,51 @@ class SingleRunTrace:
     @cached_property
     def bipartition(self) -> Bipartition:
         return self.index.bipartition(self.original, self.sides)
+
+
+@dataclass(frozen=True)
+class _Preparation:
+    """Algorithm I's seed-independent steps for one hypergraph and threshold.
+
+    The ignored edge names (step 1), the dual of the filtered hypergraph
+    with its row lists and repr ranks (step 2), and the dual's components
+    in :meth:`Graph.component_slots` order (empty for an edgeless dual).
+    """
+
+    ignored: frozenset
+    intersection: IntersectionGraph
+    components: list
+
+
+def _prepare(
+    hypergraph: Hypergraph, edge_size_threshold: int | None, timer: obs.PhaseTimer
+) -> _Preparation:
+    """Run steps 1–2 and the component check, timing the first two."""
+    with timer.phase("filter"):
+        if edge_size_threshold is None:
+            working, ignored = hypergraph, frozenset()
+        else:
+            working, ignored = filter_large_edges(hypergraph, edge_size_threshold)
+            if working.num_edges == 0 and hypergraph.num_edges > 0:
+                # Filtering removed everything (tiny dense instances): disable it.
+                working, ignored = hypergraph, frozenset()
+        if hypergraph.frozen:
+            working.freeze()  # it backs a kept dual
+
+    with timer.phase("dualize"):
+        intersection = intersection_graph(working)
+
+    components = intersection.graph.component_slots() if intersection.num_nodes else []
+    return _Preparation(ignored, intersection, components)
+
+
+def kept_duals(hypergraph: Hypergraph) -> list[IntersectionGraph]:
+    """The duals a frozen ``hypergraph`` keeps for Algorithm I, one per threshold run."""
+    return [
+        prepared.intersection
+        for prepared in hypergraph.kept().values()
+        if isinstance(prepared, _Preparation)
+    ]
 
 
 def _balance_free_vertices(index: HypergraphIndex, sides: np.ndarray, rng: random.Random) -> None:
@@ -765,17 +817,12 @@ def algorithm1(
 
     timer = obs.PhaseTimer("algorithm1", TIMING_PHASES)
     timings = timer.timings
-    with timer.phase("filter"):
-        if edge_size_threshold is None:
-            working, ignored = hypergraph, frozenset()
-        else:
-            working, ignored = filter_large_edges(hypergraph, edge_size_threshold)
-            if working.num_edges == 0 and hypergraph.num_edges > 0:
-                # Filtering removed everything (tiny dense instances): disable it.
-                working, ignored = hypergraph, frozenset()
-
-    with timer.phase("dualize"):
-        intersection = intersection_graph(working)
+    prepared = hypergraph.derived(
+        ("algorithm1", edge_size_threshold),
+        lambda: _prepare(hypergraph, edge_size_threshold, timer),
+    )
+    ignored = prepared.ignored
+    intersection = prepared.intersection
 
     counters = {
         "num_starts": 0,
@@ -849,7 +896,7 @@ def algorithm1(
 
     total_weight = hypergraph.total_vertex_weight or 1.0
 
-    components = intersection.graph.component_slots()
+    components = prepared.components
     if len(components) > 1:
         # The c = 0 pathological case: "BFS in G finds the unconnectedness
         # while standard heuristics will often output a locally minimum cut

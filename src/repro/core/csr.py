@@ -21,16 +21,14 @@ any hash-table layout.  Two properties deliver that:
   parallel pairs collapse, whatever order the pairs arrive in.
 * :meth:`bfs` is level-synchronous: per level it gathers the
   concatenated adjacency of the frontier *in frontier order*, drops
-  already-seen slots with a stamped visited array, and dedupes repeats
-  keeping the **first occurrence**.  That is precisely the order in
-  which a sequential FIFO BFS over the rows first reaches each node, so
-  the concatenated levels equal the sequential visit order exactly
+  already-seen slots with a visited mask, and dedupes repeats keeping
+  the **first occurrence**.  That is precisely the order in which a
+  sequential FIFO BFS over the rows first reaches each node, so the
+  concatenated levels equal the sequential visit order exactly
   (``tests/test_csr_differential.py`` checks it against such a walk).
 
-Scratch reuse: the stamped ``seen`` buffer lives on the adjacency and is
-reused across calls (no per-call clears); ``order``/``dist`` outputs are
-freshly allocated so callers may hold results from consecutive BFS runs
-side by side.
+An adjacency is read-only once built: each BFS allocates its own mask
+and outputs, so threads may traverse one graph at once.
 """
 
 from __future__ import annotations
@@ -77,14 +75,12 @@ def first_positions(values: np.ndarray) -> np.ndarray:
 class CSRAdjacency:
     """The CSR arrays of a :class:`Graph` (see module docstring)."""
 
-    __slots__ = ("indptr", "indices", "n_slots", "_seen", "_stamp")
+    __slots__ = ("indptr", "indices", "n_slots")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
         self.indptr = indptr
         self.indices = indices
         self.n_slots = len(indptr) - 1
-        self._seen = np.zeros(self.n_slots, dtype=np.int64)
-        self._stamp = 0
 
     @classmethod
     def from_pairs(cls, n: int, rows: ArrayLike, cols: ArrayLike) -> "CSRAdjacency":
@@ -122,13 +118,11 @@ class CSRAdjacency:
         """
         indptr = self.indptr
         indices = self.indices
-        self._stamp += 1
-        stamp = self._stamp
-        seen = self._seen
+        seen = np.zeros(self.n_slots, dtype=bool)
         dist = np.empty(self.n_slots, dtype=np.int64)
         out = np.empty(self.n_slots, dtype=np.int32)
         frontier = np.array([source], dtype=np.int32)
-        seen[source] = stamp
+        seen[source] = True
         dist[source] = 0
         out[0] = source
         count = 1
@@ -136,13 +130,13 @@ class CSRAdjacency:
         while frontier.size:
             level += 1
             _, cand = gather_rows(indptr, indices, frontier)
-            cand = cand[seen[cand] != stamp]
+            cand = cand[~seen[cand]]
             if cand.size == 0:
                 break
             # First-occurrence dedupe keeps the candidates' frontier order.
             first = first_positions(cand)
             frontier = cand[first] if first.size != cand.size else cand
-            seen[frontier] = stamp
+            seen[frontier] = True
             dist[frontier] = level
             out[count : count + frontier.size] = frontier
             count += frontier.size

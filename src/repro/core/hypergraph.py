@@ -13,9 +13,15 @@ Vertex weights model module area (used by the weighted r-bipartition
 Design notes
 ------------
 * All mutation goes through :meth:`add_vertex` / :meth:`add_edge` /
-  :meth:`remove_edge` / :meth:`remove_vertex`.  Every query is O(1) or
-  linear in the size of the answer, apart from the first read of the
-  vertex->incident-edge index.
+  :meth:`remove_edge` / :meth:`remove_vertex` / :meth:`set_vertex_weight`.
+  Every query is O(1) or linear in the size of the answer, apart from the
+  first read of the vertex->incident-edge index.
+* :meth:`freeze` makes a hypergraph immutable: every mutator then raises
+  :class:`HypergraphError` and changes nothing.  A frozen hypergraph can
+  keep tables computed from it alone (:meth:`derived`), so repeated runs
+  on it build them once; Algorithm I keeps its filtered hypergraph, dual
+  and components there.  Nothing in the library freezes a hypergraph by
+  itself, and the kept tables are never pickled.
 * That index is built on first read (:meth:`incident_edges`,
   :meth:`neighbors`, :meth:`connected_components`, ...) and kept up to
   date from then on.  It receives edge names in edge order, as adding
@@ -33,11 +39,12 @@ Design notes
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable, Iterable, Mapping
-from typing import Iterator
+from collections.abc import Callable, Hashable, Iterable, Mapping
+from typing import Iterator, TypeVar
 
 Vertex = Hashable
 EdgeName = Hashable
+T = TypeVar("T")
 
 
 class HypergraphError(ValueError):
@@ -91,6 +98,9 @@ class Hypergraph:
         (4, 2)
     """
 
+    # Set on the instance by freeze(): a frozen hypergraph's kept tables.
+    _derived: dict | None = None
+
     def __init__(
         self,
         vertices: Iterable[Vertex] | None = None,
@@ -140,6 +150,7 @@ class Hypergraph:
 
     def add_vertex(self, v: Vertex, weight: float = 1.0) -> Vertex:
         """Add vertex ``v`` (idempotent; re-adding updates the weight)."""
+        self._check_mutable()
         weight = checked_weight("vertex", weight)
         if self._incidence is not None and v not in self._vertex_weights:
             self._incidence[v] = set()
@@ -160,6 +171,7 @@ class Hypergraph:
         edge is a set).  An empty member list and a duplicate edge name
         are both errors.
         """
+        self._check_mutable()
         pins = list(members)  # may be an iterator: read it once
         member_set = frozenset(pins)
         if not member_set:
@@ -183,6 +195,7 @@ class Hypergraph:
 
     def remove_edge(self, name: EdgeName) -> None:
         """Remove hyperedge ``name``; its vertices remain."""
+        self._check_mutable()
         if name not in self._edge_members:
             raise HypergraphError(f"no such edge {name!r}")
         # Build the index before the edge leaves: a removal leaves its
@@ -199,6 +212,7 @@ class Hypergraph:
 
         Edges that would become empty are removed entirely.
         """
+        self._check_mutable()
         if v not in self._vertex_weights:
             raise HypergraphError(f"no such vertex {v!r}")
         incidence = self._incidence_map()
@@ -217,13 +231,66 @@ class Hypergraph:
         return cls(edges=list(edge_list))
 
     def copy(self) -> "Hypergraph":
-        """Deep-enough copy (labels are shared, structure is not)."""
+        """Deep-enough copy (labels are shared, structure is not), never frozen."""
         h = Hypergraph()
         for v, w in self._vertex_weights.items():
             h.add_vertex(v, w)
         for name, members in self._edge_members.items():
             h.add_edge(members, name=name, weight=self._edge_weights[name])
         return h
+
+    # ------------------------------------------------------------------
+    # freezing
+    # ------------------------------------------------------------------
+
+    def freeze(self) -> "Hypergraph":
+        """Make this hypergraph immutable and return it.
+
+        From now on every mutator raises :class:`HypergraphError` and
+        leaves the hypergraph as it was, and :meth:`derived` keeps what
+        it builds.  Freezing changes neither ``==`` nor the content
+        digest; :meth:`copy` gives an unfrozen copy.  Idempotent.
+        """
+        if self._derived is None:
+            self._derived = {}
+        return self
+
+    @property
+    def frozen(self) -> bool:
+        return self._derived is not None
+
+    def _check_mutable(self) -> None:
+        if self._derived is not None:
+            raise HypergraphError("hypergraph is frozen; copy() it to change it")
+
+    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
+        """``build()``, kept under ``key`` when this hypergraph is frozen.
+
+        For tables computed from the hypergraph alone, which a frozen
+        hypergraph cannot invalidate: the first call builds, later ones
+        reuse.  A value is kept only once ``build`` has returned, and
+        when two threads race the first value kept is the one both get.
+        An unfrozen hypergraph keeps nothing.  Kept values are never
+        pickled.
+        """
+        derived = self._derived
+        if derived is None:
+            return build()
+        try:
+            return derived[key]
+        except KeyError:
+            return derived.setdefault(key, build())
+
+    def kept(self) -> dict:
+        """A copy of what :meth:`derived` keeps, by key (empty unless frozen)."""
+        return dict(self._derived or {})
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        if "_derived" in state:
+            state = dict(state)
+            state["_derived"] = {}
+        return state
 
     # ------------------------------------------------------------------
     # queries
@@ -292,6 +359,7 @@ class Hypergraph:
             raise HypergraphError(f"no such vertex {v!r}") from None
 
     def set_vertex_weight(self, v: Vertex, weight: float) -> None:
+        self._check_mutable()
         if v not in self._vertex_weights:
             raise HypergraphError(f"no such vertex {v!r}")
         self._vertex_weights[v] = checked_weight("vertex", weight)

@@ -54,7 +54,7 @@ class IntersectionGraph:
         The dual ``G``; node labels are exactly the hyperedge names of
         ``hypergraph``.
     index:
-        The per-run :class:`~repro.core.index.HypergraphIndex` of
+        The :class:`~repro.core.index.HypergraphIndex` of
         ``hypergraph`` the dual was built from; Algorithm I's per-start
         steps run on its tables.
     """
@@ -119,10 +119,11 @@ def intersection_graph(hypergraph: Hypergraph) -> IntersectionGraph:
     """
     index = HypergraphIndex(hypergraph)
     g = Graph.from_rows(hypergraph.edge_names, index.edge_weights.tolist(), *_dual_pairs(index))
-    # Build every per-run table while still inside the dualize phase, so
-    # their cost is attributed here and never to a start: the row lists
-    # (the double-BFS race) and the repr ranks (Complete-Cut tie-break);
-    # the CSR (BFS, boundary, G') and the index (steps 4-6) are built.
+    # Build every table the starts read while still inside the dualize
+    # phase, so their cost is attributed here and never to a start: the
+    # row lists (the double-BFS race) and the repr ranks (Complete-Cut
+    # tie-break); the CSR (BFS, boundary, G') and the index (steps 4-6)
+    # are built.
     g.row_lists()
     g.repr_ranks()
     return IntersectionGraph(hypergraph, g, index)

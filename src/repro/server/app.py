@@ -19,10 +19,14 @@ Request lifecycle
    which coalesces identical in-flight requests and runs distinct ones
    on a shared :class:`~repro.runtime.SupervisedPool`, one dispatcher
    thread per pool worker, so up to ``workers`` misses execute at once.
-4. The pool pickles the request over a pipe to one of its reused
-   forked workers, which runs :func:`_service_worker` under the
-   configured per-task timeout and memory budget; the daemon forks a
-   worker once per slot, and again only to replace one that failed.
+4. The pool sends the request over a pipe to one of its reused forked
+   workers, which runs :func:`_service_worker` under the configured
+   per-task timeout and memory budget; the daemon forks a worker once
+   per slot, and again only to replace one that failed.  The request's
+   hypergraph crosses as the hypergraph table's pickle, never pickled
+   again, and a worker that has seen that member text before runs on
+   the frozen hypergraph it kept for it
+   (:mod:`repro.server.worker_table`), Algorithm I's dual included.
    Crashes, hangs and budget overruns surface as **typed error
    responses** (500) while the daemon itself stays up — the pool is
    built with ``sequential_fallback=False`` precisely so failing work
@@ -67,6 +71,7 @@ successor.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -79,6 +84,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro import obs
 from repro import __version__
+from repro.core.hypergraph import Hypergraph
 from repro.engines import run_engine, run_placer
 from repro.io.json_io import _encode_label
 from repro.metrics import (
@@ -101,6 +107,7 @@ from repro.server.protocol import (
     error_payload,
     parse_request,
 )
+from repro.server.worker_table import WorkerTable
 
 __all__ = ["PartitionService", "ServiceConfig", "ServiceError"]
 
@@ -139,11 +146,13 @@ class ServiceConfig:
 # ----------------------------------------------------------------------
 
 
-def _partition_body(request: ServiceRequest, deadline: Deadline | None) -> dict:
+def _partition_body(
+    request: ServiceRequest, hypergraph: Hypergraph, deadline: Deadline | None
+) -> dict:
     settings = request.settings
     bipartition, extras = run_engine(
         request.engine,
-        request.hypergraph,
+        hypergraph,
         seed=settings["seed"],
         starts=settings["starts"],
         deadline=deadline,
@@ -166,11 +175,13 @@ def _partition_body(request: ServiceRequest, deadline: Deadline | None) -> dict:
     }
 
 
-def _place_body(request: ServiceRequest, deadline: Deadline | None) -> dict:
+def _place_body(
+    request: ServiceRequest, hypergraph: Hypergraph, deadline: Deadline | None
+) -> dict:
     settings = request.settings
     result = run_placer(
         request.engine,
-        request.hypergraph,
+        hypergraph,
         seed=settings["seed"],
         rows=settings["rows"],
         cols=settings["cols"],
@@ -195,27 +206,38 @@ def _place_body(request: ServiceRequest, deadline: Deadline | None) -> dict:
     }
 
 
-def _service_worker(payload: dict) -> dict:
+def _service_worker(payload: dict, *, table: WorkerTable) -> dict:
     """Execute one validated request inside a forked pool worker.
 
-    Module-level (not a closure) so the supervisor can run it in both
-    forked and sequential-fallback modes; the request arrives pickled
-    over the worker's pipe, and the JSON-ready dict it returns pickles
-    cleanly back.
+    The request arrives pickled over the worker's pipe, its hypergraph
+    as the hypergraph table's bytes: ``table``, this worker's
+    :class:`WorkerTable`, gives the frozen hypergraph it kept for that
+    key or unpickles them, and keeps it once the request has succeeded.
+    Run in-process (the pool's sequential mode), the request keeps its
+    own hypergraph and the table is not used.  The JSON-ready dict it
+    returns pickles cleanly back; its ``"table_hit"`` says whether the
+    table had the hypergraph (``None`` in-process).
     """
     request: ServiceRequest = payload["request"]
     # Fresh registry *and* fresh lock before anything else — see the
     # module docstring's fork-safety note.
     with obs.scoped(activate=payload["obs"]) as registry:
         faults.inject("server.request")
+        hypergraph, hit = request.hypergraph, None
+        if hypergraph is None:
+            key, blob = request.hypergraph_key, request.hypergraph_pickle
+            hypergraph, hit = table.get(key, blob)
+            obs.count(f"server.worker.hypergraph_{'hits' if hit else 'misses'}")
         deadline = Deadline.coerce(request.settings["deadline_seconds"])
         with obs.span(f"server.execute.{request.op}"):
             if request.op == "partition":
-                body = _partition_body(request, deadline)
+                body = _partition_body(request, hypergraph, deadline)
             else:
-                body = _place_body(request, deadline)
+                body = _place_body(request, hypergraph, deadline)
+        if hit is not None:
+            table.keep(key, blob, hypergraph)
         snapshot = registry.snapshot() if payload["obs"] else None
-    return {"body": body, "obs": snapshot}
+    return {"body": body, "obs": snapshot, "table_hit": hit}
 
 
 # ----------------------------------------------------------------------
@@ -462,6 +484,8 @@ class PartitionService:
             "shed_draining": 0,
             "shed_quarantined": 0,
             "verify_failures": 0,
+            "worker_hypergraph_hits": 0,
+            "worker_hypergraph_misses": 0,
         }
         cfg = self.config
         self._draining = threading.Event()
@@ -479,16 +503,17 @@ class PartitionService:
             threshold=cfg.breaker_threshold, cooldown=cfg.breaker_cooldown
         )
         self.store: StateStore | None = None
+        memory_limit_bytes = (
+            int(cfg.memory_limit_mb * (1 << 20)) if cfg.memory_limit_mb is not None else None
+        )
+        # Each worker fills its own copy of this table; the daemon's stays empty.
+        table = WorkerTable(cfg.cache_max_entries, cfg.cache_max_bytes, memory_limit_bytes)
         self.pool = SupervisedPool(
-            _service_worker,
+            functools.partial(_service_worker, table=table),
             max_workers=cfg.workers,
             task_timeout=cfg.task_timeout,
             max_retries=cfg.max_retries,
-            memory_limit_bytes=(
-                int(cfg.memory_limit_mb * (1 << 20))
-                if cfg.memory_limit_mb is not None
-                else None
-            ),
+            memory_limit_bytes=memory_limit_bytes,
             # A crashing request must become a typed error response, not
             # an in-process rerun of the thing that just killed a worker.
             sequential_fallback=False,
@@ -883,6 +908,9 @@ class PartitionService:
         for task_result in results:
             if task_result.ok:
                 body = task_result.value["body"]
+                hit = task_result.value["table_hit"]
+                if hit is not None:
+                    self._tally(f"worker_hypergraph_{'hits' if hit else 'misses'}")
                 # The corruption chaos hook sits between the worker and
                 # everything downstream: an armed ``server.verify`` rule
                 # flips one byte here, and the gate below must catch it.

@@ -34,6 +34,8 @@ the parser knows the text of its ``"hypergraph"`` member; given the
 daemon's :class:`~repro.server.cache.ResultCache`, a hypergraph whose
 member text it has parsed before is unpickled from the cache's
 hypergraph table, digest and all, rather than built and digested again.
+The request keeps the table's key and pickle, and crosses the pipe to a
+pool worker as those bytes (:mod:`repro.server.worker_table`).
 """
 
 from __future__ import annotations
@@ -136,19 +138,36 @@ class ServiceRequest:
 
     ``settings`` is the canonical JSON-ready dict (defaults filled in);
     ``digest``/``fingerprint`` are the two cache-key halves.
+
+    ``hypergraph_key`` and ``hypergraph_pickle`` are the cache's
+    hypergraph-table key (the SHA-256 of the ``"hypergraph"`` member
+    text) and the pickle of ``hypergraph`` it stores, when the request
+    was parsed with a table.  Such a request pickles with those bytes
+    standing in for ``hypergraph``, which unpickles as ``None``: a pool
+    worker takes its hypergraph from its
+    :class:`~repro.server.worker_table.WorkerTable`.
     """
 
     op: str
     engine: str
-    hypergraph: Hypergraph
+    hypergraph: Hypergraph | None
     settings: dict
 
     digest: str
     fingerprint: str
 
+    hypergraph_key: bytes | None = None
+    hypergraph_pickle: bytes | None = None
+
     @property
     def cache_key(self) -> str:
         return f"{self.digest}:{self.fingerprint}"
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        if self.hypergraph_pickle is not None:
+            state["hypergraph"] = None
+        return state
 
 
 def canonical_bytes(obj: Any) -> bytes:
@@ -344,7 +363,8 @@ def parse_request(
     ``hypergraphs``, the daemon's cache, keys its hypergraph table by
     the SHA-256 of the ``"hypergraph"`` member's text: a known one is
     unpickled, a private copy with its digest, and one built here is
-    added once the whole request has passed.
+    pickled and added once the whole request has passed.  Either way
+    the request keeps the key and the pickle.
     """
     if len(raw) > MAX_REQUEST_BYTES:
         raise RequestError(
@@ -422,7 +442,7 @@ def parse_request(
 
     if "hypergraph" not in payload:
         raise RequestError("request is missing the 'hypergraph' key", source=_SOURCE)
-    table_key = known = None
+    table_key = known = blob = None
     if hypergraphs is not None and "hypergraph" in spans:
         start, end = spans["hypergraph"]
         table_key = hashlib.sha256(text[start:end].encode("utf-8")).digest()
@@ -449,9 +469,8 @@ def parse_request(
     if known is None:
         digest = hypergraph_digest(hypergraph)
         if table_key is not None:
-            hypergraphs.put_hypergraph(
-                table_key, digest, pickle.dumps(hypergraph, pickle.HIGHEST_PROTOCOL)
-            )
+            blob = pickle.dumps(hypergraph, pickle.HIGHEST_PROTOCOL)
+            hypergraphs.put_hypergraph(table_key, digest, blob)
     fingerprint = settings_fingerprint(
         {"op": op, "engine": engine, "settings": settings}
     )
@@ -462,6 +481,8 @@ def parse_request(
         settings=settings,
         digest=digest,
         fingerprint=fingerprint,
+        hypergraph_key=table_key,
+        hypergraph_pickle=blob,
     )
 
 
