@@ -49,6 +49,8 @@ by committing a ``BENCH_<pr>.json`` per perf PR and comparing in CI.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import platform
 import sys
@@ -246,22 +248,20 @@ def _failed_entry(case_name: str, engine: str, error: str) -> dict:
     }
 
 
-#: Fork-inherited shared state for the supervised bench workers: the
-#: parent materializes every instance once, workers look them up by case
-#: name.  Populated just before ``SupervisedPool.map`` and cleared right
-#: after — nothing heavyweight crosses the result pipe.
-_BENCH_STATE: dict = {}
+def _bench_worker(payload: dict, *, instances: dict[str, Hypergraph]) -> dict:
+    """One (instance, engine) pair inside a forked bench worker.
 
-
-def _bench_worker(payload: dict) -> dict:
-    """One (instance, engine) pair inside a forked bench worker."""
+    ``instances`` is the run's materialized suite, bound to its pool with
+    :func:`functools.partial`: a forked worker inherits it, so nothing
+    heavyweight crosses a pipe, and two runs in one process never share
+    it.
+    """
     faults.inject("bench.pair")
     case_name, engine = payload["pair"]
-    h = _BENCH_STATE["instances"][case_name]
     return _bench_entry(
         case_name,
         engine,
-        h,
+        instances[case_name],
         payload["seed"],
         payload["starts"],
         payload["repeats"],
@@ -460,7 +460,10 @@ def run_bench(
     resume, never replayed.  ``on_resume(replayed, pending)`` is
     invoked once with the replay/remaining pair counts.
 
-    ``memory_limit_mb`` (requires ``parallel``) budgets each worker's
+    ``task_timeout`` and ``memory_limit_mb`` require ``parallel``: there
+    is no worker to time out or budget without one.
+
+    ``memory_limit_mb`` budgets each worker's
     memory: the forked child caps its address space via ``RLIMIT_AS``
     and the supervisor SIGTERMs workers whose RSS exceeds the budget,
     so an over-allocating engine becomes an explicit failed entry with
@@ -527,6 +530,11 @@ def run_bench(
         raise BenchError(
             "verify=True needs server mode: the local path computes results "
             "in-process, so there is nothing independent to re-verify"
+        )
+    if task_timeout is not None and parallel is None:
+        raise BenchError(
+            "task_timeout requires parallel workers (pass parallel=k): only a "
+            "forked worker can be timed out without ending the run"
         )
     if journal_path is not None and resume_path is not None:
         if Path(journal_path) != Path(resume_path):
@@ -617,31 +625,7 @@ def run_bench(
 
     supervision: dict | None = None
     try:
-        if server is not None:
-            with _server_client(server) as client:
-                for case_name, engine in pending:
-                    if total_deadline is not None and total_deadline.expired():
-                        checkpoint(
-                            (case_name, engine),
-                            _failed_entry(
-                                case_name, engine, "deadline expired before execution"
-                            ),
-                            False,
-                        )
-                        continue
-                    entry, ok = _server_entry(
-                        client,
-                        case_name,
-                        engine,
-                        materialized[case_name],
-                        seed,
-                        starts,
-                        deadline_seconds,
-                        refine,
-                        verify=verify,
-                    )
-                    checkpoint((case_name, engine), entry, ok)
-        elif parallel is not None:
+        if parallel is not None:
             tasks = [
                 (
                     pair,
@@ -669,21 +653,16 @@ def run_bench(
                         False,
                     )
 
-            _BENCH_STATE["instances"] = materialized
-            try:
-                # The workers inherit this run's instances: they end with it.
-                with SupervisedPool(
-                    _bench_worker,
-                    max_workers=parallel,
-                    task_timeout=task_timeout,
-                    max_retries=max_retries,
-                    deadline=total_deadline,
-                    memory_limit_bytes=memory_limit_bytes,
-                    on_result=on_result,
-                ) as pool, obs.span("bench.parallel"):
-                    _task_results, report = pool.map(tasks)
-            finally:
-                _BENCH_STATE.clear()
+            with SupervisedPool(
+                functools.partial(_bench_worker, instances=materialized),
+                max_workers=parallel,
+                task_timeout=task_timeout,
+                max_retries=max_retries,
+                deadline=total_deadline,
+                memory_limit_bytes=memory_limit_bytes,
+                on_result=on_result,
+            ) as pool, obs.span("bench.parallel"):
+                _task_results, report = pool.map(tasks)
             supervision = {
                 "workers": report.workers,
                 "completed": report.completed,
@@ -699,30 +678,40 @@ def run_bench(
                 "summary": report.summary(),
             }
         else:
-            for case_name, engine in pending:
-                if total_deadline is not None and total_deadline.expired():
-                    checkpoint(
-                        (case_name, engine),
-                        _failed_entry(
-                            case_name, engine, "deadline expired before execution"
-                        ),
-                        False,
-                    )
-                    continue
-                checkpoint(
-                    (case_name, engine),
-                    _bench_entry(
-                        case_name,
-                        engine,
-                        materialized[case_name],
-                        seed,
-                        starts,
-                        repeats,
-                        deadline_seconds,
-                        refine,
-                    ),
-                    True,
-                )
+            # One pair after another, here or replayed through a daemon.
+            client_context = (
+                _server_client(server) if server is not None else contextlib.nullcontext()
+            )
+            with client_context as client:
+                for case_name, engine in pending:
+                    if total_deadline is not None and total_deadline.expired():
+                        error = "deadline expired before execution"
+                        entry, ok = _failed_entry(case_name, engine, error), False
+                    elif client is not None:
+                        entry, ok = _server_entry(
+                            client,
+                            case_name,
+                            engine,
+                            materialized[case_name],
+                            seed,
+                            starts,
+                            deadline_seconds,
+                            refine,
+                            verify=verify,
+                        )
+                    else:
+                        entry = _bench_entry(
+                            case_name,
+                            engine,
+                            materialized[case_name],
+                            seed,
+                            starts,
+                            repeats,
+                            deadline_seconds,
+                            refine,
+                        )
+                        ok = True
+                    checkpoint((case_name, engine), entry, ok)
     finally:
         if journal is not None:
             journal.close()

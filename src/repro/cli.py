@@ -112,6 +112,15 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             # Unset is None, or False for a switch; 0 is a given value.
             if value is not None and value is not False:
                 raise SystemExit(f"{flag} supports algorithm1 bisection only")
+    # Only --parallel 2+ with --starts 2+ runs a pool; without one these
+    # flags would change nothing.
+    if args.parallel is None or args.parallel < 2 or args.starts < 2:
+        for name, flag in (("task_timeout", "--task-timeout"), ("max_retries", "--max-retries")):
+            if getattr(args, name) is not None:
+                raise SystemExit(
+                    f"{flag} applies to a worker pool only: pass --parallel 2 "
+                    "or more with --starts 2 or more"
+                )
     if args.refine and args.k > 2:
         raise SystemExit("--refine applies to bipartitions only (k = 2)")
     if args.k > 2:
@@ -854,14 +863,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="per-start timeout for parallel workers; a start exceeding it "
-        "is killed and retried with an advanced seed (algorithm1 bisection only)",
+        "is killed and retried with an advanced seed (algorithm1 bisection "
+        "with --parallel 2+ and --starts 2+ only)",
     )
     p.add_argument(
         "--max-retries",
         type=int,
         default=None,
         help="retries per crashed/hung/failed parallel start before "
-        "sequential fallback (default 2; algorithm1 bisection only)",
+        "sequential fallback (default 2; algorithm1 bisection with "
+        "--parallel 2+ and --starts 2+ only)",
     )
     p.add_argument(
         "--on-error",

@@ -26,16 +26,22 @@ frozen hypergraph (:meth:`Hypergraph.freeze`) the first call keeps them
 per ``edge_size_threshold`` and later calls reuse them, so every run on
 it (``flow``'s Algorithm I half too) builds the dual once.
 
-Starts are independent, so step 7 parallelises trivially: pass
-``parallel=k`` to fan the starts across ``k`` worker processes.  Child
-seeds are drawn up front from the caller's rng, so a parallel run is
-reproducible for a fixed seed regardless of worker count (though its rng
-stream differs from the sequential one; ``parallel=None`` preserves the
-exact sequential behaviour).
+Step 7 is one loop.  A start is one call of the run's start function
+(steps 3–6 and the ranking key), and one fold keeps the best start by
+``(rank, start_index)``, whether the start was replayed from a journal,
+run in-process or run by a pool worker.  Starts are independent, so
+``parallel=k`` fans them across ``k`` worker processes; the pool's
+worker is the run's start function bound with :func:`functools.partial`,
+never a module global, so two runs in one process cannot see each
+other's state.  Child seeds are drawn up front from the caller's rng, so
+a parallel run is reproducible for a fixed seed regardless of worker
+count (though its rng stream differs from the sequential one;
+``parallel=None`` preserves the exact sequential behaviour).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import Counter
@@ -509,174 +515,51 @@ def _start_value(
     }
 
 
-def _load_start_value(value, index: HypergraphIndex) -> tuple[StartRecord, tuple, np.ndarray]:
-    """Inverse of :func:`_start_value`; raises on unrecognizable entries."""
+def _load_start_value(value, index: HypergraphIndex) -> tuple:
+    """Inverse of :func:`_start_value`: ``(record, rank, sides, timings)``.
+
+    A replayed start contributes no timings.  Raises on unrecognizable
+    entries.
+    """
     try:
         record = StartRecord(**value["record"])
-        return (
-            record,
-            tuple(value["rank"]),
-            index.sides_of(frozenset(value["left"]), frozenset(value["right"])),
-        )
+        rank = tuple(value["rank"])
+        sides = index.sides_of(frozenset(value["left"]), frozenset(value["right"]))
+        return record, rank, sides, {}
     except (KeyError, TypeError, ValueError) as exc:
         raise Algorithm1Error(f"journal start entry is malformed: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
-# Parallel multi-start machinery (supervised; see repro.runtime)
+# Supervised multi-start workers (repro.runtime)
 # ----------------------------------------------------------------------
 
-#: Shared per-run state for worker processes.  Populated in the parent
-#: just before the pool is created: fork workers inherit it for free (no
-#: pickling of the intersection graph per task).  The supervised pool's
-#: sequential fallback runs in the parent, where the state is also live.
-_PARALLEL_STATE: dict = {}
 
+def _pooled_start(payload: tuple[int, int], *, start, record_obs: bool) -> tuple:
+    """Supervised worker: one ``(start_index, child_seed)`` task of a run.
 
-def _parallel_init(state: dict) -> None:
-    _PARALLEL_STATE.clear()
-    _PARALLEL_STATE.update(state)
-    if state.get("obs_enabled"):
-        obs.enable()
-
-
-def _execute_start(child_seed: int):
-    """One start from its pre-drawn seed; returns the picklable essentials."""
-    st = _PARALLEL_STATE
-    trace = run_single_start(
-        st["intersection"],
-        st["original"],
-        random.Random(child_seed),
-        variant=st["variant"],
-        weighted_balance=st["weighted_balance"],
-        double_sweep=st["double_sweep"],
-        bfs_mode=st["bfs_mode"],
-    )
-    rank = _rank_key(trace, st["objective"], st["balance_tolerance"], st["total_weight"])
-    return _start_record(trace), rank, trace.sides.tobytes(), trace.timings
-
-
-def _run_one_start(payload: tuple[int, int]):
-    """Supervised worker: one ``(start_index, child_seed)`` task.
-
-    Only the record, the rank tuple, the int8 vertex-side array as bytes
-    and plain dicts cross the process boundary — never traces.  The worker records into a fresh
-    scoped registry so the parent can merge snapshots without
-    double-counting whatever the fork inherited (``None`` when recording
-    is off).  ``parallel.start`` is a fault-injection site: the chaos
-    suite kills/hangs workers here to exercise the supervisor.
+    ``start`` is the run's own start function, bound to its pool with
+    :func:`functools.partial`: a forked worker inherits it with the run's
+    dual, and two runs in one process never share it.  The worker records
+    into a fresh scoped registry so the parent can merge its snapshot
+    without double-counting whatever the fork inherited (``None`` when
+    recording is off).  ``parallel.start`` is a fault-injection site: the
+    chaos suite kills/hangs workers here to exercise the supervisor.
     """
     _index, child_seed = payload
     faults.inject("parallel.start")
-    if _PARALLEL_STATE.get("obs_enabled"):
-        with obs.scoped() as reg:
-            out = _execute_start(child_seed)
-            snapshot = reg.snapshot()
-        return (*out, snapshot)
-    return (*_execute_start(child_seed), None)
+    if not record_obs:
+        return (*start(random.Random(child_seed)), None)
+    with obs.scoped() as reg:
+        out = start(random.Random(child_seed))
+        snapshot = reg.snapshot()
+    return (*out, snapshot)
 
 
 def _reseed_start(payload: tuple[int, int], attempt: int) -> tuple[int, int]:
     """Deterministic retry seed-advance (start index is preserved)."""
     index, child_seed = payload
     return index, advance_seed(child_seed, attempt)
-
-
-def _run_parallel_starts(
-    state: dict,
-    num_starts: int,
-    parallel: int,
-    rng: random.Random,
-    deadline: Deadline | None,
-    task_timeout: float | None,
-    max_retries: int,
-    journal: RunJournal | None = None,
-    replayed: dict[int, tuple] | None = None,
-):
-    """Fan ``num_starts`` independent starts across supervised processes.
-
-    Child seeds are drawn up front from ``rng`` and ties between equal
-    cuts break by start index, so on the fault-free path the outcome
-    depends only on the seed — not on worker count or scheduling, and
-    byte-identically matches the pre-supervision behaviour.  Crashed or
-    hung workers are retried with a deterministic seed advance; starts
-    that never complete (deadline, exhausted retries) are simply absent
-    from the result, which the caller reports as ``degraded``.
-
-    ``journal`` checkpoints each completed start the moment its worker
-    reports (fsynced, from the parent); ``replayed`` carries the starts
-    an earlier journal already recorded — they are folded into the
-    ranking without being re-run.  All child seeds are still drawn in
-    index order, so the pending starts get the exact seeds the original
-    run would have given them.
-    """
-    pairs = [(i, (i, rng.getrandbits(63))) for i in range(num_starts)]
-    seeds_by_index = {i: payload[1] for i, payload in pairs}
-    replayed = replayed or {}
-    pending = [p for p in pairs if p[0] not in replayed]
-
-    dual_index = state["intersection"].index
-    best_pack = None
-    records_by_index: dict[int, StartRecord] = {}
-    timings = {"cut": 0.0, "complete": 0.0, "balance": 0.0}
-
-    def absorb(index: int, record: StartRecord, rank, sides) -> None:
-        nonlocal best_pack
-        records_by_index[index] = record
-        key = (rank, index)
-        if best_pack is None or key < best_pack[0]:
-            best_pack = (key, sides)
-
-    for index in sorted(replayed):
-        absorb(index, *replayed[index])
-
-    if pending:
-        workers = min(parallel, len(pending))
-
-        def on_result(task) -> None:
-            if journal is not None and task.ok:
-                record, rank, sides, _timings, _snapshot = task.value
-                sides = np.frombuffer(sides, dtype=np.int8)
-                journal.record(
-                    task.key,
-                    _start_value(record, rank, dual_index, sides, seeds_by_index[task.key]),
-                )
-
-        _parallel_init(state)
-        try:
-            # The workers inherit this run's state: they end with it.
-            with SupervisedPool(
-                _run_one_start,
-                max_workers=workers,
-                task_timeout=task_timeout,
-                max_retries=max_retries,
-                deadline=deadline,
-                reseed=_reseed_start,
-                on_result=on_result,
-            ) as pool:
-                outcomes, report = pool.map(pending)
-        finally:
-            _PARALLEL_STATE.clear()
-
-        for outcome in outcomes:
-            if not outcome.ok:
-                continue
-            record, rank, sides, start_timings, snapshot = outcome.value
-            absorb(outcome.key, record, rank, np.frombuffer(sides, dtype=np.int8))
-            for phase, dt in start_timings.items():
-                timings[phase] = timings.get(phase, 0.0) + dt
-            if snapshot is not None and obs.is_enabled():
-                obs.registry().merge(snapshot)
-    else:
-        workers = 0
-        report = SupervisionReport()
-
-    if best_pack is None:
-        raise Algorithm1Error(
-            "all parallel starts failed: " + ("; ".join(report.errors[:5]) or "unknown")
-        )
-    records = [records_by_index[i] for i in sorted(records_by_index)]
-    return best_pack[1], records, timings, workers, report
 
 
 def algorithm1(
@@ -823,6 +706,7 @@ def algorithm1(
     )
     ignored = prepared.ignored
     intersection = prepared.intersection
+    index = intersection.index
 
     counters = {
         "num_starts": 0,
@@ -836,6 +720,35 @@ def algorithm1(
     obs.gauge("algorithm1.dual_nodes", intersection.num_nodes)
     obs.gauge("algorithm1.dual_edges", intersection.num_edges)
 
+    def finish(
+        bipartition: Bipartition,
+        starts: list[StartRecord] | None = None,
+        degrade_reason: str | None = None,
+    ) -> Algorithm1Result:
+        if starts is None:
+            # A seedless answer (edgeless, or packed components) is one record.
+            starts = [
+                StartRecord(
+                    seed_u=None,
+                    seed_v=None,
+                    bfs_depth=0,
+                    boundary_size=0,
+                    num_losers=0,
+                    cutsize=bipartition.cutsize,
+                    weight_imbalance=bipartition.weight_imbalance,
+                )
+            ]
+        return Algorithm1Result(
+            bipartition=bipartition,
+            ignored_edges=ignored,
+            starts=tuple(starts),
+            intersection=intersection,
+            timings=timings,
+            counters=counters,
+            degraded=degrade_reason is not None,
+            degrade_reason=degrade_reason,
+        )
+
     # Open the journal before the deterministic early returns (edgeless
     # instance, balanced component packing): those paths never record a
     # start, but the header-only journal they leave behind still resumes
@@ -843,213 +756,164 @@ def algorithm1(
     # asked for --journal always gets a resumable artifact.
     journal: RunJournal | None = None
     replayed: dict[int, tuple] = {}
-    if journal_path is not None or resume_path is not None:
-        journal_settings = {
-            "task": "partition",
-            "hypergraph": _hypergraph_digest(hypergraph),
-            "num_starts": num_starts,
-            "seed": seed,
-            "edge_size_threshold": edge_size_threshold,
-            "variant": variant,
-            "weighted_balance": weighted_balance,
-            "double_sweep": double_sweep,
-            "balance_tolerance": balance_tolerance,
-            "bfs_mode": bfs_mode,
-            "objective": objective,
-        }
-        if resume_path is not None:
-            journal, recorded = RunJournal.resume(
-                resume_path, "partition", journal_settings
-            )
-            for key, value in recorded:
-                replayed[int(key)] = _load_start_value(value, intersection.index)
-        else:
-            journal = RunJournal.create(journal_path, "partition", journal_settings)
-
-    if intersection.num_nodes == 0:
-        # Edgeless hypergraph: any balanced split is optimal (cutsize 0).
-        if journal is not None:
-            journal.close()
-        with timer.phase("balance"):
-            index = intersection.index
-            sides = np.full(index.num_vertices, -1, dtype=np.int8)
-            _balance_free_vertices(index, sides, rng)
-            _ensure_nonempty_sides(index, sides)
-            bipartition = index.bipartition(hypergraph, sides)
-        record = StartRecord(
-            seed_u=None,
-            seed_v=None,
-            bfs_depth=0,
-            boundary_size=0,
-            num_losers=0,
-            cutsize=bipartition.cutsize,
-            weight_imbalance=bipartition.weight_imbalance,
-        )
-        return Algorithm1Result(
-            bipartition=bipartition,
-            ignored_edges=ignored,
-            starts=(record,),
-            intersection=intersection,
-            timings=timings,
-            counters=counters,
-        )
-
-    total_weight = hypergraph.total_vertex_weight or 1.0
-
-    components = prepared.components
-    if len(components) > 1:
-        # The c = 0 pathological case: "BFS in G finds the unconnectedness
-        # while standard heuristics will often output a locally minimum cut
-        # of size Θ(|E|)."  Whole G-components map to vertex-disjoint module
-        # blocks (edges in different components cannot share a module), so
-        # packing blocks two ways yields a zero cut of the working
-        # hypergraph; only filtered-out large edges can still cross.
-        #
-        # Packing is only the *answer* when it comes out reasonably
-        # balanced (one giant component forces a lopsided split — there a
-        # real cut through the giant component is required and we fall
-        # through to the multi-start machinery, which attaches the small
-        # components side by side).
-        with timer.phase("balance"):
-            sides = _pack_components(intersection, components, rng)
-            bipartition = intersection.index.bipartition(hypergraph, sides)
-        packing_limit = balance_tolerance if balance_tolerance is not None else 0.25
-        if bipartition.weight_imbalance / total_weight <= packing_limit:
-            if journal is not None:
-                journal.close()
-            obs.count("algorithm1.component_packings")
-            record = StartRecord(
-                seed_u=None,
-                seed_v=None,
-                bfs_depth=0,
-                boundary_size=0,
-                num_losers=0,
-                cutsize=bipartition.cutsize,
-                weight_imbalance=bipartition.weight_imbalance,
-            )
-            return Algorithm1Result(
-                bipartition=bipartition,
-                ignored_edges=ignored,
-                starts=(record,),
-                intersection=intersection,
-                timings=timings,
-                counters=counters,
-            )
-
     try:
-        if parallel is not None and num_starts > 1 and parallel > 1:
-            state = {
-                "intersection": intersection,
-                "original": hypergraph,
+        if journal_path is not None or resume_path is not None:
+            journal_settings = {
+                "task": "partition",
+                "hypergraph": _hypergraph_digest(hypergraph),
+                "num_starts": num_starts,
+                "seed": seed,
+                "edge_size_threshold": edge_size_threshold,
                 "variant": variant,
                 "weighted_balance": weighted_balance,
                 "double_sweep": double_sweep,
+                "balance_tolerance": balance_tolerance,
                 "bfs_mode": bfs_mode,
                 "objective": objective,
-                "balance_tolerance": balance_tolerance,
-                "total_weight": total_weight,
-                "obs_enabled": obs.is_enabled(),
             }
-            best_sides, records, start_timings, workers, report = (
-                _run_parallel_starts(
-                    state,
-                    num_starts,
-                    parallel,
-                    rng,
-                    deadline,
-                    task_timeout,
-                    max_retries,
-                    journal=journal,
-                    replayed=replayed,
+            if resume_path is not None:
+                journal, recorded = RunJournal.resume(
+                    resume_path, "partition", journal_settings
                 )
-            )
-            for phase, dt in start_timings.items():
-                timings[phase] = timings.get(phase, 0.0) + dt
-            counters["num_starts"] = len(records)
-            counters["parallel_workers"] = workers
-            obs.count("algorithm1.starts", len(records))
-            obs.gauge("algorithm1.parallel_workers", workers)
-            degraded = report.degraded or len(records) < num_starts
-            best = intersection.index.bipartition(hypergraph, best_sides)
-            return Algorithm1Result(
-                bipartition=best,
-                ignored_edges=ignored,
-                starts=tuple(records),
-                intersection=intersection,
-                timings=timings,
-                counters=counters,
-                degraded=degraded,
-                degrade_reason=(
-                    f"{report.summary()} ({len(records)}/{num_starts} starts completed)"
-                    if degraded
-                    else None
-                ),
-            )
-        if parallel is not None:
-            # parallel=1 (or a single start): same seed contract as parallel
-            # runs — child seeds drawn up front — without any pool overhead.
-            child_seeds = [rng.getrandbits(63) for _ in range(num_starts)]
-            start_rngs = [random.Random(s) for s in child_seeds]
-        else:
-            child_seeds = []
-            start_rngs = [rng] * num_starts
+                for key, value in recorded:
+                    replayed[int(key)] = _load_start_value(value, index)
+            else:
+                journal = RunJournal.create(journal_path, "partition", journal_settings)
 
-        # Only the winning start's side array ever becomes a Bipartition.
-        best_sides: np.ndarray | None = None
-        best_key: tuple | None = None
-        records = []
-        degrade_reason: str | None = None
-        for index in range(num_starts):
-            if index in replayed:
-                # Journal replay: fold in the recorded start without
-                # re-running it (its sides are re-evaluated against the
-                # original hypergraph only if it wins).
-                record, rank, sides = replayed[index]
-                records.append(record)
-                if best_key is None or rank < best_key:
-                    best_sides, best_key = sides, rank
-                continue
-            # Cooperative checkpoint: at least one start always runs, so a
-            # best-so-far cut exists even for an already-expired budget.
-            if index > 0 and deadline is not None and deadline.expired():
-                degrade_reason = f"deadline expired after {index}/{num_starts} starts"
-                obs.count("algorithm1.deadline_stops")
-                break
-            faults.inject("algorithm1.start")
+        if intersection.num_nodes == 0:
+            # Edgeless hypergraph: any balanced split is optimal (cutsize 0).
+            with timer.phase("balance"):
+                sides = np.full(index.num_vertices, -1, dtype=np.int8)
+                _balance_free_vertices(index, sides, rng)
+                _ensure_nonempty_sides(index, sides)
+                bipartition = index.bipartition(hypergraph, sides)
+            return finish(bipartition)
+
+        total_weight = hypergraph.total_vertex_weight or 1.0
+
+        if len(prepared.components) > 1:
+            # The c = 0 pathological case: "BFS in G finds the unconnectedness
+            # while standard heuristics will often output a locally minimum cut
+            # of size Θ(|E|)."  Whole G-components map to vertex-disjoint module
+            # blocks (edges in different components cannot share a module), so
+            # packing blocks two ways yields a zero cut of the working
+            # hypergraph; only filtered-out large edges can still cross.
+            #
+            # Packing is only the *answer* when it comes out reasonably
+            # balanced (one giant component forces a lopsided split — there a
+            # real cut through the giant component is required and we fall
+            # through to the multi-start loop, which attaches the small
+            # components side by side).
+            with timer.phase("balance"):
+                sides = _pack_components(intersection, prepared.components, rng)
+                bipartition = index.bipartition(hypergraph, sides)
+            packing_limit = balance_tolerance if balance_tolerance is not None else 0.25
+            if bipartition.weight_imbalance / total_weight <= packing_limit:
+                obs.count("algorithm1.component_packings")
+                return finish(bipartition)
+
+        def run_start(start_rng: random.Random) -> tuple:
+            """Steps 3–6 from ``start_rng``: ``(record, rank, sides, timings)``."""
             trace = run_single_start(
                 intersection,
                 hypergraph,
-                start_rngs[index],
+                start_rng,
                 variant=variant,
                 weighted_balance=weighted_balance,
                 double_sweep=double_sweep,
                 bfs_mode=bfs_mode,
             )
-            record = _start_record(trace)
-            records.append(record)
-            for phase, dt in trace.timings.items():
-                timings[phase] += dt
-            key = _rank_key(trace, objective, balance_tolerance, total_weight)
-            if journal is not None:
-                journal.record(
-                    index,
-                    _start_value(record, key, trace.index, trace.sides, child_seeds[index]),
-                )
-            if best_key is None or key < best_key:
-                best_sides, best_key = trace.sides, key
+            rank = _rank_key(trace, objective, balance_tolerance, total_weight)
+            return _start_record(trace), rank, trace.sides, trace.timings
 
-        assert best_sides is not None
+        # parallel=None threads the caller's rng through every start; any
+        # parallel (and so every journaled run) draws one child seed per
+        # start up front, which is what a pool or a resume can skip over.
+        seeds = None if parallel is None else [rng.getrandbits(63) for _ in range(num_starts)]
+        records: dict[int, StartRecord] = {}
+        best: tuple | None = None  # ((rank, start index), sides)
+        degrade_reason: str | None = None
+
+        def fold(i: int, record: StartRecord, rank: tuple, sides, start_timings: dict) -> None:
+            # Ties break by start index, so the winner never depends on
+            # which start (or worker) reported first.  Only the winning
+            # start's side array ever becomes a Bipartition.
+            nonlocal best
+            records[i] = record
+            for phase, dt in start_timings.items():
+                timings[phase] += dt
+            if best is None or (rank, i) < best[0]:
+                best = (rank, i), sides
+
+        def checkpoint(i: int, record: StartRecord, rank: tuple, sides) -> None:
+            if journal is not None:
+                journal.record(i, _start_value(record, rank, index, sides, seeds[i]))
+
+        if parallel is not None and parallel > 1 and num_starts > 1:
+            for i in sorted(replayed):
+                fold(i, *replayed[i])
+            pending = [(i, (i, seeds[i])) for i in range(num_starts) if i not in replayed]
+            workers = min(parallel, len(pending))
+            report = SupervisionReport()
+            if pending:
+
+                def on_result(task) -> None:
+                    if task.ok:
+                        checkpoint(task.key, *task.value[:3])
+
+                worker = functools.partial(
+                    _pooled_start, start=run_start, record_obs=obs.is_enabled()
+                )
+                with SupervisedPool(
+                    worker,
+                    max_workers=workers,
+                    task_timeout=task_timeout,
+                    max_retries=max_retries,
+                    deadline=deadline,
+                    reseed=_reseed_start,
+                    on_result=on_result,
+                ) as pool:
+                    outcomes, report = pool.map(pending)
+                for outcome in outcomes:
+                    if outcome.ok:
+                        *value, snapshot = outcome.value
+                        fold(outcome.key, *value)
+                        if snapshot is not None and obs.is_enabled():
+                            obs.registry().merge(snapshot)
+            if best is None:
+                raise Algorithm1Error(
+                    "all parallel starts failed: " + ("; ".join(report.errors[:5]) or "unknown")
+                )
+            counters["parallel_workers"] = workers
+            obs.gauge("algorithm1.parallel_workers", workers)
+            if report.degraded or len(records) < num_starts:
+                degrade_reason = (
+                    f"{report.summary()} ({len(records)}/{num_starts} starts completed)"
+                )
+        else:
+            for i in range(num_starts):
+                if i in replayed:
+                    # Journal replay: fold in the recorded start without
+                    # re-running it.
+                    fold(i, *replayed[i])
+                    continue
+                # Cooperative checkpoint: at least one start always runs, so a
+                # best-so-far cut exists even for an already-expired budget.
+                if i > 0 and deadline is not None and deadline.expired():
+                    degrade_reason = f"deadline expired after {i}/{num_starts} starts"
+                    obs.count("algorithm1.deadline_stops")
+                    break
+                faults.inject("algorithm1.start")
+                out = run_start(rng if seeds is None else random.Random(seeds[i]))
+                checkpoint(i, *out[:3])
+                fold(i, *out)
+
         counters["num_starts"] = len(records)
         obs.count("algorithm1.starts", len(records))
-        return Algorithm1Result(
-            bipartition=intersection.index.bipartition(hypergraph, best_sides),
-            ignored_edges=ignored,
-            starts=tuple(records),
-            intersection=intersection,
-            timings=timings,
-            counters=counters,
-            degraded=degrade_reason is not None,
-            degrade_reason=degrade_reason,
+        return finish(
+            index.bipartition(hypergraph, best[1]),
+            [records[i] for i in sorted(records)],
+            degrade_reason,
         )
     finally:
         if journal is not None:

@@ -198,6 +198,21 @@ class TestParallelBench:
                 total_deadline_seconds=0,
             )
 
+    def test_task_timeout_requires_parallel(self):
+        with pytest.raises(BenchError, match="task_timeout requires parallel"):
+            run_bench("x", cases=QUICK_SUITE[:1], engines=("random",), task_timeout=5.0)
+
+    def test_task_timeout_without_parallel_exits_with_one_line(self, tmp_path):
+        out = tmp_path / "b.json"
+        argv = ["bench", "--quick", "--repeats", "1", "--task-timeout", "5", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == (
+            "task_timeout requires parallel workers (pass parallel=k): only a "
+            "forked worker can be timed out without ending the run"
+        )
+        assert not out.exists()
+
     def test_sequential_total_deadline_fails_pairs_explicitly(self):
         payload = run_bench(
             "dl",

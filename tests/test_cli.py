@@ -272,6 +272,55 @@ class TestAlgorithm1OnlyFlags:
         ]
 
 
+#: ``partition`` options that only a worker pool reads.
+POOL_ONLY = [["--task-timeout", "5"], ["--max-retries", "0"]]
+
+
+class TestPoolOnlyFlags:
+    """A pool-only option where no pool runs exits 1 with one line, never ignored."""
+
+    @staticmethod
+    def message(flag: str) -> str:
+        return (
+            f"{flag} applies to a worker pool only: pass --parallel 2 or more "
+            "with --starts 2 or more"
+        )
+
+    @pytest.mark.parametrize("flag", POOL_ONLY, ids=lambda f: f[0])
+    @pytest.mark.parametrize(
+        "route",
+        [[], ["--parallel", "1"], ["--parallel", "2", "--starts", "1"], ["--journal", "j"]],
+        ids=["sequential", "parallel-1", "one-start", "journal"],
+    )
+    def test_rejected_without_a_pool(self, hgr_file, tmp_path, flag, route):
+        route = [str(tmp_path / a) if a == "j" else a for a in route]
+        with pytest.raises(SystemExit) as exc:
+            main(["partition", hgr_file, "--starts", "2", *route, *flag])
+        assert exc.value.code == self.message(flag[0])
+
+    def test_accepted_with_a_pool(self, hgr_file, capsys):
+        argv = ["partition", hgr_file, "--starts", "2", "--parallel", "2"]
+        for flag in POOL_ONLY:
+            argv += flag
+        assert main(argv) == 0
+        assert "cutsize" in capsys.readouterr().out
+
+    def test_another_engine_keeps_its_message(self, hgr_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["partition", hgr_file, "--algorithm", "fm", "--max-retries", "0"])
+        assert exc.value.code == "--max-retries supports algorithm1 bisection only"
+
+    def test_rejection_exits_1_with_one_line(self, hgr_file):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "partition", hgr_file, "--starts", "20",
+             "--task-timeout", "0.000001", "--max-retries", "0"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.strip().splitlines() == [self.message("--task-timeout")]
+
+
 class TestLogErrors:
     """Journal and state-log failures exit with one line, no traceback."""
 

@@ -351,6 +351,18 @@ class TestAlgorithm1Resume:
         assert resumed.cutsize == reference.cutsize
         assert resumed.counters["parallel_workers"] == 0  # nothing re-ran
 
+    def test_malformed_start_entry_raises_and_closes_the_journal(self, instance, tmp_path):
+        # The module's leak fixture fails the test if the refused
+        # journal is left open.
+        path = tmp_path / "p.jsonl"
+        self.run(instance, parallel=1, journal_path=path)
+        header, first, *rest = path.read_bytes().splitlines(keepends=True)
+        entry = json.loads(first)
+        del entry["value"]["left"]
+        path.write_bytes(header + json.dumps(entry).encode() + b"\n" + b"".join(rest))
+        with pytest.raises(Algorithm1Error, match="journal start entry is malformed"):
+            self.run(instance, parallel=1, resume_path=path)
+
     def test_resume_binds_to_the_hypergraph(self, instance, tmp_path):
         path = tmp_path / "p.jsonl"
         self.run(instance, parallel=2, journal_path=path)
