@@ -415,7 +415,7 @@ def run_bench(
     deadline_seconds: float | None = None,
     parallel: int | None = None,
     task_timeout: float | None = None,
-    max_retries: int = 2,
+    max_retries: int | None = None,
     total_deadline_seconds: float | None = None,
     journal_path: str | Path | None = None,
     resume_path: str | Path | None = None,
@@ -460,8 +460,9 @@ def run_bench(
     resume, never replayed.  ``on_resume(replayed, pending)`` is
     invoked once with the replay/remaining pair counts.
 
-    ``task_timeout`` and ``memory_limit_mb`` require ``parallel``: there
-    is no worker to time out or budget without one.
+    ``task_timeout``, ``max_retries`` (default 2) and ``memory_limit_mb``
+    require ``parallel``: there is no worker to time out, relaunch or
+    budget without one.
 
     ``memory_limit_mb`` budgets each worker's
     memory: the forked child caps its address space via ``RLIMIT_AS``
@@ -517,6 +518,7 @@ def run_bench(
                 ("resume_path", resume_path),
                 ("memory_limit_mb", memory_limit_mb),
                 ("task_timeout", task_timeout),
+                ("max_retries", max_retries),
             )
             if value is not None
         ]
@@ -536,6 +538,13 @@ def run_bench(
             "task_timeout requires parallel workers (pass parallel=k): only a "
             "forked worker can be timed out without ending the run"
         )
+    if max_retries is not None and parallel is None:
+        raise BenchError(
+            "max_retries requires parallel workers (pass parallel=k): only a "
+            "crashed or hung forked worker is relaunched"
+        )
+    if max_retries is None:
+        max_retries = 2
     if journal_path is not None and resume_path is not None:
         if Path(journal_path) != Path(resume_path):
             raise BenchError(

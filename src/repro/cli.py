@@ -1023,8 +1023,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument(
         "--max-retries",
         type=int,
-        default=2,
-        help="relaunches per crashed/hung pair before the hardened "
+        default=None,
+        help="relaunches per crashed/hung --parallel pair before the hardened "
         "in-process fallback (default 2)",
     )
     b.add_argument(

@@ -738,6 +738,7 @@ def algorithm1(
                     weight_imbalance=bipartition.weight_imbalance,
                 )
             ]
+        counters["num_starts"] = len(starts)
         return Algorithm1Result(
             bipartition=bipartition,
             ignored_edges=ignored,
@@ -849,9 +850,11 @@ def algorithm1(
             if journal is not None:
                 journal.record(i, _start_value(record, rank, index, sides, seeds[i]))
 
+        # Journal replay: fold in every recorded start without re-running
+        # it, before any deadline can stop the run.
+        for i in sorted(replayed):
+            fold(i, *replayed[i])
         if parallel is not None and parallel > 1 and num_starts > 1:
-            for i in sorted(replayed):
-                fold(i, *replayed[i])
             pending = [(i, (i, seeds[i])) for i in range(num_starts) if i not in replayed]
             workers = min(parallel, len(pending))
             report = SupervisionReport()
@@ -893,14 +896,14 @@ def algorithm1(
         else:
             for i in range(num_starts):
                 if i in replayed:
-                    # Journal replay: fold in the recorded start without
-                    # re-running it.
-                    fold(i, *replayed[i])
                     continue
-                # Cooperative checkpoint: at least one start always runs, so a
-                # best-so-far cut exists even for an already-expired budget.
-                if i > 0 and deadline is not None and deadline.expired():
-                    degrade_reason = f"deadline expired after {i}/{num_starts} starts"
+                # Cooperative checkpoint: at least one start always runs or is
+                # replayed, so a best-so-far cut exists even for an
+                # already-expired budget.
+                if records and deadline is not None and deadline.expired():
+                    degrade_reason = (
+                        f"deadline expired after {len(records)}/{num_starts} starts"
+                    )
                     obs.count("algorithm1.deadline_stops")
                     break
                 faults.inject("algorithm1.start")
@@ -908,7 +911,6 @@ def algorithm1(
                 checkpoint(i, *out[:3])
                 fold(i, *out)
 
-        counters["num_starts"] = len(records)
         obs.count("algorithm1.starts", len(records))
         return finish(
             index.bipartition(hypergraph, best[1]),

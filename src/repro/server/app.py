@@ -10,7 +10,10 @@ Request lifecycle
    (:func:`repro.server.protocol.parse_request`), decoded once member
    by member; malformed requests stop here with a structured 400.  A
    ``"hypergraph"`` member whose text the cache's hypergraph table
-   knows is unpickled with its digest, not built and digested again.
+   knows costs one SHA-256 of that text: it is not decoded, and its
+   table entry gives the digest, the pickle for the worker and the
+   view the verify gate reads, so the daemon holds no ``Hypergraph``
+   for the request.
 2. The content-addressed cache is probed (``digest:fingerprint``); a
    hit splices the stored canonical bytes into the response — the
    result section is byte-identical to the cold run that produced it —
@@ -31,7 +34,9 @@ Request lifecycle
    responses** (500) while the daemon itself stays up — the pool is
    built with ``sequential_fallback=False`` precisely so failing work
    is never pulled into the serving process.
-5. Fault-free, non-degraded results are cached, and the body aliased
+5. The result is verified against the request's verification view
+   (:mod:`repro.metrics.verify`), over integer arrays.  Fault-free,
+   non-degraded results are cached, and the body aliased
    to them; degraded (deadline-cut) results are served but *not*
    cached, since they depend on wall-clock luck rather than request
    content.
@@ -213,17 +218,19 @@ def _service_worker(payload: dict, *, table: WorkerTable) -> dict:
     as the hypergraph table's bytes: ``table``, this worker's
     :class:`WorkerTable`, gives the frozen hypergraph it kept for that
     key or unpickles them, and keeps it once the request has succeeded.
-    Run in-process (the pool's sequential mode), the request keeps its
-    own hypergraph and the table is not used.  The JSON-ready dict it
-    returns pickles cleanly back; its ``"table_hit"`` says whether the
-    table had the hypergraph (``None`` in-process).
+    Run in-process (the pool's sequential mode), a request whose
+    hypergraph was built for it runs on that one and the table is not
+    used; a table hit, which built none, goes through the table as in a
+    worker.  The JSON-ready dict it returns pickles cleanly back; its
+    ``"table_hit"`` says whether the table had the hypergraph (``None``
+    when it was not used).
     """
     request: ServiceRequest = payload["request"]
     # Fresh registry *and* fresh lock before anything else — see the
     # module docstring's fork-safety note.
     with obs.scoped(activate=payload["obs"]) as registry:
         faults.inject("server.request")
-        hypergraph, hit = request.hypergraph, None
+        hypergraph, hit = request.built, None
         if hypergraph is None:
             key, blob = request.hypergraph_key, request.hypergraph_pickle
             hypergraph, hit = table.get(key, blob)
@@ -851,7 +858,10 @@ class PartitionService:
         Decodes the canonical result bytes *as the client will* and
         re-verifies them against the original request — identity fields,
         assignment validity, independently recomputed cut and balance
-        (:mod:`repro.metrics.verify`).  Runs after the corruption chaos
+        (:mod:`repro.metrics.verify`), over the request's verification
+        view, which came with its hypergraph-table entry (a request
+        parsed without a table is verified against its hypergraph).
+        Runs after the corruption chaos
         hook, so an armed ``server.verify`` rule proves corrupt bytes
         die here (typed ``IntegrityError`` 500) instead of reaching the
         cache, the state log, or a client.
@@ -862,9 +872,10 @@ class PartitionService:
             raise IntegrityError(
                 f"result bytes are not valid JSON: {exc}"
             ) from exc
+        source = request.view if request.view is not None else request.hypergraph
         if request.op == "partition":
             verify_partition_body(
-                request.hypergraph,
+                source,
                 body,
                 digest=request.digest,
                 fingerprint=request.fingerprint,
@@ -872,7 +883,7 @@ class PartitionService:
             )
         else:
             verify_place_body(
-                request.hypergraph,
+                source,
                 body,
                 digest=request.digest,
                 fingerprint=request.fingerprint,

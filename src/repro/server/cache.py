@@ -22,17 +22,21 @@ least recently used, and an alias whose entry has been evicted is
 dropped when next looked up.
 
 Beside it sits the **hypergraph table**: the SHA-256 of a request's
-``"hypergraph"`` member text, pointing at that hypergraph's digest and a
-pickle of it (:meth:`ResultCache.get_hypergraph`).  The member text
-alone decides the hypergraph, so a request that re-sends a known one
-under new settings unpickles a private copy instead of building and
-digesting it again.  Only the parser adds to it
+``"hypergraph"`` member text, pointing at a :class:`HypergraphEntry`:
+that hypergraph's digest, its pickle (what crosses to a pool worker),
+the :class:`~repro.metrics.verify.VerificationView` the verify gate
+reads, and the member text's length.  The member text alone decides the
+hypergraph, so a request that re-sends a known one under new settings
+takes the entry as it is: the parser finds the member by its length and
+hash without decoding it (:meth:`ResultCache.hypergraph_lengths`,
+:meth:`ResultCache.find_hypergraph`), and no ``Hypergraph`` is built,
+digested or unpickled in this process.  Only the parser adds to it
 (:meth:`ResultCache.put_hypergraph`), and only hypergraphs that built
-and passed its checks; the pickles are made in this process, never read
-from a client or from disk.  The table is bounded by the same two
-numbers as the result entries, counted on its own: at most
-``max_entries`` hypergraphs and ``max_bytes`` of pickles, dropping the
-least recently used.
+and passed its checks; the pickles and views are made in this process,
+never read from a client or from disk.  The table is bounded by the
+same two numbers as the result entries, counted on its own: at most
+``max_entries`` hypergraphs and ``max_bytes`` of pickles and views
+together, dropping the least recently used.
 
 Counters flow two ways:
 
@@ -49,11 +53,27 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
+from typing import NamedTuple
 
 from repro import obs
+from repro.metrics.verify import VerificationView
 
-__all__ = ["ResultCache", "body_alias"]
+__all__ = ["HypergraphEntry", "ResultCache", "body_alias"]
+
+
+class HypergraphEntry(NamedTuple):
+    """What the hypergraph table keeps for one member text, built once when added."""
+
+    digest: str
+    blob: bytes  # the Hypergraph's pickle, sent to pool workers
+    view: VerificationView  # what the verify gate reads
+    length: int  # characters of the member text
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes it counts against the table's byte budget."""
+        return len(self.blob) + self.view.nbytes
 
 
 def body_alias(raw: bytes, op: str | None) -> bytes:
@@ -81,7 +101,8 @@ class ResultCache:
         self._lock = threading.Lock()
         self._entries: OrderedDict[str, bytes] = OrderedDict()
         self._aliases: OrderedDict[bytes, str] = OrderedDict()
-        self._hypergraphs: OrderedDict[bytes, tuple[str, bytes]] = OrderedDict()
+        self._hypergraphs: OrderedDict[bytes, HypergraphEntry] = OrderedDict()
+        self._lengths: Counter[int] = Counter()
         self._bytes = 0
         self._hypergraph_bytes = 0
         self._hits = 0
@@ -144,40 +165,59 @@ class ResultCache:
                 self._aliases.popitem(last=False)
         return True
 
-    def get_hypergraph(self, key: bytes) -> tuple[str, bytes] | None:
-        """``(digest, pickle)`` of the hypergraph whose member text hashes to ``key``.
+    def hypergraph_lengths(self) -> tuple[int, ...]:
+        """The distinct member-text lengths of the hypergraphs kept."""
+        with self._lock:
+            return tuple(self._lengths)
 
-        A hit refreshes it in LRU order and counts a hypergraph hit;
-        None counts nothing.
+    def find_hypergraph(self, key: bytes) -> HypergraphEntry | None:
+        """The entry of the hypergraph whose member text hashes to ``key``, or None.
+
+        A lookup only: it counts nothing and leaves the LRU order as it is
+        (:meth:`count_hypergraph_hit` does both once the entry is used).
         """
         with self._lock:
-            known = self._hypergraphs.get(key)
-            if known is None:
-                return None
-            self._hypergraphs.move_to_end(key)
+            return self._hypergraphs.get(key)
+
+    def count_hypergraph_hit(self, key: bytes) -> None:
+        """Count a request that took its hypergraph from the table's entry for ``key``.
+
+        The entry is refreshed in LRU order if it is still kept.
+        """
+        with self._lock:
+            if key in self._hypergraphs:
+                self._hypergraphs.move_to_end(key)
             self._hypergraph_hits += 1
         obs.count("server.cache.hypergraph_hits")
-        return known
 
-    def put_hypergraph(self, key: bytes, digest: str, blob: bytes) -> None:
-        """Keep ``(digest, blob)`` under ``key``, dropping LRU hypergraphs to fit.
+    def put_hypergraph(self, key: bytes, entry: HypergraphEntry) -> None:
+        """Keep ``entry`` under ``key``, dropping LRU hypergraphs to fit.
 
-        A ``blob`` that alone exceeds the byte budget is not kept.
+        An entry whose pickle and view alone exceed the byte budget is not
+        kept.
         """
-        if len(blob) > self.max_bytes:
+        size = entry.nbytes
+        if size > self.max_bytes:
             return
         with self._lock:
             old = self._hypergraphs.pop(key, None)
             if old is not None:
-                self._hypergraph_bytes -= len(old[1])
-            self._hypergraphs[key] = (digest, blob)
-            self._hypergraph_bytes += len(blob)
+                self._forget_hypergraph(old)
+            self._hypergraphs[key] = entry
+            self._hypergraph_bytes += size
+            self._lengths[entry.length] += 1
             while (
                 self._hypergraph_bytes > self.max_bytes
                 or len(self._hypergraphs) > self.max_entries
             ):
-                _, (_, stale) = self._hypergraphs.popitem(last=False)
-                self._hypergraph_bytes -= len(stale)
+                _, stale = self._hypergraphs.popitem(last=False)
+                self._forget_hypergraph(stale)
+
+    def _forget_hypergraph(self, entry: HypergraphEntry) -> None:
+        self._hypergraph_bytes -= entry.nbytes
+        self._lengths[entry.length] -= 1
+        if not self._lengths[entry.length]:
+            del self._lengths[entry.length]
 
     def put(self, key: str, value: bytes) -> bool:
         """Insert ``value`` under ``key``, evicting LRU entries to fit.
@@ -227,6 +267,7 @@ class ResultCache:
             self._entries.clear()
             self._aliases.clear()
             self._hypergraphs.clear()
+            self._lengths.clear()
             self._bytes = 0
             self._hypergraph_bytes = 0
 

@@ -30,12 +30,18 @@ layer) and the fingerprint is
 transport-level.
 
 A body is decoded once, member by member (:func:`decode_members`), so
-the parser knows the text of its ``"hypergraph"`` member; given the
-daemon's :class:`~repro.server.cache.ResultCache`, a hypergraph whose
-member text it has parsed before is unpickled from the cache's
-hypergraph table, digest and all, rather than built and digested again.
-The request keeps the table's key and pickle, and crosses the pipe to a
-pool worker as those bytes (:mod:`repro.server.worker_table`).
+the parser knows the text of its ``"hypergraph"`` member.  Given the
+daemon's :class:`~repro.server.cache.ResultCache`, the walk tries each
+member-text length the cache's hypergraph table holds at the
+``"hypergraph"`` member: a span whose SHA-256 is a table key is that
+member, since a JSON object's extent is fixed by its own text, so it is
+skipped without being decoded and its entry (digest, pickle, verification
+view) is used as found.  Such a request costs one hash of its member
+text: no ``Hypergraph`` is built, digested or unpickled for it.  A
+member the table does not hold is decoded, built and digested, and its
+entry added.  Either way the request keeps the table's key, pickle and
+view, and crosses the pipe to a pool worker as those bytes
+(:mod:`repro.server.worker_table`).
 """
 
 from __future__ import annotations
@@ -43,23 +49,26 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from json.decoder import WHITESPACE, scanstring
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.core.digest import hypergraph_digest
 from repro.core.hypergraph import Hypergraph
 from repro.engines import ALL_ENGINES, PLACERS, REFINERS
 from repro.io.errors import ParseError
 from repro.io.json_io import JsonFormatError, hypergraph_from_payload
+from repro.metrics.verify import VerificationView
 from repro.placement.mincut_placement import PARTITIONERS
 from repro.runtime import settings_fingerprint
-from repro.server.cache import ResultCache
+from repro.server.cache import HypergraphEntry, ResultCache
 
 __all__ = [
     "OPS",
     "PLACERS",
     "Draining",
+    "KnownMember",
     "Overloaded",
     "Quarantined",
     "RequestError",
@@ -139,18 +148,19 @@ class ServiceRequest:
     ``settings`` is the canonical JSON-ready dict (defaults filled in);
     ``digest``/``fingerprint`` are the two cache-key halves.
 
-    ``hypergraph_key`` and ``hypergraph_pickle`` are the cache's
-    hypergraph-table key (the SHA-256 of the ``"hypergraph"`` member
-    text) and the pickle of ``hypergraph`` it stores, when the request
-    was parsed with a table.  Such a request pickles with those bytes
-    standing in for ``hypergraph``, which unpickles as ``None``: a pool
-    worker takes its hypergraph from its
+    ``hypergraph_key``, ``hypergraph_pickle`` and ``view`` are the
+    cache's hypergraph-table key (the SHA-256 of the ``"hypergraph"``
+    member text), the pickle of the hypergraph stored under it and its
+    :class:`~repro.metrics.verify.VerificationView`, when the request
+    was parsed with a table.  ``built`` is the ``Hypergraph`` built for
+    this request, None when the table held it.  Such a request pickles
+    with only the key and the pickle standing for its hypergraph: a
+    pool worker takes it from its
     :class:`~repro.server.worker_table.WorkerTable`.
     """
 
     op: str
     engine: str
-    hypergraph: Hypergraph | None
     settings: dict
 
     digest: str
@@ -158,15 +168,28 @@ class ServiceRequest:
 
     hypergraph_key: bytes | None = None
     hypergraph_pickle: bytes | None = None
+    view: VerificationView | None = field(default=None, compare=False, repr=False)
+    built: Hypergraph | None = field(default=None, compare=False, repr=False)
 
     @property
     def cache_key(self) -> str:
         return f"{self.digest}:{self.fingerprint}"
 
+    @property
+    def hypergraph(self) -> Hypergraph:
+        """The request's hypergraph: ``built``, or on first read the table's pickle unpickled.
+
+        The daemon never reads it for a table hit: its workers take the
+        pickle, and its verify gate reads ``view``.
+        """
+        if self.built is None:
+            object.__setattr__(self, "built", pickle.loads(self.hypergraph_pickle))
+        return self.built
+
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         if self.hypergraph_pickle is not None:
-            state["hypergraph"] = None
+            state["built"] = state["view"] = None
         return state
 
 
@@ -301,7 +324,39 @@ def _normalize_settings(op: str, raw: Any) -> dict:
 _DECODER = json.JSONDecoder()
 
 
-def decode_members(text: str) -> tuple[dict, dict[str, tuple[int, int]]] | None:
+class KnownMember(NamedTuple):
+    """A ``"hypergraph"`` member :func:`decode_members` found in the table and skipped."""
+
+    key: bytes
+    entry: HypergraphEntry
+
+
+def _known_member(
+    text: str, start: int, lengths: tuple[int, ...], find: Callable
+) -> tuple[KnownMember, int] | None:
+    """``(member, end)`` when ``text[start:end]`` is a member text ``find`` knows.
+
+    Each candidate ``end`` is ``start`` plus one of ``lengths``, tried
+    only when the span starts with ``{`` and ends with ``}``; such a span
+    is hashed and looked up.  A stored member text is a JSON object, and
+    an object's extent is fixed by its own text, so a span equal to one
+    is the member ``raw_decode`` would have decoded there.
+    """
+    if text[start : start + 1] != "{":
+        return None
+    for length in lengths:
+        end = start + length
+        if text[end - 1 : end] == "}":
+            key = hashlib.sha256(text[start:end].encode("utf-8")).digest()
+            entry = find(key)
+            if entry is not None:
+                return KnownMember(key, entry), end
+    return None
+
+
+def decode_members(
+    text: str, lengths: tuple[int, ...] = (), find: Callable | None = None
+) -> tuple[dict, dict[str, tuple[int, int]]] | None:
     """``(payload, spans)`` of a JSON object body, or None for any other text.
 
     ``payload`` is what ``json.loads(text)`` returns, and ``spans`` maps
@@ -312,6 +367,13 @@ def decode_members(text: str) -> tuple[dict, dict[str, tuple[int, int]]] | None:
     for anything else (another JSON value, malformed JSON, trailing
     data) it returns None and the caller asks ``json.loads``, whose
     error is the one to report.
+
+    ``lengths`` and ``find`` are the hypergraph table's member-text
+    lengths and its lookup by key.  At the body's first ``"hypergraph"``
+    member the walk tries each length (:func:`_known_member`); a member
+    the table holds is not decoded, and its payload value is the
+    :class:`KnownMember` found.  The rest of the body is walked as
+    without them.
     """
     skip = WHITESPACE.match
     payload: dict = {}
@@ -332,7 +394,14 @@ def decode_members(text: str) -> tuple[dict, dict[str, tuple[int, int]]] | None:
                 if text[pos : pos + 1] != ":":
                     return None
                 start = skip(text, pos + 1).end()
-                payload[key], pos = _DECODER.raw_decode(text, start)
+                known = None
+                if key == "hypergraph" and lengths:
+                    known = _known_member(text, start, lengths, find)
+                    lengths = ()  # one try per body
+                if known is not None:
+                    payload[key], pos = known
+                else:
+                    payload[key], pos = _DECODER.raw_decode(text, start)
                 spans[key] = (start, pos)
                 pos = skip(text, pos).end()
                 separator = text[pos : pos + 1]
@@ -361,10 +430,11 @@ def parse_request(
     error.
 
     ``hypergraphs``, the daemon's cache, keys its hypergraph table by
-    the SHA-256 of the ``"hypergraph"`` member's text: a known one is
-    unpickled, a private copy with its digest, and one built here is
-    pickled and added once the whole request has passed.  Either way
-    the request keeps the key and the pickle.
+    the SHA-256 of the ``"hypergraph"`` member's text: a member the walk
+    finds there is used as found, with no decode, build, digest or
+    unpickle, and one built here is pickled, given its verification view
+    and added once the whole request has passed.  Either way the request
+    keeps the key, the pickle and the view.
     """
     if len(raw) > MAX_REQUEST_BYTES:
         raise RequestError(
@@ -376,7 +446,12 @@ def parse_request(
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise RequestError(f"body is not valid UTF-8: {exc}", source=_SOURCE) from None
-    decoded = decode_members(text)
+    if hypergraphs is not None:
+        decoded = decode_members(
+            text, hypergraphs.hypergraph_lengths(), hypergraphs.find_hypergraph
+        )
+    else:
+        decoded = decode_members(text)
     if decoded is not None:
         payload, spans = decoded
     else:
@@ -442,17 +517,19 @@ def parse_request(
 
     if "hypergraph" not in payload:
         raise RequestError("request is missing the 'hypergraph' key", source=_SOURCE)
-    table_key = known = blob = None
-    if hypergraphs is not None and "hypergraph" in spans:
+    member = payload["hypergraph"]
+    table_key = known = hypergraph = None
+    if isinstance(member, KnownMember):
+        table_key, known = member
+    elif hypergraphs is not None and "hypergraph" in spans:
         start, end = spans["hypergraph"]
         table_key = hashlib.sha256(text[start:end].encode("utf-8")).digest()
-        known = hypergraphs.get_hypergraph(table_key)
+        known = hypergraphs.find_hypergraph(table_key)
     if known is not None:
-        digest, blob = known
-        hypergraph = pickle.loads(blob)
+        hypergraphs.count_hypergraph_hit(table_key)
     else:
         try:
-            hypergraph = hypergraph_from_payload(payload["hypergraph"])
+            hypergraph = hypergraph_from_payload(member)
         except JsonFormatError as exc:
             raise RequestError(
                 f"hypergraph: {exc.message}", source=_SOURCE, line=exc.line
@@ -466,23 +543,29 @@ def parse_request(
 
     settings = _normalize_settings(op, payload.get("settings"))
 
-    if known is None:
-        digest = hypergraph_digest(hypergraph)
+    if known is not None:
+        digest, blob, view = known.digest, known.blob, known.view
+    else:
+        digest, blob, view = hypergraph_digest(hypergraph), None, None
         if table_key is not None:
             blob = pickle.dumps(hypergraph, pickle.HIGHEST_PROTOCOL)
-            hypergraphs.put_hypergraph(table_key, digest, blob)
+            view = VerificationView(hypergraph)
+            hypergraphs.put_hypergraph(
+                table_key, HypergraphEntry(digest, blob, view, end - start)
+            )
     fingerprint = settings_fingerprint(
         {"op": op, "engine": engine, "settings": settings}
     )
     return ServiceRequest(
         op=op,
         engine=engine,
-        hypergraph=hypergraph,
         settings=settings,
         digest=digest,
         fingerprint=fingerprint,
         hypergraph_key=table_key,
         hypergraph_pickle=blob,
+        view=view,
+        built=hypergraph,
     )
 
 

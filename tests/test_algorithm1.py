@@ -72,6 +72,15 @@ class TestEdgeCases:
         assert result.cutsize == 0
         assert abs(len(result.bipartition.left) - len(result.bipartition.right)) <= 1
 
+    @pytest.mark.parametrize(
+        "h",
+        [Hypergraph(edges={"a": [1, 2], "b": [3, 4]}), Hypergraph(vertices=range(3))],
+        ids=["component-packing", "edgeless"],
+    )
+    def test_seedless_answers_count_their_one_start(self, h):
+        result = algorithm1(h, num_starts=5, seed=0)
+        assert len(result.starts) == result.counters["num_starts"] == 1
+
     def test_two_vertices(self):
         h = Hypergraph(edges={"n": [1, 2]})
         result = algorithm1(h, seed=0)

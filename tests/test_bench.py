@@ -213,6 +213,14 @@ class TestParallelBench:
         )
         assert not out.exists()
 
+    def test_max_retries_requires_parallel(self):
+        with pytest.raises(BenchError, match="max_retries requires parallel"):
+            run_bench("x", cases=QUICK_SUITE[:1], engines=("random",), max_retries=0)
+
+    def test_without_max_retries_the_settings_record_the_default(self):
+        payload = run_bench("x", cases=QUICK_SUITE[:1], engines=("random",), repeats=1)
+        assert payload["settings"]["max_retries"] == 2
+
     def test_sequential_total_deadline_fails_pairs_explicitly(self):
         payload = run_bench(
             "dl",

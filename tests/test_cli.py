@@ -394,6 +394,11 @@ class TestBenchErrors:
         proc = self._run(tmp_path, "--quick", "--memory-limit", "64")
         self._assert_one_line(proc, "memory limits require parallel workers")
 
+    def test_max_retries_without_parallel(self, tmp_path):
+        proc = self._run(tmp_path, "--quick", "--engines", "random", "--max-retries", "0")
+        self._assert_one_line(proc, "max_retries requires parallel workers")
+        assert not list(tmp_path.glob("BENCH_*.json"))
+
     def test_compare_with_a_missing_file(self, tmp_path):
         baseline = str(self.ROOT / "BENCH_pr9.json")
         proc = self._run(tmp_path, "--compare", baseline, "MISSING.json")

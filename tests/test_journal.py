@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro.bench import QUICK_SUITE, run_bench
 from repro.core.algorithm1 import Algorithm1Error, algorithm1
 from repro.core.hypergraph import Hypergraph
+from repro.generators import random_hypergraph
 from repro.generators.netlists import clustered_netlist
 from repro.runtime import (
     JournalError,
@@ -342,6 +343,24 @@ class TestAlgorithm1Resume:
         resumed = self.run(instance, parallel=1, resume_path=path)
         assert resumed.starts == reference.starts
         assert resumed.bipartition.left == reference.bipartition.left
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_an_expired_deadline_keeps_every_recorded_start(self, parallel, tmp_path):
+        # Starts 1-5 are missing: the in-process loop must fold 6 and 7
+        # before its deadline check stops it at start 1.
+        h = random_hypergraph(60, 100, seed=5, connect=True)
+        path = tmp_path / "full.jsonl"
+        algorithm1(h, num_starts=8, seed=4, parallel=2, journal_path=path)
+        header, *entries = path.read_bytes().splitlines(keepends=True)
+        kept = [line for line in entries if json.loads(line)["key"] in (0, 6, 7)]
+        gaps = tmp_path / "gaps.jsonl"
+        gaps.write_bytes(header + b"".join(kept))
+        resumed = algorithm1(
+            h, num_starts=8, seed=4, parallel=parallel, resume_path=gaps, deadline=1e-9
+        )
+        assert [record.cutsize for record in resumed.starts][-1] == 26
+        assert (resumed.cutsize, len(resumed.starts), resumed.counters["num_starts"]) == (26, 3, 3)
+        assert resumed.degraded and "3/8 starts" in resumed.degrade_reason
 
     def test_fully_recorded_journal_replays_without_running(self, instance, tmp_path):
         path = tmp_path / "p.jsonl"

@@ -1,24 +1,31 @@
-"""The daemon's hypergraph table: a re-sent hypergraph is neither built nor digested.
+"""The daemon's hypergraph table: a re-sent hypergraph costs one hash of its member text.
 
 ``parse_request`` decodes a body member by member
 (:func:`repro.server.protocol.decode_members`) and keys the cache's
-hypergraph table by the SHA-256 of the ``"hypergraph"`` member's text.
-Covered:
+hypergraph table by the SHA-256 of the ``"hypergraph"`` member's text;
+a member the table holds is found by its length and hash and skipped
+without being decoded.  Covered:
 
 * the member walk decodes exactly what ``json.loads`` decodes (a
   hypothesis property over duplicate keys, odd whitespace, strings
   holding ``"hypergraph"``, non-object bodies, trailing data and
   ``NaN``), and ``parse_request`` gives every body the same answer or
-  the same typed error with the table as without it;
-* a table hit is a private ``Hypergraph`` equal to a fresh build, in the
-  same vertex and edge order, with the same digest, taken without
-  building or digesting;
+  the same typed error with the table as without it, table hits
+  included: a known member followed by malformed text, repeated
+  ``"hypergraph"`` keys, and an entry evicted between the skip and its
+  use;
+* a table hit builds, digests and unpickles nothing; its hypergraph,
+  read, is a private ``Hypergraph`` equal to a fresh build, in the same
+  vertex and edge order, with the same digest;
 * the same content in another order is another key, and is built;
-* only requests that pass every check enter, the table keeps within both
-  cache budgets, and ``clear()`` empties it;
+* only requests that pass every check enter, the table keeps its
+  pickles and verification views within both cache budgets, and
+  ``clear()`` empties it;
+* the in-process worker runs a table hit and a fresh build alike;
 * against live daemons: every engine and a place request answer byte for
-  byte as a fresh daemon does, ``/metrics`` reports the table, and a
-  restart from a state directory starts with it empty.
+  byte as a fresh daemon does, a re-sent hypergraph is not decoded,
+  built or unpickled, ``/metrics`` reports the table, and a restart
+  from a state directory starts with it empty.
 """
 
 from __future__ import annotations
@@ -37,9 +44,12 @@ from repro.core.digest import hypergraph_digest
 from repro.core.hypergraph import Hypergraph
 from repro.engines import ALL_ENGINES
 from repro.io.json_io import hypergraph_from_payload, hypergraph_to_payload
-from repro.server import PartitionService, ServiceClient, ServiceConfig, protocol
+from repro.metrics import verify
+from repro.metrics.verify import VerificationView
+from repro.server import PartitionService, ServiceClient, ServiceConfig, app, protocol
 from repro.server.cache import ResultCache
-from repro.server.protocol import RequestError, decode_members, parse_request
+from repro.server.protocol import KnownMember, RequestError, decode_members, parse_request
+from repro.server.worker_table import WorkerTable
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
 
@@ -155,17 +165,21 @@ class TestMemberWalk:
         assert decode_members(text) is None
 
 
-def _outcome(raw: bytes, **kwargs):
-    try:
-        request = parse_request(raw, **kwargs)
-    except RequestError as exc:
-        return ("error", exc.message, exc.source, exc.line)
+def _described(request) -> tuple:
     h = request.hypergraph
     return (
         request.op, request.engine, request.settings, request.digest, request.fingerprint,
         h.vertices, h.edge_names, [h.edge_members(e) for e in h.edge_names],
         [h.vertex_weight(v) for v in h.vertices], [h.edge_weight(e) for e in h.edge_names],
     )
+
+
+def _outcome(raw: bytes, **kwargs):
+    try:
+        request = parse_request(raw, **kwargs)
+    except RequestError as exc:
+        return ("error", exc.message, exc.source, exc.line)
+    return _described(request)
 
 
 _good = hypergraph_to_payload(_hypergraph())
@@ -191,6 +205,40 @@ def _requests(draw) -> bytes:
     return (text + "}" + draw(st.sampled_from(["", "\n", " x"]))).encode()
 
 
+_SMALL = {"vertices": [[0, 1.0], [1, 2.0]], "edges": [["e", [0, 1], 1.0]]}
+_KNOWN = [_good, {"edges": _good["edges"], "vertices": _good["vertices"]}, _SMALL]
+_SEPARATORS = [(", ", ": "), (",", ":")]
+
+
+def _seeded_table(**kwargs) -> ResultCache:
+    """A table that has parsed every spelling of ``_KNOWN`` the bodies below use."""
+    table = ResultCache(**kwargs)
+    for payload in _KNOWN:
+        for separators in _SEPARATORS:
+            member = json.dumps(payload, separators=separators)
+            parse_request(('{"op":"partition","hypergraph":' + member + "}").encode(), hypergraphs=table)
+    return table
+
+
+@st.composite
+def _hit_requests(draw) -> bytes:
+    """Bodies whose "hypergraph" members are often known, sometimes followed by malformed text."""
+    members = draw(
+        st.lists(_members | st.sampled_from(_KNOWN).map(lambda p: ("hypergraph", p)), min_size=1, max_size=6)
+    )
+    space = draw(st.sampled_from(["", " ", "\n  "]))
+    separators = draw(st.sampled_from(_SEPARATORS))
+    parts = [
+        f"{space}{json.dumps(k)}:{space}{json.dumps(v, separators=separators)}" for k, v in members
+    ]
+    keys = [k for k, _ in members]
+    if "hypergraph" in keys:
+        first = keys.index("hypergraph")
+        parts[first] += draw(st.sampled_from(["", "", "x", " :1", "]", "NaN", '"x"', "}"]))
+    text = "{" + ",".join(parts) + draw(st.sampled_from(["}", "}", "", ",}"]))
+    return (text + draw(st.sampled_from(["", "\n", " x"]))).encode()
+
+
 class TestParseRequest:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(raws=st.lists(_requests(), min_size=1, max_size=4))
@@ -204,6 +252,76 @@ class TestParseRequest:
                     expected = _outcome(raw, expected_op=expected_op)
                 assert _outcome(raw, expected_op=expected_op, hypergraphs=table) == expected
 
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(raws=st.lists(_hit_requests(), min_size=1, max_size=4), max_entries=st.sampled_from([1, 2, 64]))
+    def test_table_hits_match_a_json_loads_parse(self, raws, max_entries):
+        # The table starts holding every member text the bodies use, so
+        # each "hypergraph" member is a candidate for the skip; a small
+        # table evicts as later requests add what they build.
+        table = _seeded_table(max_entries=max_entries)
+        for raw in raws:
+            for expected_op in (None, "partition"):
+                with mock.patch.object(protocol, "decode_members", return_value=None):
+                    expected = _outcome(raw, expected_op=expected_op)
+                assert _outcome(raw, expected_op=expected_op, hypergraphs=table) == expected
+
+    @pytest.mark.parametrize(
+        "tail",
+        ["", "x", ",", ",}", "}}", " :1}", ',"op":}', ',"hypergraph"', "]", ' "seed"'],
+    )
+    def test_a_known_member_followed_by_malformed_text(self, tail):
+        table = _seeded_table()
+        member = json.dumps(_good)
+        raw = ('{"op":"partition","hypergraph":' + member + tail).encode()
+        for body in (raw, raw + b"}"):
+            with mock.patch.object(protocol, "decode_members", return_value=None):
+                expected = _outcome(body)
+            assert _outcome(body, hypergraphs=table) == expected
+
+    def test_repeated_hypergraph_keys_take_the_last_member(self):
+        table = _seeded_table()
+        known, other = json.dumps(_good), json.dumps(_SMALL)
+        for first, last in ((known, other), (other, known), (known, known), (known, "[1, 2]")):
+            raw = ('{"op":"partition","hypergraph":' + first + ',"hypergraph":' + last + "}").encode()
+            with mock.patch.object(protocol, "decode_members", return_value=None):
+                expected = _outcome(raw)
+            assert _outcome(raw, hypergraphs=table) == expected
+
+    def test_an_entry_evicted_between_the_skip_and_its_use(self):
+        table = _seeded_table()
+        raw = _body(_good, engine="kl", seed=3)
+        find = table.find_hypergraph
+
+        def find_then_evict(key):
+            entry = find(key)
+            table.clear()
+            return entry
+
+        with mock.patch.object(protocol, "decode_members", return_value=None):
+            expected = _outcome(raw)
+        with mock.patch.object(table, "find_hypergraph", side_effect=find_then_evict):
+            request = parse_request(raw, hypergraphs=table)
+        assert request.built is None and request.view is not None
+        assert table.stats()["hypergraphs"] == 0
+        assert _described(request) == expected
+
+    def test_the_walk_skips_a_known_member_once_per_body(self):
+        table = _seeded_table()
+        member = json.dumps(_good)
+        calls, payloads = [], []
+        for text in (
+            '{"hypergraph":' + member + "}",
+            '{"hypergraph":' + member + ',"hypergraph":' + member + "}",
+        ):
+            find = mock.Mock(side_effect=table.find_hypergraph)
+            payload, spans = decode_members(text, table.hypergraph_lengths(), find)
+            assert text[slice(*spans["hypergraph"])] == member
+            calls.append(find.call_count)
+            payloads.append(payload["hypergraph"])
+        assert 1 <= calls[0] == calls[1] <= len(table.hypergraph_lengths())
+        assert isinstance(payloads[0], KnownMember)
+        assert payloads[1] == json.loads(member)  # the repeat was decoded
+
     def test_a_hit_is_a_private_copy_of_a_fresh_build(self):
         table = ResultCache()
         payload = hypergraph_to_payload(_hypergraph())
@@ -211,10 +329,12 @@ class TestParseRequest:
         first = parse_request(_body(payload, seed=1), hypergraphs=table)
         with mock.patch.object(protocol, "hypergraph_from_payload") as build, mock.patch.object(
             protocol, "hypergraph_digest"
-        ) as digest:
+        ) as digest, mock.patch.object(pickle, "loads", wraps=pickle.loads) as loads:
             second = parse_request(_body(payload, engine="kl", seed=2), hypergraphs=table)
             third = parse_request(_body(payload, starts=3, refine="fm"), hypergraphs=table)
-        assert not build.called and not digest.called
+        assert not build.called and not digest.called and not loads.called
+        assert second.built is None and third.built is None
+        assert second.view is third.view is first.view
         assert table.stats()["hypergraph_hits"] == 2
         for request in (second, third):
             h = request.hypergraph
@@ -255,11 +375,12 @@ class TestParseRequest:
 
 class TestTableBounds:
     def _fill(self, table: ResultCache, count: int) -> list[int]:
+        """Parse ``count`` new hypergraphs; each one's pickle plus view bytes."""
         sizes = []
         for i in range(count):
             h = Hypergraph(edges=[[i, i + 1 + k] for k in range(i % 5 + 1)])
             parse_request(_body(hypergraph_to_payload(h)), hypergraphs=table)
-            sizes.append(len(pickle.dumps(h, pickle.HIGHEST_PROTOCOL)))
+            sizes.append(len(pickle.dumps(h, pickle.HIGHEST_PROTOCOL)) + VerificationView(h).nbytes)
         return sizes
 
     def test_kept_within_the_entry_budget_least_recent_first(self):
@@ -278,6 +399,17 @@ class TestTableBounds:
         assert 0 < stats["hypergraph_bytes"] <= 1200
         assert stats["hypergraphs"] < 12
         assert max(sizes) <= 1200
+        # The newest entries are kept, and their pickles and views are what is counted.
+        assert stats["hypergraph_bytes"] == sum(sizes[-stats["hypergraphs"]:])
+
+    def test_the_distinct_member_lengths_follow_the_kept_entries(self):
+        table = ResultCache(max_entries=2)
+        members = [json.dumps(payload, separators=(",", ":")) for payload in _KNOWN]
+        for member in members:
+            parse_request(('{"op":"partition","hypergraph":' + member + "}").encode(), hypergraphs=table)
+        assert sorted(table.hypergraph_lengths()) == sorted({len(m) for m in members[1:]})
+        table.clear()
+        assert table.hypergraph_lengths() == ()
 
     def test_a_pickle_over_the_byte_budget_is_not_kept(self):
         table = ResultCache(max_bytes=64)
@@ -328,7 +460,80 @@ def _requests_of(payload) -> list[tuple[str, bytes]]:
     return bodies + [("/place", json.dumps(place, separators=(",", ":")).encode())]
 
 
+class TestInProcessWorker:
+    def test_a_table_hit_and_a_fresh_build_give_the_same_body(self):
+        table = ResultCache()
+        raw = _body(_good, engine="algorithm1", seed=3, starts=2)
+        built = parse_request(raw, hypergraphs=table)
+        hit = parse_request(raw, hypergraphs=table)
+        assert built.built is not None and hit.built is None
+        workers = WorkerTable(16, 64 << 20)
+        ran_built = app._service_worker({"request": built, "obs": False}, table=workers)
+        ran_hit = app._service_worker({"request": hit, "obs": False}, table=workers)
+        assert (ran_built["table_hit"], ran_hit["table_hit"]) == (None, False)
+        assert ran_hit["body"] == ran_built["body"]
+        verify.verify_partition_body(hit.view, ran_hit["body"], digest=hit.digest)
+
+
+def _counted(init, built: list):
+    """``init``, noting the class of every object it initializes in ``built``."""
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    return counting
+
+
+class _DecoderSpy:
+    """Stands in for the member walk's decoder and keeps every value it decoded."""
+
+    def __init__(self, decoder) -> None:
+        self.decoder = decoder
+        self.values: list = []
+
+    def raw_decode(self, text, idx=0):
+        value, end = self.decoder.raw_decode(text, idx)
+        self.values.append(value)
+        return value, end
+
+
 class TestDaemon:
+    def test_a_resent_hypergraph_is_not_decoded_built_or_unpickled(self, monkeypatch):
+        payload = hypergraph_to_payload(_hypergraph())
+        entries = []
+        put = ResultCache.put_hypergraph
+
+        def keep_entry(self, key, entry):
+            entries.append(entry)
+            return put(self, key, entry)
+
+        monkeypatch.setattr(ResultCache, "put_hypergraph", keep_entry)
+        svc, client = _daemon()
+        try:
+            status, _ = client.request_raw("POST", "/partition", _body(payload, seed=1))
+            assert status == 200 and len(entries) == 1
+            blob = entries[0].blob
+            decoder = _DecoderSpy(protocol._DECODER)
+            monkeypatch.setattr(protocol, "_DECODER", decoder)
+            loads = mock.Mock(side_effect=pickle.loads)
+            monkeypatch.setattr(pickle, "loads", loads)
+            built = []
+            for cls in (Hypergraph, VerificationView):
+                monkeypatch.setattr(cls, "__init__", _counted(cls.__init__, built))
+            for path, raw in _requests_of(payload):
+                status, reply = client.request_raw("POST", path, raw)
+                assert status == 200, reply
+                assert json.loads(reply)["served"]["cache"] == "miss"
+            cache = client.metrics()["cache"]
+        finally:
+            _stop(svc, client)
+        assert cache["hypergraph_hits"] == len(ALL_ENGINES) + 1 and len(entries) == 1
+        assert not built, f"built during table hits: {built}"
+        assert all(call.args[0] != blob for call in loads.call_args_list), "a table blob was unpickled"
+        assert decoder.values, "the walk decoded no member at all"
+        assert not [v for v in decoder.values if isinstance(v, dict) and "vertices" in v]
+
     def test_every_engine_and_place_answer_as_a_fresh_daemon_does(self):
         payload = hypergraph_to_payload(_hypergraph())
         warm, warm_client = _daemon()
