@@ -286,9 +286,11 @@ class Hypergraph:
         return dict(self._derived or {})
 
     def __getstate__(self) -> dict:
-        state = self.__dict__
+        # The incidence index is rebuilt on first read, in edge order, so
+        # a copy's sets iterate as the original's did when it was built.
+        state = dict(self.__dict__)
+        state["_incidence"] = None
         if "_derived" in state:
-            state = dict(state)
             state["_derived"] = {}
         return state
 

@@ -28,7 +28,7 @@ so the same input yields byte-identical arc arrays across processes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.core.hypergraph import Hypergraph
 
@@ -81,21 +81,6 @@ class FlowNetwork:
         self.arc_cap.append(0.0)
         self.adj[v].append(idx + 1)
         return idx
-
-    @property
-    def num_arcs(self) -> int:
-        return len(self.arc_to)
-
-    def node_of(self, vertex: object) -> int:
-        return 2 + self._vertex_index[vertex]
-
-    @property
-    def _vertex_index(self) -> Dict[object, int]:
-        cached = getattr(self, "_vertex_index_cache", None)
-        if cached is None:
-            cached = {v: i for i, v in enumerate(self.free_vertices)}
-            object.__setattr__(self, "_vertex_index_cache", cached)
-        return cached
 
 
 def lawler_network(

@@ -1,9 +1,10 @@
 """Cutsize metrics — the paper's objective and Table 1's crossing statistics.
 
-These functions operate on explicit ``(hypergraph, left, right)`` triples
-so that move-based heuristics can evaluate candidate assignments without
-building a :class:`~repro.core.partition.Bipartition` per probe; the
-Bipartition class delegates to the same logic.
+These functions take a hypergraph and the ``left`` side of a cut, so a
+candidate assignment can be evaluated without building a
+:class:`~repro.core.partition.Bipartition`.  ``Bipartition`` keeps its
+own walk over the pins; ``tests/test_metrics.py``'s
+``TestConsistencyWithBipartition`` holds the two equal.
 """
 
 from __future__ import annotations
@@ -16,14 +17,6 @@ from repro.core.partition import Bipartition
 
 Vertex = Hashable
 EdgeName = Hashable
-
-
-def _sides(
-    hypergraph: Hypergraph, left: Iterable[Vertex]
-) -> tuple[frozenset[Vertex], frozenset[Vertex]]:
-    left_set = left if isinstance(left, (set, frozenset)) else frozenset(left)
-    right_set = frozenset(hypergraph.vertices) - left_set
-    return frozenset(left_set), right_set
 
 
 def crossing_edges(hypergraph: Hypergraph, left: Set[Vertex]) -> frozenset[EdgeName]:

@@ -8,12 +8,14 @@ Request lifecycle
    alias table at once: no decode, no ``Hypergraph``, no digest.
    Any other body is parsed
    (:func:`repro.server.protocol.parse_request`), decoded once member
-   by member; malformed requests stop here with a structured 400.  A
-   ``"hypergraph"`` member whose text the cache's hypergraph table
-   knows costs one SHA-256 of that text: it is not decoded, and its
-   table entry gives the digest, the pickle for the worker and the
-   view the verify gate reads, so the daemon holds no ``Hypergraph``
-   for the request.
+   by member; malformed requests stop here with a structured 400 and
+   leave the cache's hypergraph table as it was.  Every parsed request
+   carries its ``"hypergraph"`` member's table key and entry: the
+   digest, the pickle for the worker and the view the verify gate
+   reads.  A member text the table knows costs one SHA-256 of that
+   text: it is not decoded, built or digested.  Any other is built,
+   checked and digested once, its entry made and added, and the
+   ``Hypergraph`` let go, so the daemon holds none for a request.
 2. The content-addressed cache is probed (``digest:fingerprint``); a
    hit splices the stored canonical bytes into the response — the
    result section is byte-identical to the cold run that produced it —
@@ -26,7 +28,7 @@ Request lifecycle
    workers, which runs :func:`_service_worker` under the configured
    per-task timeout and memory budget; the daemon forks a worker once
    per slot, and again only to replace one that failed.  The request's
-   hypergraph crosses as the hypergraph table's pickle, never pickled
+   hypergraph crosses as its table entry's pickle, never pickled
    again, and a worker that has seen that member text before runs on
    the frozen hypergraph it kept for it
    (:mod:`repro.server.worker_table`), Algorithm I's dual included.
@@ -34,8 +36,9 @@ Request lifecycle
    responses** (500) while the daemon itself stays up — the pool is
    built with ``sequential_fallback=False`` precisely so failing work
    is never pulled into the serving process.
-5. The result is verified against the request's verification view
-   (:mod:`repro.metrics.verify`), over integer arrays.  Fault-free,
+5. The result is verified against the verification view of the
+   request's table entry (:mod:`repro.metrics.verify`), over integer
+   arrays.  Fault-free,
    non-degraded results are cached, and the body aliased
    to them; degraded (deadline-cut) results are served but *not*
    cached, since they depend on wall-clock luck rather than request
@@ -215,34 +218,29 @@ def _service_worker(payload: dict, *, table: WorkerTable) -> dict:
     """Execute one validated request inside a forked pool worker.
 
     The request arrives pickled over the worker's pipe, its hypergraph
-    as the hypergraph table's bytes: ``table``, this worker's
+    as its table entry's pickle: ``table``, this worker's
     :class:`WorkerTable`, gives the frozen hypergraph it kept for that
-    key or unpickles them, and keeps it once the request has succeeded.
-    Run in-process (the pool's sequential mode), a request whose
-    hypergraph was built for it runs on that one and the table is not
-    used; a table hit, which built none, goes through the table as in a
-    worker.  The JSON-ready dict it returns pickles cleanly back; its
-    ``"table_hit"`` says whether the table had the hypergraph (``None``
-    when it was not used).
+    key or unpickles the entry's, and keeps it once the request has
+    succeeded.  A pool without ``os.fork`` runs it in-process the same
+    way, on the daemon's own table.  The JSON-ready dict it returns
+    pickles cleanly back; its ``"table_hit"`` says whether the table had
+    the hypergraph.
     """
     request: ServiceRequest = payload["request"]
     # Fresh registry *and* fresh lock before anything else — see the
     # module docstring's fork-safety note.
     with obs.scoped(activate=payload["obs"]) as registry:
         faults.inject("server.request")
-        hypergraph, hit = request.built, None
-        if hypergraph is None:
-            key, blob = request.hypergraph_key, request.hypergraph_pickle
-            hypergraph, hit = table.get(key, blob)
-            obs.count(f"server.worker.hypergraph_{'hits' if hit else 'misses'}")
+        key, blob = request.hypergraph_key, request.entry.blob
+        hypergraph, hit = table.get(key, blob)
+        obs.count(f"server.worker.hypergraph_{'hits' if hit else 'misses'}")
         deadline = Deadline.coerce(request.settings["deadline_seconds"])
         with obs.span(f"server.execute.{request.op}"):
             if request.op == "partition":
                 body = _partition_body(request, hypergraph, deadline)
             else:
                 body = _place_body(request, hypergraph, deadline)
-        if hit is not None:
-            table.keep(key, blob, hypergraph)
+        table.keep(key, blob, hypergraph)
         snapshot = registry.snapshot() if payload["obs"] else None
     return {"body": body, "obs": snapshot, "table_hit": hit}
 
@@ -513,7 +511,8 @@ class PartitionService:
         memory_limit_bytes = (
             int(cfg.memory_limit_mb * (1 << 20)) if cfg.memory_limit_mb is not None else None
         )
-        # Each worker fills its own copy of this table; the daemon's stays empty.
+        # Each worker fills its own copy of this table; the daemon's is
+        # filled only where the pool runs requests in-process (no os.fork).
         table = WorkerTable(cfg.cache_max_entries, cfg.cache_max_bytes, memory_limit_bytes)
         self.pool = SupervisedPool(
             functools.partial(_service_worker, table=table),
@@ -858,10 +857,8 @@ class PartitionService:
         Decodes the canonical result bytes *as the client will* and
         re-verifies them against the original request — identity fields,
         assignment validity, independently recomputed cut and balance
-        (:mod:`repro.metrics.verify`), over the request's verification
-        view, which came with its hypergraph-table entry (a request
-        parsed without a table is verified against its hypergraph).
-        Runs after the corruption chaos
+        (:mod:`repro.metrics.verify`), over the verification view of the
+        request's hypergraph-table entry.  Runs after the corruption chaos
         hook, so an armed ``server.verify`` rule proves corrupt bytes
         die here (typed ``IntegrityError`` 500) instead of reaching the
         cache, the state log, or a client.
@@ -872,10 +869,9 @@ class PartitionService:
             raise IntegrityError(
                 f"result bytes are not valid JSON: {exc}"
             ) from exc
-        source = request.view if request.view is not None else request.hypergraph
         if request.op == "partition":
             verify_partition_body(
-                source,
+                request.entry.view,
                 body,
                 digest=request.digest,
                 fingerprint=request.fingerprint,
@@ -883,7 +879,7 @@ class PartitionService:
             )
         else:
             verify_place_body(
-                source,
+                request.entry.view,
                 body,
                 digest=request.digest,
                 fingerprint=request.fingerprint,
@@ -907,89 +903,79 @@ class PartitionService:
             )
 
     def _execute_batch(self, tasks: list) -> dict:
-        requests = dict(tasks)
-        pool_tasks = [
-            (key, {"request": request, "obs": self.config.obs_enabled})
-            for key, request in tasks
-        ]
-        self._tally("executions", len(pool_tasks))
-        obs.count("server.executions", len(pool_tasks))
-        results, _report = self.pool.map(pool_tasks)
-        outcomes = {}
-        for task_result in results:
-            if task_result.ok:
-                body = task_result.value["body"]
-                hit = task_result.value["table_hit"]
-                if hit is not None:
-                    self._tally(f"worker_hypergraph_{'hits' if hit else 'misses'}")
-                # The corruption chaos hook sits between the worker and
-                # everything downstream: an armed ``server.verify`` rule
-                # flips one byte here, and the gate below must catch it.
-                body_bytes = faults.corrupt_bytes(
-                    canonical_bytes(body), CORRUPTION_SITE
-                )
-                snapshot = task_result.value.get("obs")
-                if snapshot and obs.is_enabled():
-                    obs.registry().merge(snapshot)
-                if self.config.verify_results:
-                    try:
-                        self._verify_result(requests[task_result.key], body_bytes)
-                    except IntegrityError as exc:
-                        # Corrupt results are failures with a poison
-                        # vote: they never reach the cache, the state
-                        # log, or a client.
-                        self._tally("failures")
-                        self._tally("verify_failures")
-                        obs.count("server.errors")
-                        obs.count("server.verify.failures")
-                        self._record_poison(task_result.key, "IntegrityError")
-                        outcomes[task_result.key] = _Failure(
-                            error_type="IntegrityError",
-                            message=f"result failed verification: {exc}",
-                            attempts=task_result.attempts,
-                        )
-                        continue
-                degraded = bool(body.get("degraded"))
-                if degraded:
-                    # A deadline-cut answer reflects wall-clock luck,
-                    # not request content: serving it is fine, caching
-                    # it would freeze the luck.
-                    obs.count("server.cache.uncacheable")
-                else:
-                    self.cache.put(task_result.key, body_bytes)
-                    if self.store is not None:
-                        # Spill the verified bytes: what rehydrates is
-                        # exactly what a warm hit serves today.
-                        self.store.record_cache(task_result.key, body_bytes)
-                # One breaker vote per *execution*: coalesced waiters
-                # share this result and therefore this vote.
-                cleared = self.breaker.record(task_result.key, None)
-                if cleared and self.store is not None:
-                    self.store.record_breaker_clear(task_result.key)
-                outcomes[task_result.key] = _Success(
-                    body_bytes=body_bytes,
-                    attempts=task_result.attempts,
-                    degraded=degraded,
-                )
+        """Run the broker's one task ``[(key, request)]``; returns ``{key: outcome}``."""
+        [(key, request)] = tasks
+        self._tally("executions")
+        obs.count("server.executions")
+        [task_result], _report = self.pool.map(
+            [(key, {"request": request, "obs": self.config.obs_enabled})]
+        )
+        if not task_result.ok:
+            self._tally("failures")
+            obs.count("server.errors")
+            error_type = _FAILURE_ERROR_TYPES[task_result.failure]
+            if task_result.aborted:
+                # pool.abort() cut this execution during drain: the
+                # daemon's doing, not a verdict on the request, so the
+                # breaker gets no vote — but a half-open probe that rode
+                # this execution must get its slot back.
+                self.breaker.probe_aborted(key)
             else:
-                message = task_result.error or "task failed"
-                self._tally("failures")
-                obs.count("server.errors")
-                error_type = _FAILURE_ERROR_TYPES[task_result.failure]
-                if task_result.aborted:
-                    # pool.abort() cut this execution during drain: the
-                    # daemon's doing, not a verdict on the request, so
-                    # the breaker gets no vote — but a half-open probe
-                    # that rode this execution must get its slot back.
-                    self.breaker.probe_aborted(task_result.key)
-                else:
-                    self._record_poison(task_result.key, error_type)
-                outcomes[task_result.key] = _Failure(
+                self._record_poison(key, error_type)
+            return {
+                key: _Failure(
                     error_type=error_type,
-                    message=message,
+                    message=task_result.error or "task failed",
                     attempts=task_result.attempts,
                 )
-        return outcomes
+            }
+        value = task_result.value
+        self._tally(f"worker_hypergraph_{'hits' if value['table_hit'] else 'misses'}")
+        # The corruption chaos hook sits between the worker and
+        # everything downstream: an armed ``server.verify`` rule flips
+        # one byte here, and the gate below must catch it.
+        body_bytes = faults.corrupt_bytes(canonical_bytes(value["body"]), CORRUPTION_SITE)
+        if value["obs"] and obs.is_enabled():
+            obs.registry().merge(value["obs"])
+        if self.config.verify_results:
+            try:
+                self._verify_result(request, body_bytes)
+            except IntegrityError as exc:
+                # Corrupt results are failures with a poison vote: they
+                # never reach the cache, the state log, or a client.
+                self._tally("failures")
+                self._tally("verify_failures")
+                obs.count("server.errors")
+                obs.count("server.verify.failures")
+                self._record_poison(key, "IntegrityError")
+                return {
+                    key: _Failure(
+                        error_type="IntegrityError",
+                        message=f"result failed verification: {exc}",
+                        attempts=task_result.attempts,
+                    )
+                }
+        degraded = bool(value["body"].get("degraded"))
+        if degraded:
+            # A deadline-cut answer reflects wall-clock luck, not request
+            # content: serving it is fine, caching it would freeze the luck.
+            obs.count("server.cache.uncacheable")
+        else:
+            self.cache.put(key, body_bytes)
+            if self.store is not None:
+                # Spill the verified bytes: what rehydrates is exactly
+                # what a warm hit serves today.
+                self.store.record_cache(key, body_bytes)
+        # One breaker vote per *execution*: coalesced waiters share this
+        # result and therefore this vote.
+        cleared = self.breaker.record(key, None)
+        if cleared and self.store is not None:
+            self.store.record_breaker_clear(key)
+        return {
+            key: _Success(
+                body_bytes=body_bytes, attempts=task_result.attempts, degraded=degraded
+            )
+        }
 
     # -- introspection endpoints ---------------------------------------
 

@@ -30,10 +30,13 @@ hypergraph, so a request that re-sends a known one under new settings
 takes the entry as it is: the parser finds the member by its length and
 hash without decoding it (:meth:`ResultCache.hypergraph_lengths`,
 :meth:`ResultCache.find_hypergraph`), and no ``Hypergraph`` is built,
-digested or unpickled in this process.  Only the parser adds to it
-(:meth:`ResultCache.put_hypergraph`), and only hypergraphs that built
-and passed its checks; the pickles and views are made in this process,
-never read from a client or from disk.  The table is bounded by the
+digested or unpickled in this process.  Every parsed request carries
+its entry, found or made.  Only the parser changes the table, and only
+for a request that passed every check: it adds the entry of a
+hypergraph it built (:meth:`ResultCache.put_hypergraph`) or counts a
+hit on one it found (:meth:`ResultCache.count_hypergraph_hit`); the
+pickles and views are made in this process, never read from a client
+or from disk.  The table is bounded by the
 same two numbers as the result entries, counted on its own: at most
 ``max_entries`` hypergraphs and ``max_bytes`` of pickles and views
 together, dropping the least recently used.
@@ -67,7 +70,7 @@ class HypergraphEntry(NamedTuple):
 
     digest: str
     blob: bytes  # the Hypergraph's pickle, sent to pool workers
-    view: VerificationView  # what the verify gate reads
+    view: VerificationView  # what the verify gate reads; None in a worker's copy
     length: int  # characters of the member text
 
     @property
@@ -174,7 +177,8 @@ class ResultCache:
         """The entry of the hypergraph whose member text hashes to ``key``, or None.
 
         A lookup only: it counts nothing and leaves the LRU order as it is
-        (:meth:`count_hypergraph_hit` does both once the entry is used).
+        (:meth:`count_hypergraph_hit` does both once the request that found it
+        has passed every check).
         """
         with self._lock:
             return self._hypergraphs.get(key)

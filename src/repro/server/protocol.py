@@ -30,17 +30,18 @@ layer) and the fingerprint is
 transport-level.
 
 A body is decoded once, member by member (:func:`decode_members`), so
-the parser knows the text of its ``"hypergraph"`` member.  Given the
-daemon's :class:`~repro.server.cache.ResultCache`, the walk tries each
-member-text length the cache's hypergraph table holds at the
-``"hypergraph"`` member: a span whose SHA-256 is a table key is that
-member, since a JSON object's extent is fixed by its own text, so it is
-skipped without being decoded and its entry (digest, pickle, verification
-view) is used as found.  Such a request costs one hash of its member
-text: no ``Hypergraph`` is built, digested or unpickled for it.  A
-member the table does not hold is decoded, built and digested, and its
-entry added.  Either way the request keeps the table's key, pickle and
-view, and crosses the pipe to a pool worker as those bytes
+the parser knows the text of its ``"hypergraph"`` member.  The daemon's
+:class:`~repro.server.cache.ResultCache` keys its hypergraph table by
+that text's SHA-256, and the walk tries each member-text length the
+table holds at the ``"hypergraph"`` member: a span whose hash is a table
+key is that member, since a JSON object's extent is fixed by its own
+text, so it is skipped without being decoded and its entry (digest,
+pickle, verification view) is used as found.  Such a request costs one
+hash of its member text: no ``Hypergraph`` is built, digested or
+unpickled for it.  A member the table does not hold is decoded, built,
+checked and digested, and its entry made and added.  Either way the
+request holds the table's key and entry, never a ``Hypergraph``, and
+crosses the pipe to a pool worker as the entry's pickle
 (:mod:`repro.server.worker_table`).
 """
 
@@ -55,7 +56,6 @@ from json.decoder import WHITESPACE, scanstring
 from typing import Any, NamedTuple
 
 from repro.core.digest import hypergraph_digest
-from repro.core.hypergraph import Hypergraph
 from repro.engines import ALL_ENGINES, PLACERS, REFINERS
 from repro.io.errors import ParseError
 from repro.io.json_io import JsonFormatError, hypergraph_from_payload
@@ -148,48 +148,33 @@ class ServiceRequest:
     ``settings`` is the canonical JSON-ready dict (defaults filled in);
     ``digest``/``fingerprint`` are the two cache-key halves.
 
-    ``hypergraph_key``, ``hypergraph_pickle`` and ``view`` are the
-    cache's hypergraph-table key (the SHA-256 of the ``"hypergraph"``
-    member text), the pickle of the hypergraph stored under it and its
-    :class:`~repro.metrics.verify.VerificationView`, when the request
-    was parsed with a table.  ``built`` is the ``Hypergraph`` built for
-    this request, None when the table held it.  Such a request pickles
-    with only the key and the pickle standing for its hypergraph: a
-    pool worker takes it from its
-    :class:`~repro.server.worker_table.WorkerTable`.
+    ``hypergraph_key`` is the cache's hypergraph-table key (the SHA-256
+    of the ``"hypergraph"`` member text) and ``entry`` the table's
+    :class:`~repro.server.cache.HypergraphEntry` for it: the digest, the
+    pickle a pool worker takes the hypergraph from (its
+    :class:`~repro.server.worker_table.WorkerTable`) and the
+    verification view the verify gate reads.  The request pickles
+    without the view, which only the daemon reads.
     """
 
     op: str
     engine: str
     settings: dict
-
-    digest: str
     fingerprint: str
+    hypergraph_key: bytes
+    entry: HypergraphEntry = field(compare=False, repr=False)
 
-    hypergraph_key: bytes | None = None
-    hypergraph_pickle: bytes | None = None
-    view: VerificationView | None = field(default=None, compare=False, repr=False)
-    built: Hypergraph | None = field(default=None, compare=False, repr=False)
+    @property
+    def digest(self) -> str:
+        return self.entry.digest
 
     @property
     def cache_key(self) -> str:
         return f"{self.digest}:{self.fingerprint}"
 
-    @property
-    def hypergraph(self) -> Hypergraph:
-        """The request's hypergraph: ``built``, or on first read the table's pickle unpickled.
-
-        The daemon never reads it for a table hit: its workers take the
-        pickle, and its verify gate reads ``view``.
-        """
-        if self.built is None:
-            object.__setattr__(self, "built", pickle.loads(self.hypergraph_pickle))
-        return self.built
-
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        if self.hypergraph_pickle is not None:
-            state["built"] = state["view"] = None
+        state["entry"] = self.entry._replace(view=None)
         return state
 
 
@@ -418,7 +403,7 @@ def decode_members(
 
 
 def parse_request(
-    raw: bytes, expected_op: str | None = None, hypergraphs: ResultCache | None = None
+    raw: bytes, expected_op: str | None = None, *, hypergraphs: ResultCache
 ) -> ServiceRequest:
     """Validate a request body into a :class:`ServiceRequest`.
 
@@ -432,9 +417,11 @@ def parse_request(
     ``hypergraphs``, the daemon's cache, keys its hypergraph table by
     the SHA-256 of the ``"hypergraph"`` member's text: a member the walk
     finds there is used as found, with no decode, build, digest or
-    unpickle, and one built here is pickled, given its verification view
-    and added once the whole request has passed.  Either way the request
-    keeps the key, the pickle and the view.
+    unpickle.  A member it does not hold is built, checked and digested,
+    and its entry (pickle and verification view) made and added.  The
+    table changes only once the whole request has passed: the entry is
+    added, or a hit counted and refreshed in LRU order, so a refused
+    request leaves it as it was.
     """
     if len(raw) > MAX_REQUEST_BYTES:
         raise RequestError(
@@ -446,27 +433,23 @@ def parse_request(
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise RequestError(f"body is not valid UTF-8: {exc}", source=_SOURCE) from None
-    if hypergraphs is not None:
-        decoded = decode_members(
-            text, hypergraphs.hypergraph_lengths(), hypergraphs.find_hypergraph
-        )
-    else:
-        decoded = decode_members(text)
-    if decoded is not None:
-        payload, spans = decoded
-    else:
-        spans = {}
+    decoded = decode_members(
+        text, hypergraphs.hypergraph_lengths(), hypergraphs.find_hypergraph
+    )
+    if decoded is None:
+        # The walk takes exactly the object bodies json.loads takes, so
+        # json.loads either fails or returns some other value.
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise RequestError(
                 f"invalid JSON: {exc.msg}", source=_SOURCE, line=exc.lineno
             ) from None
-    if not isinstance(payload, dict):
         raise RequestError(
             f"request must be a JSON object, got {type(payload).__name__}",
             source=_SOURCE,
         )
+    payload, spans = decoded
 
     op = payload.get("op")
     if op is None and expected_op is not None:
@@ -518,16 +501,13 @@ def parse_request(
     if "hypergraph" not in payload:
         raise RequestError("request is missing the 'hypergraph' key", source=_SOURCE)
     member = payload["hypergraph"]
-    table_key = known = hypergraph = None
     if isinstance(member, KnownMember):
-        table_key, known = member
-    elif hypergraphs is not None and "hypergraph" in spans:
-        start, end = spans["hypergraph"]
-        table_key = hashlib.sha256(text[start:end].encode("utf-8")).digest()
-        known = hypergraphs.find_hypergraph(table_key)
-    if known is not None:
-        hypergraphs.count_hypergraph_hit(table_key)
+        key, entry = member
     else:
+        start, end = spans["hypergraph"]
+        key = hashlib.sha256(text[start:end].encode("utf-8")).digest()
+        entry = hypergraphs.find_hypergraph(key)
+    if entry is None:
         try:
             hypergraph = hypergraph_from_payload(member)
         except JsonFormatError as exc:
@@ -543,16 +523,16 @@ def parse_request(
 
     settings = _normalize_settings(op, payload.get("settings"))
 
-    if known is not None:
-        digest, blob, view = known.digest, known.blob, known.view
+    if entry is None:
+        entry = HypergraphEntry(
+            hypergraph_digest(hypergraph),
+            pickle.dumps(hypergraph, pickle.HIGHEST_PROTOCOL),
+            VerificationView(hypergraph),
+            end - start,
+        )
+        hypergraphs.put_hypergraph(key, entry)
     else:
-        digest, blob, view = hypergraph_digest(hypergraph), None, None
-        if table_key is not None:
-            blob = pickle.dumps(hypergraph, pickle.HIGHEST_PROTOCOL)
-            view = VerificationView(hypergraph)
-            hypergraphs.put_hypergraph(
-                table_key, HypergraphEntry(digest, blob, view, end - start)
-            )
+        hypergraphs.count_hypergraph_hit(key)
     fingerprint = settings_fingerprint(
         {"op": op, "engine": engine, "settings": settings}
     )
@@ -560,12 +540,9 @@ def parse_request(
         op=op,
         engine=engine,
         settings=settings,
-        digest=digest,
         fingerprint=fingerprint,
-        hypergraph_key=table_key,
-        hypergraph_pickle=blob,
-        view=view,
-        built=hypergraph,
+        hypergraph_key=key,
+        entry=entry,
     )
 
 

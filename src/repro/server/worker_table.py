@@ -2,9 +2,10 @@
 
 The daemon's cache keeps a hypergraph table (:mod:`repro.server.cache`):
 the SHA-256 of a request's ``"hypergraph"`` member text, pointing at
-that hypergraph's digest and pickle.  A request carries the key and
-those bytes to its pool worker in place of a fresh pickle of its
-``Hypergraph`` (:class:`~repro.server.protocol.ServiceRequest`).  Each
+that hypergraph's entry (digest, pickle and verification view).  Every
+request carries its key and entry, and crosses to its pool worker with
+the entry's pickle standing for its hypergraph
+(:class:`~repro.server.protocol.ServiceRequest`).  Each
 worker keeps a :class:`WorkerTable`, a bounded LRU from the key to the
 frozen hypergraph it unpickled for it.  A later request with the same
 member text (another seed, another engine) runs on that hypergraph
@@ -22,10 +23,10 @@ size (:func:`entry_charge`), not its pickle length, and is kept only
 once a request on it has succeeded, so what Algorithm I kept on it is
 complete.
 
-A table belongs to the process that first used it: the daemon's own
-copy is never used (it never runs a request in-process), and a worker
-forked from it starts with an empty one.  One worker runs one request
-at a time, so the table takes no lock.
+A table belongs to the process that first used it: a worker forked
+from the daemon starts with an empty one, and the daemon's own copy is
+filled only by a pool that runs requests in-process (no ``os.fork``).
+A worker runs one request at a time, so the table takes no lock.
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ from repro.placement.mincut_placement import PARTITIONERS
 from repro.portfolio import best_partition
 from repro.runtime import Deadline, DeadlineExpired, faults
 from repro.server import protocol
+from repro.server.cache import ResultCache
 from repro.server.protocol import RequestError, parse_request
 from tests.conftest import hypergraphs
 
@@ -329,20 +330,20 @@ class TestServiceFingerprint:
         return json.dumps(body).encode()
 
     def test_refine_defaults_to_none_and_normalizes(self):
-        request = parse_request(self._raw({"seed": 0}))
+        request = parse_request(self._raw({"seed": 0}), hypergraphs=ResultCache())
         assert request.settings["refine"] is None
-        refined = parse_request(self._raw({"seed": 0, "refine": "flow"}))
+        refined = parse_request(self._raw({"seed": 0, "refine": "flow"}), hypergraphs=ResultCache())
         assert refined.settings["refine"] == "flow"
 
     def test_refine_changes_the_fingerprint(self):
-        plain = parse_request(self._raw({"seed": 0}))
-        refined = parse_request(self._raw({"seed": 0, "refine": "flow"}))
+        plain = parse_request(self._raw({"seed": 0}), hypergraphs=ResultCache())
+        refined = parse_request(self._raw({"seed": 0, "refine": "flow"}), hypergraphs=ResultCache())
         assert plain.fingerprint != refined.fingerprint
         assert plain.cache_key != refined.cache_key
 
     def test_unknown_refiner_is_a_typed_request_error(self):
         with pytest.raises(RequestError, match="refine"):
-            parse_request(self._raw({"seed": 0, "refine": "flwo"}))
+            parse_request(self._raw({"seed": 0, "refine": "flwo"}), hypergraphs=ResultCache())
 
     def test_flow_engine_accepted_by_protocol(self):
         h = _weighted_instance(5)
@@ -352,7 +353,7 @@ class TestServiceFingerprint:
             "hypergraph": hypergraph_to_payload(h),
             "settings": {"seed": 1},
         }
-        request = parse_request(json.dumps(body).encode())
+        request = parse_request(json.dumps(body).encode(), hypergraphs=ResultCache())
         assert request.engine == "flow"
 
 

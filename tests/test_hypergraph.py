@@ -1,5 +1,7 @@
 """Unit tests for the Hypergraph data structure."""
 
+import pickle
+
 import pytest
 
 from repro.core.hypergraph import Hypergraph, HypergraphError
@@ -115,6 +117,24 @@ class TestWeights:
         h = Hypergraph()
         h.add_edge([1, 2], name="clk", weight=4.0)
         assert h.edge_weight("clk") == 4.0
+
+
+class TestPickle:
+    def test_a_round_trip_keeps_the_incidence_order(self):
+        # Int names 8 apart share a bucket of a small set's hash table, so
+        # a set filled in another order iterates in another order.
+        h = Hypergraph(edges={3: ["a", "b"], 11: ["a", "c"]})
+        unread = pickle.loads(pickle.dumps(h))
+        order = list(h.incident_edges_view("a"))
+        back = pickle.loads(pickle.dumps(h))
+        assert list(back.incident_edges_view("a")) == order
+        assert list(unread.incident_edges_view("a")) == order
+
+    def test_pickles_to_the_same_bytes_before_and_after_incident_edges(self):
+        h = Hypergraph(edges={"A": [1, 2, 3], "B": [3, 4], "C": [4, 1]})
+        before = pickle.dumps(h, pickle.HIGHEST_PROTOCOL)
+        assert h.incident_edges(3) == frozenset({"A", "B"})
+        assert pickle.dumps(h, pickle.HIGHEST_PROTOCOL) == before
 
 
 class TestIncidence:

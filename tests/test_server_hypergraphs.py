@@ -10,18 +10,21 @@ without being decoded.  Covered:
   hypothesis property over duplicate keys, odd whitespace, strings
   holding ``"hypergraph"``, non-object bodies, trailing data and
   ``NaN``), and ``parse_request`` gives every body the same answer or
-  the same typed error with the table as without it, table hits
-  included: a known member followed by malformed text, repeated
-  ``"hypergraph"`` keys, and an entry evicted between the skip and its
-  use;
-* a table hit builds, digests and unpickles nothing; its hypergraph,
-  read, is a private ``Hypergraph`` equal to a fresh build, in the same
-  vertex and edge order, with the same digest;
+  the same typed error as a ``json.loads`` parse against an empty
+  table, table hits included: a known member followed by malformed
+  text, repeated ``"hypergraph"`` keys, and an entry evicted between
+  the skip and its use;
+* a table hit builds, digests and unpickles nothing and carries the
+  entry the first sighting made; its pickle unpickles to a private
+  ``Hypergraph`` equal to a fresh build, in the same vertex and edge
+  order, with the same digest;
 * the same content in another order is another key, and is built;
-* only requests that pass every check enter, the table keeps its
+* only requests that pass every check enter, a refused request leaves
+  the hit count and the LRU order as they were, the table keeps its
   pickles and verification views within both cache budgets, and
   ``clear()`` empties it;
-* the in-process worker runs a table hit and a fresh build alike;
+* the in-process worker runs a table hit and a fresh build alike,
+  through its worker table;
 * against live daemons: every engine and a place request answer byte for
   byte as a fresh daemon does, a re-sent hypergraph is not decoded,
   built or unpickled, ``/metrics`` reports the table, and a restart
@@ -30,6 +33,7 @@ without being decoded.  Covered:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import pickle
@@ -165,8 +169,12 @@ class TestMemberWalk:
         assert decode_members(text) is None
 
 
+def _unpickled(request) -> Hypergraph:
+    return pickle.loads(request.entry.blob)
+
+
 def _described(request) -> tuple:
-    h = request.hypergraph
+    h = _unpickled(request)
     return (
         request.op, request.engine, request.settings, request.digest, request.fingerprint,
         h.vertices, h.edge_names, [h.edge_members(e) for e in h.edge_names],
@@ -180,6 +188,28 @@ def _outcome(raw: bytes, **kwargs):
     except RequestError as exc:
         return ("error", exc.message, exc.source, exc.line)
     return _described(request)
+
+
+def _loaded_members(text: str, *_table):
+    """``decode_members`` answered by ``json.loads``: its payload, the walk's spans, no skip."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError:
+        return None
+    if not isinstance(payload, dict):
+        return None
+    return payload, decode_members(text)[1]
+
+
+def _expected(raw: bytes, **kwargs):
+    """``_outcome`` of a ``json.loads`` parse against an empty table."""
+    with mock.patch.object(protocol, "decode_members", side_effect=_loaded_members):
+        return _outcome(raw, hypergraphs=ResultCache(), **kwargs)
+
+
+def _member_key(payload) -> bytes:
+    """The table key of ``payload`` sent as ``_body`` sends it."""
+    return hashlib.sha256(json.dumps(payload, separators=(",", ":")).encode()).digest()
 
 
 _good = hypergraph_to_payload(_hypergraph())
@@ -248,8 +278,7 @@ class TestParseRequest:
         table = ResultCache()
         for raw in raws:
             for expected_op in (None, "partition"):
-                with mock.patch.object(protocol, "decode_members", return_value=None):
-                    expected = _outcome(raw, expected_op=expected_op)
+                expected = _expected(raw, expected_op=expected_op)
                 assert _outcome(raw, expected_op=expected_op, hypergraphs=table) == expected
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -261,8 +290,7 @@ class TestParseRequest:
         table = _seeded_table(max_entries=max_entries)
         for raw in raws:
             for expected_op in (None, "partition"):
-                with mock.patch.object(protocol, "decode_members", return_value=None):
-                    expected = _outcome(raw, expected_op=expected_op)
+                expected = _expected(raw, expected_op=expected_op)
                 assert _outcome(raw, expected_op=expected_op, hypergraphs=table) == expected
 
     @pytest.mark.parametrize(
@@ -274,36 +302,31 @@ class TestParseRequest:
         member = json.dumps(_good)
         raw = ('{"op":"partition","hypergraph":' + member + tail).encode()
         for body in (raw, raw + b"}"):
-            with mock.patch.object(protocol, "decode_members", return_value=None):
-                expected = _outcome(body)
-            assert _outcome(body, hypergraphs=table) == expected
+            assert _outcome(body, hypergraphs=table) == _expected(body)
 
     def test_repeated_hypergraph_keys_take_the_last_member(self):
         table = _seeded_table()
         known, other = json.dumps(_good), json.dumps(_SMALL)
         for first, last in ((known, other), (other, known), (known, known), (known, "[1, 2]")):
             raw = ('{"op":"partition","hypergraph":' + first + ',"hypergraph":' + last + "}").encode()
-            with mock.patch.object(protocol, "decode_members", return_value=None):
-                expected = _outcome(raw)
-            assert _outcome(raw, hypergraphs=table) == expected
+            assert _outcome(raw, hypergraphs=table) == _expected(raw)
 
     def test_an_entry_evicted_between_the_skip_and_its_use(self):
         table = _seeded_table()
         raw = _body(_good, engine="kl", seed=3)
         find = table.find_hypergraph
+        seeded = find(_member_key(_good))
 
         def find_then_evict(key):
             entry = find(key)
             table.clear()
             return entry
 
-        with mock.patch.object(protocol, "decode_members", return_value=None):
-            expected = _outcome(raw)
         with mock.patch.object(table, "find_hypergraph", side_effect=find_then_evict):
             request = parse_request(raw, hypergraphs=table)
-        assert request.built is None and request.view is not None
+        assert seeded is not None and request.entry is seeded
         assert table.stats()["hypergraphs"] == 0
-        assert _described(request) == expected
+        assert _described(request) == _expected(raw)
 
     def test_the_walk_skips_a_known_member_once_per_body(self):
         table = _seeded_table()
@@ -333,17 +356,16 @@ class TestParseRequest:
             second = parse_request(_body(payload, engine="kl", seed=2), hypergraphs=table)
             third = parse_request(_body(payload, starts=3, refine="fm"), hypergraphs=table)
         assert not build.called and not digest.called and not loads.called
-        assert second.built is None and third.built is None
-        assert second.view is third.view is first.view
+        assert second.entry is third.entry is first.entry
         assert table.stats()["hypergraph_hits"] == 2
-        for request in (second, third):
-            h = request.hypergraph
+        copies = [_unpickled(request) for request in (first, second, third)]
+        for h, request in zip(copies, (first, second, third)):
             assert h == fresh
             assert h.vertices == fresh.vertices and h.edge_names == fresh.edge_names
-            assert request.digest == hypergraph_digest(fresh) == first.digest
-        assert len({id(first.hypergraph), id(second.hypergraph), id(third.hypergraph)}) == 3
-        second.hypergraph.add_vertex("late")
-        assert parse_request(_body(payload, seed=4), hypergraphs=table).hypergraph == fresh
+            assert request.digest == hypergraph_digest(fresh)
+        assert len({id(h) for h in copies}) == 3
+        copies[1].add_vertex("late")
+        assert _unpickled(parse_request(_body(payload, seed=4), hypergraphs=table)) == fresh
 
     def test_the_same_content_in_another_order_is_built(self):
         table = ResultCache()
@@ -351,8 +373,8 @@ class TestParseRequest:
         turned = {"vertices": payload["vertices"][::-1], "edges": payload["edges"][::-1]}
         a = parse_request(_body(payload), hypergraphs=table)
         b = parse_request(_body(turned), hypergraphs=table)
-        assert a.digest == b.digest and a.hypergraph == b.hypergraph
-        assert b.hypergraph.vertices == list(hypergraph_from_payload(turned).vertices)
+        assert a.digest == b.digest and _unpickled(a) == _unpickled(b)
+        assert _unpickled(b).vertices == list(hypergraph_from_payload(turned).vertices)
         stats = table.stats()
         assert (stats["hypergraphs"], stats["hypergraph_hits"]) == (2, 0)
 
@@ -371,6 +393,22 @@ class TestParseRequest:
         with pytest.raises(RequestError):
             parse_request(raw, hypergraphs=table)
         assert table.stats()["hypergraphs"] == 0
+
+    @pytest.mark.parametrize(
+        "settings_", [{"seed": "x"}, {"starts": 0}, {"granularity": 3}], ids=["seed", "starts", "unknown"]
+    )
+    def test_a_refused_request_leaves_the_hit_count_and_the_lru_order(self, settings_):
+        table = ResultCache(max_entries=2)
+        for payload in (_good, _SMALL):
+            parse_request(_body(payload), hypergraphs=table)
+        with pytest.raises(RequestError):
+            parse_request(_body(_good, **settings_), hypergraphs=table)
+        assert table.stats()["hypergraph_hits"] == 0
+        # _good is still the least recently used entry: the next new one evicts it.
+        third = {"vertices": [[0, 1.0], [1, 1.0], [2, 1.0]], "edges": [["e", [0, 2], 1.0]]}
+        parse_request(_body(third), hypergraphs=table)
+        kept = [table.find_hypergraph(_member_key(p)) is not None for p in (_good, _SMALL, third)]
+        assert kept == [False, True, True]
 
 
 class TestTableBounds:
@@ -466,13 +504,13 @@ class TestInProcessWorker:
         raw = _body(_good, engine="algorithm1", seed=3, starts=2)
         built = parse_request(raw, hypergraphs=table)
         hit = parse_request(raw, hypergraphs=table)
-        assert built.built is not None and hit.built is None
+        assert hit.entry is built.entry and table.stats()["hypergraph_hits"] == 1
         workers = WorkerTable(16, 64 << 20)
         ran_built = app._service_worker({"request": built, "obs": False}, table=workers)
         ran_hit = app._service_worker({"request": hit, "obs": False}, table=workers)
-        assert (ran_built["table_hit"], ran_hit["table_hit"]) == (None, False)
+        assert (ran_built["table_hit"], ran_hit["table_hit"]) == (False, True)
         assert ran_hit["body"] == ran_built["body"]
-        verify.verify_partition_body(hit.view, ran_hit["body"], digest=hit.digest)
+        verify.verify_partition_body(hit.entry.view, ran_hit["body"], digest=hit.digest)
 
 
 def _counted(init, built: list):

@@ -362,7 +362,7 @@ class TestHandleRequestGuards:
     def test_cache_hits_bypass_the_draining_guard(self, h):
         svc = _service()
         raw = json.dumps(_body(h)).encode()
-        request = parse_request(raw)
+        request = parse_request(raw, hypergraphs=svc.cache)
         svc.cache.put(request.cache_key, canonical_bytes({"cutsize": 1}))
         svc._draining.set()
         status, body, _ = svc.handle_request(raw)
@@ -382,7 +382,7 @@ class TestHandleRequestGuards:
         clock = _Clock()
         svc.breaker = QuarantineBreaker(threshold=1, cooldown=5.0, clock=clock)
         raw = json.dumps(_body(h)).encode()
-        key = parse_request(raw).cache_key
+        key = parse_request(raw, hypergraphs=svc.cache).cache_key
         svc.breaker.record(key, "WorkerCrashed")  # trips (threshold 1)
         clock.now += 5.1  # cooldown over: the next check admits a probe
 
@@ -443,7 +443,7 @@ class TestHandleRequestGuards:
         clock = _Clock()
         svc.breaker = QuarantineBreaker(threshold=1, cooldown=5.0, clock=clock)
         raw = json.dumps(_body(h)).encode()
-        request = parse_request(raw)
+        request = parse_request(raw, hypergraphs=svc.cache)
         key = request.cache_key
         svc.breaker.record(key, "WorkerCrashed")
         clock.now += 5.1
@@ -480,7 +480,7 @@ class TestHandleRequestGuards:
         error whose own message contains 'draining' stays a 500
         ExecutionFailed, never a safe-to-retry 503."""
         svc = _service()
-        request = parse_request(json.dumps(_body(h)).encode())
+        request = parse_request(json.dumps(_body(h)).encode(), hypergraphs=svc.cache)
         key = request.cache_key
         cases = [
             ("error", "ValueError: draining the tank failed", "ExecutionFailed"),
@@ -519,7 +519,7 @@ class TestHandleRequestGuards:
         svc.pool = SupervisedPool(
             raising_worker, max_workers=1, max_retries=0, sequential_fallback=False
         )
-        request = parse_request(json.dumps(_body(h)).encode())
+        request = parse_request(json.dumps(_body(h)).encode(), hypergraphs=svc.cache)
         key = request.cache_key
         svc.breaker.record(key, "WorkerCrashed")  # one poison vote already
         outcome = svc._execute_batch([(key, request)])[key]

@@ -22,7 +22,9 @@ state recovery, crash-loop give-up) and the ``soak --json`` /
 ``bench --verify`` operator surfaces.
 
 Run with ``-m chaos`` (the CI tier-1 job deselects these; the server
-recovery CI leg runs them).
+recovery CI leg runs them).  Every test runs under ``no_leaked_handles``:
+clients are closed, and every daemon subprocess is reaped with its
+pipes closed, however it ended.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from repro.server import (
     ServiceResponseError,
 )
 
-pytestmark = pytest.mark.chaos
+pytestmark = [pytest.mark.chaos, pytest.mark.usefixtures("no_leaked_handles")]
 
 _NEEDS_AF_UNIX = pytest.mark.skipif(
     not hasattr(socket_module, "AF_UNIX"),
@@ -112,7 +114,20 @@ def _spawn(socket_path: str, *extra_args: str, faults_spec: str | None = None):
     return proc
 
 
+def _close_pipes(proc) -> None:
+    proc.stdout.close()
+    proc.stderr.close()
+
+
+def _kill(proc) -> None:
+    """SIGKILL ``proc``, reap it and close its pipes."""
+    proc.kill()
+    proc.wait(timeout=15)
+    _close_pipes(proc)
+
+
 def _stop(proc) -> None:
+    """SIGTERM ``proc`` if it still runs (SIGKILL after 15 s), reap it, close its pipes."""
     if proc.poll() is None:
         proc.send_signal(signal.SIGTERM)
         try:
@@ -120,6 +135,7 @@ def _stop(proc) -> None:
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait(timeout=15)
+    _close_pipes(proc)
 
 
 def _client(socket_path: str, **kwargs) -> ServiceClient:
@@ -154,12 +170,11 @@ class TestCrashRecovery:
         # --- generation A: plant a durable cache entry, die hard.
         proc = _spawn(socket_path, *state_args)
         try:
-            client = _client(socket_path)
-            baseline = client.partition(h, engine="fm", settings={"seed": 0})
+            with _client(socket_path) as client:
+                baseline = client.partition(h, engine="fm", settings={"seed": 0})
             assert baseline["served"]["cache"] == "miss"
         finally:
-            proc.kill()
-            proc.wait(timeout=15)
+            _kill(proc)
 
         # --- generation B: all executions die; the warm hit must not
         # care, and one poisoned key must trip the breaker durably.
@@ -168,56 +183,55 @@ class TestCrashRecovery:
         )
         poisoned_at = None
         try:
-            client = _client(socket_path)
-            warm = client.partition(h, engine="fm", settings={"seed": 0})
-            assert warm["served"]["cache"] == "hit"
-            assert _canonical(warm["result"]) == _canonical(baseline["result"])
+            with _client(socket_path) as client:
+                warm = client.partition(h, engine="fm", settings={"seed": 0})
+                assert warm["served"]["cache"] == "hit"
+                assert _canonical(warm["result"]) == _canonical(baseline["result"])
 
-            with pytest.raises(ServiceResponseError) as excinfo:
-                client.partition(h, engine="fm", settings={"seed": 1})
-            assert excinfo.value.error_type == "WorkerCrashed"
-            poisoned_at = time.monotonic()
-            with pytest.raises(ServiceResponseError) as excinfo:
-                client.partition(h, engine="fm", settings={"seed": 1})
-            assert excinfo.value.status == 503
-            assert excinfo.value.error_type == "Quarantined"
+                with pytest.raises(ServiceResponseError) as excinfo:
+                    client.partition(h, engine="fm", settings={"seed": 1})
+                assert excinfo.value.error_type == "WorkerCrashed"
+                poisoned_at = time.monotonic()
+                with pytest.raises(ServiceResponseError) as excinfo:
+                    client.partition(h, engine="fm", settings={"seed": 1})
+                assert excinfo.value.status == 503
+                assert excinfo.value.error_type == "Quarantined"
         finally:
-            proc.kill()
-            proc.wait(timeout=15)
+            _kill(proc)
 
         # --- generation C: no faults; recovery must carry both halves.
         proc = _spawn(socket_path, *state_args)
         try:
-            client = _client(socket_path)
-            persist = client.metrics()["persist"]
-            assert persist["rehydrated_cache"] >= 1
-            assert persist["rehydrated_breaker"] >= 1
+            with _client(socket_path) as client:
+                persist = client.metrics()["persist"]
+                assert persist["rehydrated_cache"] >= 1
+                assert persist["rehydrated_breaker"] >= 1
 
-            # Clause 1: the pre-crash entry is a byte-identical warm hit.
-            warm = client.partition(h, engine="fm", settings={"seed": 0})
-            assert warm["served"]["cache"] == "hit"
-            assert _canonical(warm["result"]) == _canonical(baseline["result"])
+                # Clause 1: the pre-crash entry is a byte-identical warm hit.
+                warm = client.partition(h, engine="fm", settings={"seed": 0})
+                assert warm["served"]["cache"] == "hit"
+                assert _canonical(warm["result"]) == _canonical(baseline["result"])
 
-            # Clause 2: the poisoned key is still cooling, not forgotten.
-            with pytest.raises(ServiceResponseError) as excinfo:
-                client.partition(h, engine="fm", settings={"seed": 1})
-            assert excinfo.value.status == 503
-            assert excinfo.value.error_type == "Quarantined"
-            remaining = excinfo.value.retry_after or excinfo.value.error.get(
-                "retry_after"
-            )
-            assert remaining is not None and 0 < remaining <= 8.0
-            # The cooldown kept counting through the crash: what is left
-            # is the original 8 s minus the downtime, not a fresh 8 s.
-            downtime = time.monotonic() - poisoned_at
-            assert remaining <= max(0.5, 8.0 - downtime + 1.5)
+                # Clause 2: the poisoned key is still cooling, not forgotten.
+                with pytest.raises(ServiceResponseError) as excinfo:
+                    client.partition(h, engine="fm", settings={"seed": 1})
+                assert excinfo.value.status == 503
+                assert excinfo.value.error_type == "Quarantined"
+                remaining = excinfo.value.retry_after or excinfo.value.error.get(
+                    "retry_after"
+                )
+                assert remaining is not None and 0 < remaining <= 8.0
+                # The cooldown kept counting through the crash: what is left
+                # is the original 8 s minus the downtime, not a fresh 8 s.
+                downtime = time.monotonic() - poisoned_at
+                assert remaining <= max(0.5, 8.0 - downtime + 1.5)
 
-            # Once it elapses, the half-open probe runs clean and the
-            # key earns its way back in.
-            time.sleep(min(remaining + 0.4, 9.0))
-            recovered = client.partition(h, engine="fm", settings={"seed": 1})
-            assert recovered["served"]["cache"] == "miss"
-            assert client.metrics()["breaker"]["recoveries"] >= 1
+                # Once it elapses, the half-open probe runs clean and the
+                # key earns its way back in.
+                time.sleep(min(remaining + 0.4, 9.0))
+                recovered = client.partition(h, engine="fm", settings={"seed": 1})
+                assert recovered["served"]["cache"] == "miss"
+                assert client.metrics()["breaker"]["recoveries"] >= 1
         finally:
             _stop(proc)
 
@@ -237,40 +251,39 @@ class TestCrashRecovery:
             socket_path, *state_args, faults_spec="server.verify=error:1"
         )
         try:
-            client = _client(socket_path)
-            for _attempt in range(2):
+            with _client(socket_path) as client:
+                for _attempt in range(2):
+                    with pytest.raises(ServiceResponseError) as excinfo:
+                        client.partition(h, engine="fm", settings={"seed": 0})
+                    assert excinfo.value.status == 500
+                    assert excinfo.value.error_type == "IntegrityError"
+                    assert "verification" in str(excinfo.value)
+                # Two integrity failures for one key: quarantined like any
+                # other worker that reliably betrays its requests.
                 with pytest.raises(ServiceResponseError) as excinfo:
                     client.partition(h, engine="fm", settings={"seed": 0})
-                assert excinfo.value.status == 500
-                assert excinfo.value.error_type == "IntegrityError"
-                assert "verification" in str(excinfo.value)
-            # Two integrity failures for one key: quarantined like any
-            # other worker that reliably betrays its requests.
-            with pytest.raises(ServiceResponseError) as excinfo:
-                client.partition(h, engine="fm", settings={"seed": 0})
-            assert excinfo.value.status == 503
-            assert excinfo.value.error_type == "Quarantined"
+                assert excinfo.value.status == 503
+                assert excinfo.value.error_type == "Quarantined"
 
-            metrics = client.metrics()
-            assert metrics["service"]["verify_failures"] == 2
-            assert metrics["obs"]["counters"]["server.verify.failures"] == 2
-            # Nothing corrupt was cached or persisted as a result.
-            assert metrics["cache"]["insertions"] == 0
-            assert metrics["persist"]["live"] <= 1  # breaker record only
-            assert client.healthz()["status"] == "ok"
+                metrics = client.metrics()
+                assert metrics["service"]["verify_failures"] == 2
+                assert metrics["obs"]["counters"]["server.verify.failures"] == 2
+                # Nothing corrupt was cached or persisted as a result.
+                assert metrics["cache"]["insertions"] == 0
+                assert metrics["persist"]["live"] <= 1  # breaker record only
+                assert client.healthz()["status"] == "ok"
         finally:
-            proc.kill()
-            proc.wait(timeout=15)
+            _kill(proc)
 
         # A clean daemon on the same state dir starts and serves fine —
         # whatever the armed rule damaged in the persisted breaker
         # records was skipped or rehydrated, never fatal.
         proc = _spawn(socket_path, *state_args)
         try:
-            client = _client(socket_path)
-            fresh = client.partition(h, engine="fm", settings={"seed": 7})
-            assert fresh["served"]["cache"] == "miss"
-            assert client.healthz()["status"] == "ok"
+            with _client(socket_path) as client:
+                fresh = client.partition(h, engine="fm", settings={"seed": 7})
+                assert fresh["served"]["cache"] == "miss"
+                assert client.healthz()["status"] == "ok"
         finally:
             _stop(proc)
 
@@ -286,35 +299,36 @@ class TestClientFailover:
         proc_a = _spawn(path_a)
         proc_b = _spawn(path_b)
         try:
-            client = ServiceClient(
+            with ServiceClient(
                 endpoints=[f"unix:{path_a}", f"unix:{path_b}"],
                 timeout=60.0,
                 max_retries=3,
-            )
-            client.wait_ready(timeout=15.0)
-            assert client.active_endpoint == f"unix:{path_a}"
+            ) as client:
+                client.wait_ready(timeout=15.0)
+                assert client.active_endpoint == f"unix:{path_a}"
 
-            for seed in range(3):
-                response = client.partition(
-                    h, engine="fm", settings={"seed": seed}
-                )
-                assert response["served"]["cache"] == "miss"
+                for seed in range(3):
+                    response = client.partition(
+                        h, engine="fm", settings={"seed": seed}
+                    )
+                    assert response["served"]["cache"] == "miss"
 
-            proc_a.kill()
-            proc_a.wait(timeout=15)
+                proc_a.kill()
+                proc_a.wait(timeout=15)
 
-            for seed in range(3, 7):
-                response = client.partition(
-                    h, engine="fm", settings={"seed": seed}
-                )
-                assert response["served"]["cache"] == "miss"
+                for seed in range(3, 7):
+                    response = client.partition(
+                        h, engine="fm", settings={"seed": seed}
+                    )
+                    assert response["served"]["cache"] == "miss"
 
-            assert client.failovers == 1
-            assert client.active_endpoint == f"unix:{path_b}"
+                assert client.failovers == 1
+                assert client.active_endpoint == f"unix:{path_b}"
 
             # No duplicated execution: the survivor ran exactly the
             # post-kill seeds, nothing from before the kill.
-            metrics_b = ServiceClient(socket_path=path_b, timeout=30.0).metrics()
+            with ServiceClient(socket_path=path_b, timeout=30.0) as probe:
+                metrics_b = probe.metrics()
             assert metrics_b["service"]["executions"] == 4
             assert metrics_b["service"]["misses"] == 4
         finally:
@@ -372,16 +386,16 @@ class TestClientFailover:
             ServiceConfig(port=0, workers=1, max_retries=0)
         ).start()
         try:
-            client = ServiceClient(
+            with ServiceClient(
                 endpoints=[svc1.url, svc2.url], timeout=60.0, max_retries=3
-            )
-            client.wait_ready(timeout=10.0)
-            faults.configure("server.request=kill:1", seed=19)
-            with pytest.raises(ServiceResponseError) as excinfo:
-                client.partition(h, engine="fm", settings={"seed": 0})
-            assert excinfo.value.error_type == "WorkerCrashed"
-            assert client.failovers == 0
-            assert client.active_endpoint == svc1.url
+            ) as client:
+                client.wait_ready(timeout=10.0)
+                faults.configure("server.request=kill:1", seed=19)
+                with pytest.raises(ServiceResponseError) as excinfo:
+                    client.partition(h, engine="fm", settings={"seed": 0})
+                assert excinfo.value.error_type == "WorkerCrashed"
+                assert client.failovers == 0
+                assert client.active_endpoint == svc1.url
             faults.configure(None)
             # The sibling never saw a data-plane request.
             assert svc2.metrics()["service"]["requests"] == 0
@@ -419,12 +433,12 @@ class TestAutorestartWatchdog:
         try:
             banner = watchdog.stdout.readline().strip()
             assert banner == f"serving on unix:{socket_path}", banner
-            client = _client(socket_path)
-            health = client.healthz()
+            with _client(socket_path) as client:
+                health = client.healthz()
+                baseline = client.partition(h, engine="fm", settings={"seed": 0})
             first_pid = health["pid"]
             assert first_pid != watchdog.pid  # supervised child, not the watchdog
             assert health["started_at"] is not None
-            baseline = client.partition(h, engine="fm", settings={"seed": 0})
             assert baseline["served"]["cache"] == "miss"
 
             os.kill(first_pid, signal.SIGKILL)
@@ -433,10 +447,10 @@ class TestAutorestartWatchdog:
             second_health = None
             while time.monotonic() < deadline:
                 try:
-                    probe = ServiceClient(
+                    with ServiceClient(
                         socket_path=socket_path, timeout=5.0, max_retries=0
-                    )
-                    second_health = probe.healthz()
+                    ) as probe:
+                        second_health = probe.healthz()
                     if second_health["pid"] != first_pid:
                         break
                 except Exception:
@@ -446,8 +460,8 @@ class TestAutorestartWatchdog:
 
             # The restarted daemon rehydrated the state the first one
             # persisted: the pre-kill result is a warm, identical hit.
-            client = _client(socket_path)
-            warm = client.partition(h, engine="fm", settings={"seed": 0})
+            with _client(socket_path) as client:
+                warm = client.partition(h, engine="fm", settings={"seed": 0})
             assert warm["served"]["cache"] == "hit"
             assert _canonical(warm["result"]) == _canonical(baseline["result"])
         finally:
@@ -457,6 +471,7 @@ class TestAutorestartWatchdog:
             except subprocess.TimeoutExpired:
                 watchdog.kill()
                 code = watchdog.wait(timeout=15)
+            _close_pipes(watchdog)
             assert code == 0
 
     def test_crash_loop_makes_the_watchdog_give_up(self, tmp_path):
@@ -486,11 +501,12 @@ class TestAutorestartWatchdog:
         try:
             code = watchdog.wait(timeout=60)
         except subprocess.TimeoutExpired:
-            watchdog.kill()
-            watchdog.wait(timeout=15)
+            _kill(watchdog)
             pytest.fail("watchdog kept restarting a crash-looping daemon")
+        stderr = watchdog.stderr.read()
+        _close_pipes(watchdog)
         assert code == 1
-        assert "giving up" in watchdog.stderr.read()
+        assert "giving up" in stderr
 
 
 @_NEEDS_AF_UNIX
