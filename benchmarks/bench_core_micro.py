@@ -2,8 +2,9 @@
 
 Not paper artefacts; these track the per-stage costs that make up the
 O(n^2) bound — dual construction, BFS passes, boundary extraction,
-Complete-Cut, and one FM pass — so performance regressions in any stage
-are visible in CI.
+Complete-Cut — and every move-based baseline on IC1 (an FM run, one KL
+pass, a bounded SA run and a 10-start random cut), so performance
+regressions in any stage are visible in CI.
 
 The ``big`` fixtures run the same stages on a connected 2000-edge random
 netlist, the acceptance instance for the indexed-core speedup work, and
@@ -18,11 +19,15 @@ import time
 import pytest
 
 from repro.baselines.fiduccia_mattheyses import fiduccia_mattheyses
+from repro.baselines.kernighan_lin import kernighan_lin
+from repro.baselines.random_cut import random_cut
+from repro.baselines.simulated_annealing import simulated_annealing
 from repro.core.algorithm1 import TIMING_PHASES, algorithm1, run_single_start
 from repro.core.boundary import boundary_graph
 from repro.core.complete_cut import complete_cut
 from repro.core.dual_cut import double_bfs_cut, random_longest_bfs_path
 from repro.core.intersection import intersection_graph
+from repro.engines import BOUNDED_SA_SCHEDULE
 from repro.generators.random_hypergraph import random_hypergraph
 from repro.generators.suite import load_instance
 
@@ -97,6 +102,28 @@ def test_fm_full_run(benchmark, ic1):
         lambda: fiduccia_mattheyses(ic1, seed=0), rounds=3, iterations=1
     )
     assert result.cutsize >= 0
+
+
+def test_kl_one_pass(benchmark, ic1):
+    result = benchmark.pedantic(
+        lambda: kernighan_lin(ic1, max_passes=1, seed=0), rounds=3, iterations=1
+    )
+    assert result.iterations == 1
+
+
+def test_sa_bounded_run(benchmark, ic1):
+    """One run under the engine registry's bounded schedule."""
+    result = benchmark.pedantic(
+        lambda: simulated_annealing(ic1, schedule=BOUNDED_SA_SCHEDULE, seed=0),
+        rounds=3,
+        iterations=1,
+    )
+    assert result.cutsize >= 0
+
+
+def test_random_cut_ten_starts(benchmark, ic1):
+    result = benchmark(lambda: random_cut(ic1, num_starts=10, seed=0))
+    assert result.iterations == 10
 
 
 # ----------------------------------------------------------------------

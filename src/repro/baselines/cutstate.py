@@ -15,6 +15,14 @@ the number of pins on each side.  For vertex ``v`` on side ``s``:
 
 ``gain(v) = Σ (+w) − Σ (−w)`` is maintained incrementally across moves.
 
+A move changes the gains of other cells only through its *critical*
+nets, those with at most two pins on the side it leaves or joins
+(Fiduccia–Mattheyses' rule).  :meth:`CutState.update_gains` applies
+that rule after a move or a swap and is the one way FM and KL refresh
+the gains they keep: it adds each free cell's gain change into a list
+over vertex ids, so neither engine recomputes a gain from scratch
+mid-pass.
+
 The state runs on the integer ids of a
 :class:`~repro.core.index.HypergraphIndex`: sides are a list over vertex
 ids, pin counts two lists over edge rows, and :meth:`CutState.gain`,
@@ -56,7 +64,8 @@ class CutState:
     -----
     ``cutsize`` counts crossing hyperedges (unweighted), matching the
     paper's objective; ``weighted_cutsize`` is their exact total weight.
-    ``pins[s][e]`` is edge row ``e``'s pin count on side ``s``.
+    ``pins[s][e]`` is edge row ``e``'s pin count on side ``s``; ``rows``
+    and ``incidence`` are the index's edge rows and vertex rows.
     """
 
     def __init__(
@@ -72,10 +81,10 @@ class CutState:
         for v in index.ids_of(left):
             side[v] = LEFT
         self.side = side
+        self.rows = rows = index.edge_rows()
         self.incidence = index.incidence()
         self.weights = index.weights.tolist()
 
-        rows = index.edge_rows()
         right = [sum(map(side.__getitem__, row)) for row in rows]
         left_pins = [len(row) - r for row, r in zip(rows, right)]
         self.pins = [left_pins, right]
@@ -189,6 +198,64 @@ class CutState:
         """Swap sides of ``a`` and ``b`` (KL primitive)."""
         self.apply_move(a)
         self.apply_move(b)
+
+    def update_gains(
+        self, moved: tuple[int, ...], free: list[bool], delta: list[int], changed: list[int]
+    ) -> None:
+        """Add the gain changes of the move or swap just applied to ``delta``.
+
+        ``moved`` is ``(v,)`` after :meth:`apply_move` and ``(a, b)``
+        after :meth:`apply_swap`; every moved id must no longer be free.
+        For each free id ``u`` on a critical net, ``delta[u]`` gains the
+        change in ``gain(u)`` and ``u`` is appended to ``changed`` (once
+        per contribution, so ``changed`` may repeat an id, and ``delta``
+        may net to zero).  The caller applies the entries and resets
+        them to zero.
+
+        The rule is Fiduccia–Mattheyses', read off the pin counts after
+        the move: a net that had 0 pins on the side ``v`` joined now
+        raises every free pin's gain, one that had 1 lowers that pin's;
+        a net that keeps 0 pins on the side ``v`` left lowers every free
+        pin's gain, one that keeps 1 raises that pin's.  A net holding
+        both ends of a swap keeps its pin counts and changes no gain.
+        """
+        rows = self.rows
+        side = self.side
+        incidence = self.incidence
+        shared = ()
+        if len(moved) == 2:
+            shared = set(incidence[moved[0]]).intersection(incidence[moved[1]])
+        for v in moved:
+            to_side = side[v]
+            to_pins = self.pins[to_side]
+            from_pins = self.pins[1 - to_side]
+            for e in incidence[v]:
+                if e in shared:
+                    continue
+                count = to_pins[e]
+                if count == 1:
+                    for u in rows[e]:
+                        if free[u]:
+                            delta[u] += 1
+                            changed.append(u)
+                elif count == 2:
+                    for u in rows[e]:
+                        if free[u] and side[u] == to_side:
+                            delta[u] -= 1
+                            changed.append(u)
+                            break
+                count = from_pins[e]
+                if count == 0:
+                    for u in rows[e]:
+                        if free[u]:
+                            delta[u] -= 1
+                            changed.append(u)
+                elif count == 1:
+                    for u in rows[e]:
+                        if free[u] and side[u] != to_side:
+                            delta[u] += 1
+                            changed.append(u)
+                            break
 
     # ------------------------------------------------------------------
     # conversion

@@ -12,11 +12,12 @@ Pass anatomy
 ------------
 All cells start free.  Repeatedly: take the highest-gain free cell whose
 move keeps the weight balance within tolerance (ties prefer the heavier
-side, so balance self-corrects), move it, lock it, and incrementally
-update the gains of cells on its *critical* nets via the standard
-before/after pin-count rules.  After all cells are locked, roll back to
-the best prefix of the move sequence.  Passes repeat until one yields no
-improvement.
+side, so balance self-corrects), move it, lock it, and add the gain
+changes on its *critical* nets, which
+:meth:`~repro.baselines.cutstate.CutState.update_gains` reads off the
+pin counts after the move (the update KL's swaps share).  After all
+cells are locked, roll back to the best prefix of the move sequence.
+Passes repeat until one yields no improvement.
 """
 
 from __future__ import annotations
@@ -115,20 +116,6 @@ def fiduccia_mattheyses(
     )
 
 
-def _move_allowed(state: CutState, v: int, tolerance: float) -> bool:
-    """Balance rule: stay within tolerance, or strictly improve balance."""
-    total = state.side_weights[LEFT] + state.side_weights[RIGHT]
-    if total == 0:
-        return True
-    w = state.weights[v]
-    new_left = state.side_weights[LEFT] + (w if state.side[v] == RIGHT else -w)
-    new_imbalance = abs(2 * new_left - total)
-    old_imbalance = abs(2 * state.side_weights[LEFT] - total)
-    if new_imbalance <= tolerance * total:
-        return True
-    return new_imbalance < old_imbalance
-
-
 def _fm_pass(state: CutState, tolerance: float, movable: list[bool]) -> int:
     """One FM pass with rollback; returns the realized gain.
 
@@ -137,18 +124,29 @@ def _fm_pass(state: CutState, tolerance: float, movable: list[bool]) -> int:
     smallest ``repr``.  A gain update pushes the vertex's new key and
     leaves the old one behind: a key is live when it equals the
     vertex's current key and the vertex is still free.
+
+    Each step takes the live top of each side whose move passes the
+    balance rule (stay within tolerance, or strictly improve the
+    imbalance), and of two such tops the higher gain, ties to the
+    heavier side, then to the left.  After the move,
+    :meth:`CutState.update_gains` gives the changed gains.
     """
     n = len(state.side)
     order, rank = state.index.ranks()
+    side = state.side
+    weights = state.weights
+    side_weights = state.side_weights
     free = movable.copy()
     key = [0] * n
     heaps: tuple[list[int], list[int]] = ([], [])
     for v in range(n):
         if free[v]:
             key[v] = rank[v] - state.gain(v) * n
-            heaps[state.side[v]].append(key[v])
+            heaps[side[v]].append(key[v])
     for heap in heaps:
         heapq.heapify(heap)
+    delta = [0] * n
+    changed: list[int] = []
 
     moves: list[int] = []
     cumulative = 0
@@ -156,30 +154,47 @@ def _fm_pass(state: CutState, tolerance: float, movable: list[bool]) -> int:
     best_prefix = 0
 
     while True:
-        candidates: list[tuple[int, float, int, int]] = []
-        for side in (LEFT, RIGHT):
-            heap = heaps[side]
+        weight_left = side_weights[LEFT]
+        total = weight_left + side_weights[RIGHT]
+        limit = tolerance * total
+        imbalance = abs(2 * weight_left - total)
+        chosen = chosen_side = best_gain = -1
+        for s in (LEFT, RIGHT):
+            heap = heaps[s]
             while heap:
-                v = order[heap[0] % n]
-                if free[v] and key[v] == heap[0]:
+                top = heap[0]
+                v = order[top % n]
+                if free[v] and key[v] == top:
                     break
                 heapq.heappop(heap)
             else:
                 continue
-            if _move_allowed(state, v, tolerance):
-                # prefer higher gain; tie-break toward the heavier side
-                gain = (rank[v] - key[v]) // n
-                candidates.append((gain, state.side_weights[side], side, v))
-        if not candidates:
+            if total != 0:
+                w = weights[v]
+                after = abs(2 * (weight_left - w if s == LEFT else weight_left + w) - total)
+                if not (after <= limit or after < imbalance):
+                    continue
+            gain = (rank[v] - top) // n
+            if chosen < 0 or gain > best_gain or (
+                gain == best_gain and side_weights[s] > side_weights[chosen_side]
+            ):
+                chosen, chosen_side, best_gain = v, s, gain
+        if chosen < 0:
             break
-        candidates.sort(key=lambda item: (-item[0], -item[1], item[2]))
-        gain_value, _, side, chosen = candidates[0]
 
-        heapq.heappop(heaps[side])
+        heapq.heappop(heaps[chosen_side])
         free[chosen] = False
-        _apply_with_gain_updates(state, chosen, free, key, heaps)
+        state.apply_move(chosen)
+        state.update_gains((chosen,), free, delta, changed)
+        for u in changed:
+            d = delta[u]
+            if d:
+                delta[u] = 0
+                key[u] -= d * n
+                heapq.heappush(heaps[side[u]], key[u])
+        changed.clear()
         moves.append(chosen)
-        cumulative += gain_value
+        cumulative += best_gain
         if cumulative > best_cumulative:
             best_cumulative = cumulative
             best_prefix = len(moves)
@@ -187,53 +202,3 @@ def _fm_pass(state: CutState, tolerance: float, movable: list[bool]) -> int:
     for v in reversed(moves[best_prefix:]):
         state.apply_move(v)
     return best_cumulative
-
-
-def _apply_with_gain_updates(
-    state: CutState, v: int, free: list[bool], key: list[int], heaps
-) -> None:
-    """Move ``v`` and apply the classic FM critical-net gain updates.
-
-    For each net on ``v``: before the move, a net with 0 (resp. 1) pins on
-    the *to* side raises (resp. lowers) neighbouring free-cell gains;
-    after the move the symmetric rule applies on the *from* side.  Each
-    free cell whose gain changed then gets one new heap key.
-    """
-    rows = state.index.edge_rows()
-    side = state.side
-    from_side = side[v]
-    to_side = 1 - from_side
-    to_pins = state.pins[to_side]
-    from_pins = state.pins[from_side]
-    edges = state.incidence[v]
-    delta: dict[int, int] = {}
-
-    for e in edges:
-        if to_pins[e] == 0:
-            for u in rows[e]:
-                if free[u]:
-                    delta[u] = delta.get(u, 0) + 1
-        elif to_pins[e] == 1:
-            for u in rows[e]:
-                if free[u] and side[u] == to_side:
-                    delta[u] = delta.get(u, 0) - 1
-                    break
-
-    state.apply_move(v)
-
-    for e in edges:
-        if from_pins[e] == 0:
-            for u in rows[e]:
-                if free[u]:
-                    delta[u] = delta.get(u, 0) - 1
-        elif from_pins[e] == 1:
-            for u in rows[e]:
-                if free[u] and side[u] == from_side:
-                    delta[u] = delta.get(u, 0) + 1
-                    break
-
-    n = len(side)
-    for u, d in delta.items():
-        if d:
-            key[u] -= d * n
-            heapq.heappush(heaps[side[u]], key[u])

@@ -19,25 +19,25 @@ shared-edge correction.  Equal gains rank by the larger ``repr``.  With
 all unlocked pairs, the exhaustive rule; tests check that by brute force
 on small inputs.
 
-Each side keeps one int64 key per unlocked vertex id, ``gain * n +
-rank``, where ``rank`` is the vertex's place in ``repr`` order (vertices
-with equal ``repr`` keep their vertex-list order).  Keys are distinct,
-so a step's shortlist is a ``partition`` plus a ``k``-element sort, and
-a swap rewrites only the keys of the neighbours whose gains it
-refreshed.  The pair scan stops early once no remaining pair can beat
-the best one (see :func:`_kl_pass`).
+Each side keeps a sorted list of int keys, one per unlocked vertex id,
+``gain * n + rank``, where ``rank`` is the vertex's place in ``repr``
+order (vertices with equal ``repr`` keep their vertex-list order).  Keys
+are distinct, so a step's shortlist is the last ``k`` keys of each list.
+A swap's gain changes come from the critical-net update of
+:meth:`CutState.update_gains`, as in FM, and only the keys whose gains
+changed move in their list.  The pair scan stops early once no
+remaining pair can beat the best one (see :func:`_kl_pass`).
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Hashable, Sequence
+from bisect import bisect_left, insort
+from collections.abc import Hashable
 from itertools import chain
 
-import numpy as np
-
 from repro import obs
-from repro.baselines.cutstate import LEFT, RIGHT, CutState, initial_state
+from repro.baselines.cutstate import CutState, initial_state
 from repro.baselines.result import BaselineResult
 from repro.core.hypergraph import Hypergraph
 from repro.core.partition import Bipartition
@@ -121,27 +121,33 @@ def _kl_pass(state: CutState, shortlist: int) -> int:
     positive), and the gains fall along both shortlists, so the scan
     stops once that bound cannot beat the best pair found.  The pick is
     the one a full scan makes, and ``evaluations`` still counts two per
-    shortlisted pair, scored or not.
+    shortlisted pair, scored or not, and one per vertex on the swapped
+    pair's nets (the gains a refresh from scratch would recompute).
     """
     n = len(state.side)
     side = state.side
     incidence = state.incidence
-    rows = state.index.edge_rows()
+    rows = state.rows
     order, rank = state.index.ranks()
     gains = [state.gain(v) for v in range(n)]
-    unlocked = [
-        _SideKeys([v for v in order if side[v] == s], gains, order, rank)
-        for s in (LEFT, RIGHT)
-    ]
+    keys: tuple[list[int], list[int]] = ([], [])
+    for v in range(n):
+        keys[side[v]].append(gains[v] * n + rank[v])
+    left_keys, right_keys = keys
+    left_keys.sort()
+    right_keys.sort()
+    free = [True] * n
+    delta = [0] * n
+    changed: list[int] = []
 
     swaps: list[tuple[int, int]] = []
     cumulative = 0
     best_cumulative = 0
     best_prefix = 0
 
-    while unlocked[LEFT] and unlocked[RIGHT]:
-        cand_left = unlocked[LEFT].top(shortlist)
-        cand_right = [(b, gains[b]) for b in unlocked[RIGHT].top(shortlist)]
+    while left_keys and right_keys:
+        cand_left = [order[key % n] for key in reversed(left_keys[-shortlist:])]
+        cand_right = [(order[key % n], key // n) for key in reversed(right_keys[-shortlist:])]
         # Two single-move gains per shortlisted pair, as swap_gain counts them.
         state.evaluations += 2 * len(cand_left) * len(cand_right)
         best_pair: tuple[int, int] | None = None
@@ -166,14 +172,22 @@ def _kl_pass(state: CutState, shortlist: int) -> int:
         affected = {a, b}
         for e in chain(incidence[a], incidence[b]):
             affected.update(rows[e])
+        state.evaluations += len(affected)
+        free[a] = free[b] = False
+        del left_keys[bisect_left(left_keys, gains[a] * n + rank[a])]
+        del right_keys[bisect_left(right_keys, gains[b] * n + rank[b])]
         state.apply_swap(a, b)
-        unlocked[LEFT].lock(a)
-        unlocked[RIGHT].lock(b)
-        for v in affected:
-            gains[v] = state.gain(v)
-            side_keys = unlocked[side[v]]
-            if v in side_keys:
-                side_keys.update(v, gains[v])
+        state.update_gains((a, b), free, delta, changed)
+        for u in changed:
+            d = delta[u]
+            if d:
+                delta[u] = 0
+                side_keys = keys[side[u]]
+                key = gains[u] * n + rank[u]
+                del side_keys[bisect_left(side_keys, key)]
+                insort(side_keys, key + d * n)
+                gains[u] += d
+        changed.clear()
 
         swaps.append((a, b))
         cumulative += best_gain
@@ -185,50 +199,3 @@ def _kl_pass(state: CutState, shortlist: int) -> int:
     for a, b in reversed(swaps[best_prefix:]):
         state.apply_swap(b, a)
     return best_cumulative
-
-
-class _SideKeys:
-    """One side's unlocked vertex ids, keyed ``gain * n + rank``.
-
-    The keys fill the front of an int64 array; ``slot`` maps each
-    unlocked id to its position.  A key decodes back to its id as
-    ``order[key % n]``.
-    """
-
-    def __init__(
-        self,
-        vertices: Sequence[int],
-        gains: Sequence[int],
-        order: Sequence[int],
-        rank: Sequence[int],
-    ) -> None:
-        self.order = order
-        self.rank = rank
-        self.n = n = len(order)
-        self.keys = np.array([gains[v] * n + rank[v] for v in vertices], dtype=np.int64)
-        self.slot = {v: i for i, v in enumerate(vertices)}
-
-    def __len__(self) -> int:
-        return len(self.slot)
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.slot
-
-    def top(self, k: int) -> list[int]:
-        """The (at most) ``k`` ids with the largest keys, largest first."""
-        live = self.keys[: len(self.slot)]
-        k = min(k, len(live))
-        best = np.sort(np.partition(live, -k)[-k:])[::-1]
-        return [self.order[key % self.n] for key in best.tolist()]
-
-    def update(self, v: int, gain: int) -> None:
-        self.keys[self.slot[v]] = gain * self.n + self.rank[v]
-
-    def lock(self, v: int) -> None:
-        """Drop ``v``, moving the last live key into its slot."""
-        i = self.slot.pop(v)
-        last = len(self.slot)
-        if i < last:
-            key = int(self.keys[last])
-            self.keys[i] = key
-            self.slot[self.order[key % self.n]] = i

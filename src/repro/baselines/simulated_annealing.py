@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from repro import obs
-from repro.baselines.cutstate import LEFT, initial_state
+from repro.baselines.cutstate import LEFT, RIGHT, initial_state
 from repro.baselines.result import BaselineResult
 from repro.core.hypergraph import Hypergraph
 from repro.core.partition import Bipartition
@@ -130,6 +130,18 @@ def simulated_annealing(
     total_moves = 0
     frozen_steps = 0
     temperature_steps = 0
+    # The proposal loop reads the state's lists directly, ``move_delta``
+    # inlined.  An accepted move's new left weight is the one its
+    # proposal priced, so its penalty becomes the current one.
+    side = state.side
+    pins = state.pins
+    incidence = state.incidence
+    weights = state.weights
+    side_sizes = state.side_sizes
+    side_weights = state.side_weights
+    randrange = rng.randrange
+    proposals = 0
+    current_penalty = penalty(side_weights[LEFT])
 
     with obs.span("baseline.sa"):
         while (
@@ -151,14 +163,30 @@ def simulated_annealing(
             accepted_any = False
             for _ in range(moves_per_temp):
                 total_moves += 1
-                v = rng.randrange(n)
-                if state.side_sizes[state.side[v]] <= 1:
+                v = randrange(n)
+                s = side[v]
+                if side_sizes[s] <= 1:
                     continue  # moving v would empty its side
-                delta = move_delta(v)
+                own = pins[s]
+                other = pins[1 - s]
+                gain = 0
+                for e in incidence[v]:
+                    if other[e] == 0:
+                        gain -= 1
+                    elif own[e] == 1:
+                        gain += 1
+                proposals += 1
+                w = weights[v]
+                new_left = side_weights[LEFT] + (-w if s == LEFT else w)
+                frac = abs(2.0 * new_left - total_weight) / total_weight
+                new_penalty = scale * frac * frac
+                delta = -gain + new_penalty - current_penalty
                 if delta <= 0 or rng.random() < math.exp(-delta / temperature):
                     state.apply_move(v)
+                    current_penalty = new_penalty
                     accepted_any = True
-                    feasible = state.weight_imbalance() / total_weight <= balance_tolerance
+                    imbalance = abs(side_weights[LEFT] - side_weights[RIGHT])
+                    feasible = imbalance / total_weight <= balance_tolerance
                     better = (feasible and not best_feasible) or (
                         feasible == best_feasible and state.cutsize < best_cut
                     )
@@ -174,6 +202,7 @@ def simulated_annealing(
             temperature *= schedule.alpha
 
         state.restore(best_snapshot)
+    state.evaluations += proposals
 
     obs.count("baseline.sa.runs")
     obs.count("baseline.sa.temperature_steps", temperature_steps)

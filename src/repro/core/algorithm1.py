@@ -309,9 +309,8 @@ def _score(
     when it has some but not all pins on the left, and both weight sums
     are exact (``math.fsum``), so their order cannot matter.
     """
-    ptr, pins, pin_edge, edge_weights = index.cut_table(original)
-    left_pins = np.bincount(pin_edge[sides[pins] == 0], minlength=len(ptr) - 1)
-    crossing = (left_pins > 0) & (left_pins < np.diff(ptr))
+    crossing = index.crossing(sides, original)
+    edge_weights = index.cut_table(original)[3]
     weights = index.weights
     imbalance = abs(
         math.fsum(weights[sides == 0].tolist()) - math.fsum(weights[sides == 1].tolist())

@@ -198,6 +198,15 @@ class HypergraphIndex:
             self._ranks = (order, rank)
         return self._ranks
 
+    def crossing(self, sides: np.ndarray, original: Hypergraph) -> np.ndarray:
+        """Which rows of ``cut_table(original)`` a full vertex-side array cuts.
+
+        A row is cut when it has some but not all of its pins on side 0.
+        """
+        ptr, pins, pin_edge, _ = self.cut_table(original)
+        left_pins = np.bincount(pin_edge[sides[pins] == 0], minlength=len(ptr) - 1)
+        return (left_pins > 0) & (left_pins < np.diff(ptr))
+
     def cut_table(
         self, original: Hypergraph
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

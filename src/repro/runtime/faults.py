@@ -41,6 +41,7 @@ re-killed by the same fault that triggered the fallback.
 from __future__ import annotations
 
 import os
+import re
 import signal
 import time
 from contextlib import contextmanager
@@ -210,6 +211,11 @@ def inject(site: str) -> None:
         return  # slow/hang: at most one sleep per inject call
 
 
+#: A ``1`` that may lead a multi-digit integer part: not after a digit,
+#: a decimal point or an exponent mark, and followed by a digit.
+_LEADING_ONE = re.compile(rb"(?<![0-9.eE+])(?<![eE]-)1(?=[0-9])")
+
+
 def corrupt_bytes(data: bytes, site: str) -> bytes:
     """Maybe flip one byte of ``data`` at a corruption site.
 
@@ -220,12 +226,15 @@ def corrupt_bytes(data: bytes, site: str) -> bytes:
     verification layer exists to catch.  Digits are targeted (XOR
     ``0x01``, so a digit stays a digit) because in canonical result
     bytes and persisted state records every digit is load-bearing —
-    cut values, checksums, content digests, vertex labels — while
-    keeping the line valid JSON, which exercises the *semantic*
-    detection path rather than the trivial parse failure.
+    cut values, checksums, content digests, vertex labels.  The flip
+    keeps valid JSON valid, which exercises the *semantic* detection
+    path rather than the trivial parse failure: the one flip that
+    would break a JSON number, a multi-digit integer's leading ``1``
+    turned into a leading zero (``10`` to ``00``), is never drawn, so
+    no ``1`` that may lead such a number is a candidate.
 
     With no armed plan (or inside :func:`suppressed`, or for data with
-    no digit bytes) the input is returned unchanged.  Non-``error``
+    no candidate digit) the input is returned unchanged.  Non-``error``
     modes are ignored at corruption sites — killing or hanging the
     serving process is :func:`inject`'s job.
     """
@@ -238,8 +247,9 @@ def corrupt_bytes(data: bytes, site: str) -> bytes:
             continue
         if rule.probability < 1.0 and rng.random() >= rule.probability:
             continue
+        leading = {m.start() for m in _LEADING_ONE.finditer(data)}
         digit_positions = [
-            i for i, byte in enumerate(data) if 0x30 <= byte <= 0x39
+            i for i, byte in enumerate(data) if 0x30 <= byte <= 0x39 and i not in leading
         ]
         if not digit_positions:
             return data

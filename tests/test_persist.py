@@ -606,6 +606,60 @@ class TestCorruptBytes:
         assert 0x30 <= corrupted[index] <= 0x39  # ...and stayed a digit
         json.loads(corrupted)  # the line is still valid JSON
 
+    def test_every_candidate_flip_keeps_valid_json(self, monkeypatch):
+        """Flip each candidate digit of a canonical partition body in turn.
+
+        The body holds multi-digit integers led by ``1`` (``10``,
+        ``100``, ``-10``, ``"starts":10``), whose leading digit XOR
+        ``0x01`` would turn into a leading zero.  Every flip must parse
+        and differ in exactly one byte, and a digit is spared exactly
+        when flipping it would not parse.
+        """
+        body = canonical_bytes({
+            "op": "partition", "engine": "fm", "digest": "d0", "fingerprint": "f0",
+            "settings": {"seed": 0, "starts": 10, "balance_tolerance": 0.1},
+            "cutsize": 12, "weighted_cutsize": 12.5, "imbalance_fraction": 1.5e-10,
+            "left": [1, 10, 11, 100, 101], "right": [-10, 0, 2, 19, 110],
+            "degraded": False, "degrade_reason": None,
+        })
+        assert b'"left":[1,10,' in body and b'"starts":10' in body
+
+        class FixedPick:
+            """An rng whose ``randrange`` draws ``index`` and records its bound."""
+
+            def __init__(self, index: int) -> None:
+                self.index = index
+                self.bound = None
+
+            def randrange(self, bound: int) -> int:
+                self.bound = bound
+                return self.index
+
+        faults.configure("server.verify=error:1", seed=5)
+        flipped = set()
+        index = 0
+        while True:
+            pick = FixedPick(index)
+            monkeypatch.setattr(faults, "_decision_rng", lambda plan: pick)
+            corrupted = faults.corrupt_bytes(body, "server.verify")
+            assert len(corrupted) == len(body)
+            diffs = [i for i, (a, b) in enumerate(zip(body, corrupted)) if a != b]
+            assert len(diffs) == 1
+            json.loads(corrupted)
+            flipped.add(diffs[0])
+            index += 1
+            if index == pick.bound:
+                break
+        assert len(flipped) == index
+        for i, byte in enumerate(body):
+            if 0x30 <= byte <= 0x39:
+                try:
+                    json.loads(body[:i] + bytes([byte ^ 0x01]) + body[i + 1:])
+                    parses = True
+                except ValueError:
+                    parses = False
+                assert parses == (i in flipped), (i, body[i - 3:i + 3])
+
     def test_digitless_data_passes_through(self):
         faults.configure("server.verify=error:1", seed=5)
         data = b'{"name":"abc"}'

@@ -12,7 +12,10 @@ daemon.  The contract under test:
 * cache entries survive the chaos (results are content-addressed, not
   session-addressed).
 
-Run with ``-m chaos`` (the tier-1 run deselects these).
+Run with ``-m chaos`` (the tier-1 run deselects these).  Every test runs
+under ``no_leaked_handles``: clients are closed in ``with`` blocks, and
+the daemon subprocess is reaped with its pipes closed, so the suite runs
+clean under ``python -X dev`` (the chaos CI leg runs it so).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import socket as socket_module
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -39,7 +43,7 @@ from repro.server import (
     ServiceResponseError,
 )
 
-pytestmark = pytest.mark.chaos
+pytestmark = [pytest.mark.chaos, pytest.mark.usefixtures("no_leaked_handles")]
 
 
 @pytest.fixture(autouse=True)
@@ -64,12 +68,16 @@ def h() -> Hypergraph:
     return graph
 
 
-def _start(**config_kwargs):
-    config = ServiceConfig(port=0, **config_kwargs)
-    svc = PartitionService(config).start()
-    client = ServiceClient(url=svc.url, timeout=120.0)
-    client.wait_ready(timeout=10.0)
-    return svc, client
+@contextmanager
+def _serving(**config_kwargs):
+    """A started daemon and a ready client; closes the client, then stops the daemon."""
+    svc = PartitionService(ServiceConfig(port=0, **config_kwargs)).start()
+    try:
+        with ServiceClient(url=svc.url, timeout=120.0) as client:
+            client.wait_ready(timeout=10.0)
+            yield svc, client
+    finally:
+        svc.stop()
 
 
 class TestChaosSession:
@@ -77,13 +85,12 @@ class TestChaosSession:
         """The acceptance scenario: worker kill + hang + over-budget
         request in one daemon session, typed error for each, daemon
         healthy throughout, full service afterwards."""
-        svc, client = _start(
+        with _serving(
             workers=2,
             max_retries=0,
             task_timeout=1.5,
             memory_limit_mb=256,
-        )
-        try:
+        ) as (svc, client):
             # Healthy baseline; also plants a cache entry for later.
             baseline = client.partition(h, engine="fm", settings={"seed": 0})
             assert baseline["served"]["cache"] == "miss"
@@ -124,24 +131,18 @@ class TestChaosSession:
             metrics = client.metrics()
             assert metrics["service"]["failures"] >= 3
             assert metrics["obs"]["counters"]["server.errors"] >= 3
-        finally:
-            svc.stop()
 
     def test_crash_is_retried_then_reported_with_attempts(self, h):
-        svc, client = _start(workers=1, max_retries=2)
-        try:
+        with _serving(workers=1, max_retries=2) as (svc, client):
             faults.configure("server.request=kill:1", seed=7)
             with pytest.raises(ServiceResponseError) as excinfo:
                 client.partition(h, engine="fm", settings={"seed": 9})
             # max_retries=2 -> 3 attempts, all killed, then a typed error.
             assert excinfo.value.error["attempts"] == 3
             assert excinfo.value.error_type == "WorkerCrashed"
-        finally:
-            svc.stop()
 
     def test_probabilistic_crashes_leave_other_requests_alone(self, h):
-        svc, client = _start(workers=2, max_retries=3)
-        try:
+        with _serving(workers=2, max_retries=3) as (svc, client):
             # 50% kill rate with retries: every request should still
             # eventually succeed (p(4 kills in a row) = 1/16 per
             # request, and the deterministic per-pid rng makes the
@@ -161,12 +162,9 @@ class TestChaosSession:
             faults.configure(None)
             clean = client.partition(h, engine="fm", settings={"seed": 0})
             assert clean["result"]["cutsize"] >= 1
-        finally:
-            svc.stop()
 
     def test_cache_hits_bypass_faults_entirely(self, h):
-        svc, client = _start(workers=1, max_retries=0)
-        try:
+        with _serving(workers=1, max_retries=0) as (svc, client):
             warm = client.partition(h, engine="fm", settings={"seed": 0})
             faults.configure("server.request=kill:1", seed=3)
             # A cache hit never reaches the pool, so it succeeds even
@@ -176,18 +174,13 @@ class TestChaosSession:
             assert hit["result"] == warm["result"]
             with pytest.raises(ServiceResponseError):
                 client.partition(h, engine="fm", settings={"seed": 1})
-        finally:
-            svc.stop()
 
     def test_slow_faults_only_slow_things_down(self, h):
-        svc, client = _start(workers=2, max_retries=0, task_timeout=30.0)
-        try:
+        with _serving(workers=2, max_retries=0, task_timeout=30.0) as (svc, client):
             faults.configure("server.request=slow:1:0.05", seed=5)
             response = client.partition(h, engine="fm", settings={"seed": 0})
             assert response["served"]["cache"] == "miss"
             assert response["result"]["cutsize"] >= 1
-        finally:
-            svc.stop()
 
 
 class TestEnvDrivenFaults:
@@ -225,12 +218,12 @@ class TestEnvDrivenFaults:
         try:
             banner = proc.stdout.readline().strip()
             assert banner == f"serving on unix:{socket_path}"
-            client = ServiceClient(socket_path=socket_path, timeout=60.0)
-            client.wait_ready(timeout=10.0)
-            with pytest.raises(ServiceResponseError) as excinfo:
-                client.partition(h, engine="fm", settings={"seed": 0})
-            assert excinfo.value.error_type == "WorkerCrashed"
-            assert client.healthz()["status"] == "ok"
+            with ServiceClient(socket_path=socket_path, timeout=60.0) as client:
+                client.wait_ready(timeout=10.0)
+                with pytest.raises(ServiceResponseError) as excinfo:
+                    client.partition(h, engine="fm", settings={"seed": 0})
+                assert excinfo.value.error_type == "WorkerCrashed"
+                assert client.healthz()["status"] == "ok"
         finally:
             proc.send_signal(signal.SIGTERM)
             try:
@@ -238,14 +231,15 @@ class TestEnvDrivenFaults:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait(timeout=15)
+            proc.stdout.close()
+            proc.stderr.close()
 
 
 class TestBrokerUnderChaos:
     def test_coalesced_requests_share_the_failure(self, h):
         import threading
 
-        svc, client = _start(workers=1, max_retries=0)
-        try:
+        with _serving(workers=1, max_retries=0) as (svc, client):
             # The slow request site holds the one execution open while
             # every thread joins it; the FM pass then kills the worker.
             faults.configure(
@@ -285,8 +279,6 @@ class TestBrokerUnderChaos:
             faults.configure(None)
             clean = client.partition(h, engine="fm", settings={"seed": 42})
             assert clean["served"]["cache"] == "miss"
-        finally:
-            svc.stop()
 
     def test_daemon_restarts_cleanly_after_chaos(self, h, tmp_path):
         # Two sequential daemons on the same UNIX socket path: the
@@ -297,20 +289,22 @@ class TestBrokerUnderChaos:
         svc = PartitionService(
             ServiceConfig(socket_path=path, workers=1, max_retries=0)
         ).start()
-        client = ServiceClient(socket_path=path, timeout=60.0)
-        client.wait_ready(timeout=10.0)
-        faults.configure("server.request=kill:1", seed=31)
-        with pytest.raises(ServiceResponseError):
-            client.partition(h, engine="fm", settings={"seed": 0})
-        svc.stop()
+        try:
+            with ServiceClient(socket_path=path, timeout=60.0) as client:
+                client.wait_ready(timeout=10.0)
+                faults.configure("server.request=kill:1", seed=31)
+                with pytest.raises(ServiceResponseError):
+                    client.partition(h, engine="fm", settings={"seed": 0})
+        finally:
+            svc.stop()
         faults.configure(None)
         svc2 = PartitionService(
             ServiceConfig(socket_path=path, workers=1)
         ).start()
         try:
-            client2 = ServiceClient(socket_path=path, timeout=60.0)
-            client2.wait_ready(timeout=10.0)
-            response = client2.partition(h, engine="fm", settings={"seed": 0})
-            assert response["served"]["cache"] == "miss"
+            with ServiceClient(socket_path=path, timeout=60.0) as client2:
+                client2.wait_ready(timeout=10.0)
+                response = client2.partition(h, engine="fm", settings={"seed": 0})
+                assert response["served"]["cache"] == "miss"
         finally:
             svc2.stop()
